@@ -92,10 +92,11 @@ setup(
     # The built-in scenario catalog ships as data: declarative YAML
     # files loaded at import time by repro.scenarios.builtin.
     package_data={"repro.scenarios": ["library/*.yaml"]},
-    python_requires=">=3.9",
-    install_requires=["scipy", "PyYAML"],
+    python_requires=">=3.10",
+    install_requires=["PyYAML"],
     extras_require={
-        "dev": ["pytest", "hypothesis", "pytest-benchmark"],
+        # scipy is the test oracle for despy.stats.student_t_quantile only.
+        "dev": ["pytest", "hypothesis", "pytest-benchmark", "scipy"],
         "compiled": ["mypy>=1.8"],
     },
     ext_modules=ext_modules,

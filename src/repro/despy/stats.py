@@ -18,6 +18,19 @@ This module implements exactly that workflow:
 * :class:`ReplicationAnalyzer` — collects per-replication metric
   dictionaries and reports mean/CI per metric.
 
+The Student t quantile
+----------------------
+
+:func:`student_t_quantile` needs only the standard library.  The 95%
+level that every reported interval uses reads t(ν, 0.975) for
+ν = 1..100 from a table: scipy 1.17.1's values, bit for bit.  The
+committed goldens and the benchmark's replication pins were produced
+under scipy, and its values are not correctly rounded (up to 21 ulp off
+at ν = 6), so no independent algorithm could reproduce those bytes.
+Every other level and ν is computed by inverting the t distribution
+function, a regularized incomplete beta, to about 1e-14 relative
+(1e-12 as ν nears 10⁵, where a series takes over).
+
 Steady-state output analysis (open-system scenarios)
 ----------------------------------------------------
 
@@ -41,10 +54,10 @@ honest pipeline ([Ban96]; White's MSER):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Dict, Iterable, Mapping, Sequence
-
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -81,11 +94,194 @@ class ConfidenceInterval:
         )
 
 
+# ----------------------------------------------------------------------
+# Student t quantile
+# ----------------------------------------------------------------------
+#: scipy 1.17.1's ``stats.t.ppf(0.975, ν)`` for ν = 1..100 (four per
+#: row), as float.hex.  The goldens and pins were built from exactly
+#: these values; see the module docstring for why they cannot be
+#: recomputed.
+_T975 = tuple(
+    map(
+        float.fromhex,
+        """
+    0x1.96993aacc4d1ep+3 0x1.135ea98e146b9p+2 0x1.975a66893c1a7p+1 0x1.63628d9efb5dep+1
+    0x1.4908d359dff38p+1 0x1.393468546e668p+1 0x1.2eac01e9f5b1ap+1 0x1.272b24bc92428p+1
+    0x1.218e5dac50b23p+1 0x1.1d33a7661d302p+1 0x1.19b9e1b8c996cp+1 0x1.16e356bbc352dp+1
+    0x1.1486f5cb67d3bp+1 0x1.12885ec4c0667p+1 0x1.10d356b5a06c2p+1 0x1.0f590e8d62dd7p+1
+    0x1.0e0e6fd5b155ep+1 0x1.0ceb036f23f31p+1 0x1.0be83653b666cp+1 0x1.0b00d9a954436p+1
+    0x1.0a30c955b504bp+1 0x1.0974ac3559fb2p+1 0x1.08c9c5c7af878p+1 0x1.082dd3fc3a165p+1
+    0x1.079ef594769a4p+1 0x1.071b96b177db5p+1 0x1.06a261e29bdabp+1 0x1.0632348973a31p+1
+    0x1.05ca15bce286fp+1 0x1.05692f10aaee9p+1 0x1.050ec6d0032d6p+1 0x1.04ba3b5725836p+1
+    0x1.046aff4ce0d8fp+1 0x1.0420968c7f61bp+1 0x1.03da939b97bfbp+1 0x1.0398958fb660bp+1
+    0x1.035a464e0e4cap+1 0x1.031f59141b8acp+1 0x1.02e7893bbcad5p+1 0x1.02b299300ed51p+1
+    0x1.0280518a7d28fp+1 0x1.02508051216f5p+1 0x1.0222f850e412bp+1 0x1.01f7908ed3d0dp+1
+    0x1.01ce23cd00c4cp+1 0x1.01a6901fcf862p+1 0x1.0180b69140f87p+1 0x1.015c7ad019361p+1
+    0x1.0139c2e92927dp+1 0x1.01187709471cdp+1 0x1.00f88146be527p+1 0x1.00d9cd712e717p+1
+    0x1.00bc48e6fc925p+1 0x1.009fe26f9904ep+1 0x1.00848a19f91ffp+1 0x1.006a311ebbcb4p+1
+    0x1.0050c9c58322ap+1 0x1.0038474d1e1a9p+1 0x1.00209dd62b0aap+1 0x1.0009c24fe7d7fp+1
+    0x1.ffe754cddd10fp+0 0x1.ffbc98eb4b3b0p+0 0x1.ff933eec65c14p+0 0x1.ff6b35eb8b3b8p+0
+    0x1.ff446e12253f8p+0 0x1.ff1ed883c1e66p+0 0x1.fefa674b14d90p+0 0x1.fed70d48acdcdp+0
+    0x1.feb4be2330d3ap+0 0x1.fe936e38fc66ap+0 0x1.fe731292f91a7p+0 0x1.fe53a0d8948bap+0
+    0x1.fe350f44b80b4p+0 0x1.fe17549ba8ddfp+0 0x1.fdfa6821bb14ap+0 0x1.fdde4192c3475p+0
+    0x1.fdc2d91a3598fp+0 0x1.fda8274be2386p+0 0x1.fd8e251d4135cp+0 0x1.fd74cbdf40f39p+0
+    0x1.fd5c15388bbe8p+0 0x1.fd43fb203a3c6p+0 0x1.fd2c77d8e9635p+0 0x1.fd1585ec2b8cep+0
+    0x1.fcff20264d0fbp+0 0x1.fce9419265749p+0 0x1.fcd3e576af0ebp+0 0x1.fcbf07511f441p+0
+    0x1.fcaaa2d43a640p+0 0x1.fc96b3e41e566p+0 0x1.fc833693bfdf9p+0 0x1.fc7027225693ep+0
+    0x1.fc5d81f8f3e8ep+0 0x1.fc4b43a84227ep+0 0x1.fc3968e668447p+0 0x1.fc27ee8d0fe12p+0
+    0x1.fc16d1978b014p+0 0x1.fc060f21171dap+0 0x1.fbf5a4633b83bp+0 0x1.fbe58eb4410d9p+0
+        """.split(),
+    )
+)
+
+#: The upper-tail mass of :data:`_T975`.  :func:`confidence_interval`
+#: at 95% forms p = 1 - (1 - 0.95)/2, which is exactly 0.975 in
+#: binary64, and this is 1 - p exactly.  Keying the table on the tail
+#: rather than on p keeps q(ν, 1 - p) = -q(ν, p) exact on it too.
+_T975_TAIL = 1.0 - 0.975
+
+#: From this many degrees of freedom on, the four-term Cornish-Fisher
+#: expansion alone is exact to ~1e-13 relative for every representable
+#: p, while the incomplete beta fraction loses digits as ν grows.
+_SERIES_DEGREES = 100_000
+
+#: Newton steps from the Cornish-Fisher start settle within three steps
+#: for every ν and p tried (p down to 5e-324); the cap bounds the loop.
+_NEWTON_STEPS = 8
+
+#: Lentz guard against a vanishing partial denominator, and the
+#: continued fraction's stopping tolerance and term cap.
+_CF_TINY = 1e-300
+_CF_EPS = 1e-16
+_CF_TERMS = 1000
+
+_STANDARD_NORMAL = NormalDist()
+
+
 def student_t_quantile(degrees: int, probability: float) -> float:
-    """Quantile of the Student t distribution (wraps scipy)."""
+    """Quantile t with P(T ≤ t) = ``probability`` for T ~ Student t(ν).
+
+    At 97.5% and ν ≤ 100, the level every 95% interval of the paper's
+    method uses, the value is scipy 1.17.1's bit for bit (the table
+    above), so results built under scipy reproduce exactly.  Every other
+    (ν, p) is inverted by :func:`_t_upper_quantile` to ~1e-14 relative
+    (~1e-12 just below ν = 10⁵).
+
+    Raises :class:`ValueError` unless ``degrees`` >= 1 and ``probability``
+    lies strictly inside (0, 1); NaN and the infinities are rejected too.
+    """
+    degrees = operator.index(degrees)
     if degrees < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {degrees}")
-    return float(_scipy_stats.t.ppf(probability, degrees))
+    if not 0.0 < probability < 1.0:
+        raise ValueError(f"probability must be in (0, 1), got {probability}")
+    if probability == 0.5:
+        return 0.0
+    tail = min(probability, 1.0 - probability)
+    if tail == _T975_TAIL and degrees <= len(_T975):
+        t = _T975[degrees - 1]
+    else:
+        t = _t_upper_quantile(degrees, tail)
+    return t if probability > 0.5 else -t
+
+
+def _t_upper_quantile(nu: int, tail: float) -> float:
+    """The t > 0 with P(T > t) = ``tail``, for 0 < ``tail`` < 1/2.
+
+    ν = 1 (Cauchy) and ν = 2 have closed forms.  Otherwise the start is
+    the normal quantile z with the Cornish-Fisher correction in powers
+    of 1/ν [A&S 26.7.5], and Newton steps refine it on the tail
+    2·P(T > t) = I_x(ν/2, 1/2), x = ν/(ν+t²), in logarithms: log I is
+    concave in log t, so the steps converge from any start.  x and
+    1 - x = t²/(ν+t²) are formed separately, and near the median the
+    complement 1 - I_{1-x}(1/2, ν/2) goes through log1p, so no digit is
+    lost to cancellation at either end.
+    """
+    central = 1.0 - 2.0 * tail  # P(|T| < t); exact when tail > 1/4
+    if nu == 1:
+        if central < tail:
+            return math.tan(0.5 * math.pi * central)
+        return 1.0 / math.tan(math.pi * tail)
+    if nu == 2:
+        return central / math.sqrt(tail * (1.0 + central))
+    z = -_STANDARD_NORMAL.inv_cdf(tail)
+    zz = z * z
+    g1 = (zz + 1.0) / 4.0
+    g2 = ((5.0 * zz + 16.0) * zz + 3.0) / 96.0
+    g3 = (((3.0 * zz + 19.0) * zz + 17.0) * zz - 15.0) / 384.0
+    g4 = ((((79.0 * zz + 776.0) * zz + 1482.0) * zz - 1920.0) * zz - 945.0) / 92160.0
+    t = z * (1.0 + (g1 + (g2 + (g3 + g4 / nu) / nu) / nu) / nu)
+    if nu >= _SERIES_DEGREES:
+        return t
+    log_target = math.log(2.0 * tail)
+    log_norm = _log_gamma_ratio(0.5 * nu) - 0.5 * math.log(math.pi)
+    for _ in range(_NEWTON_STEPS):
+        s = t * t
+        x, y = nu / (nu + s), s / (nu + s)
+        # log(x^(ν/2) y^(1/2) / B(ν/2, 1/2)), which is log(t·density(t)).
+        log_tf = 0.5 * math.log(y) - 0.5 * nu * math.log1p(s / nu) + log_norm
+        log_i, i_over_tf = _log_betainc(0.5 * nu, 0.5, x, y, log_tf)
+        # d log I / d log t = -2·t·density(t) / I.
+        step = (log_i - log_target) * i_over_tf / 2.0
+        t *= math.exp(step)
+        if abs(step) < 1e-9:  # quadratic convergence: t is now within ~1e-18
+            break
+    return t
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Γ(a + 1/2) - log Γ(a).
+
+    Differencing two lgamma values keeps their few-ulp errors at the
+    size of lgamma itself (~1e-12 absolute by a = 500), so from a = 15
+    on the asymptotic series, exact to double precision there, is used.
+    """
+    if a < 15.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / (a * a)
+    series = -0.125 + r * (1 / 192 + r * (-1 / 640 + r * (17 / 14336 - r * 31 / 18432)))
+    return 0.5 * math.log(a) + series / a
+
+
+def _log_betainc(
+    a: float, b: float, x: float, y: float, log_front: float
+) -> tuple[float, float]:
+    """log I_x(a, b) and I_x(a, b)/front, given y = 1 - x.
+
+    ``log_front`` is log(x^a y^b / B(a, b)).  Below x = (a+1)/(a+b+2)
+    the continued fraction for I_x(a, b) converges fast; above it, the
+    one for the complement 1 - I_y(b, a) does [Numerical Recipes §6.4].
+    """
+    if x < (a + 1.0) / (a + b + 2.0):
+        ratio = _beta_cf(a, b, x) / a
+        return log_front + math.log(ratio), ratio
+    log_i = math.log1p(-math.exp(log_front) * _beta_cf(b, a, y) / b)
+    return log_i, math.exp(log_i - log_front)
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction F of I_x(a, b) = x^a (1-x)^b F / (a B(a, b)).
+
+    Evaluated by the modified Lentz method.
+    """
+
+    def nonzero(value: float) -> float:
+        return value if abs(value) > _CF_TINY else _CF_TINY
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    fraction = d
+    for m in range(1, _CF_TERMS):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / nonzero(1.0 + numerator * d)
+            c = nonzero(1.0 + numerator / c)
+            fraction *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
+            return fraction
+    raise ArithmeticError(f"I_x({a}, {b}) fraction did not converge at x = {x}")
 
 
 def confidence_interval(

@@ -49,7 +49,13 @@ def _parse_yaml(text: str, source: str) -> Mapping:
 
 
 def _parse_toml(text: str, source: str) -> Mapping:
-    import tomllib
+    try:
+        import tomllib  # in the standard library from Python 3.11
+    except ModuleNotFoundError:
+        raise ScenarioSchemaError(
+            source,
+            "TOML scenario files need Python >= 3.11 (tomllib); use the YAML form",
+        ) from None
 
     try:
         return tomllib.loads(text)

@@ -1,6 +1,10 @@
 """Unit tests for the [Ban96] replication-statistics workflow."""
 
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.despy import (
     ConfidenceInterval,
@@ -8,7 +12,7 @@ from repro.despy import (
     confidence_interval,
     required_replications,
 )
-from repro.despy.stats import student_t_quantile
+from repro.despy.stats import _T975, _t_upper_quantile, student_t_quantile
 
 
 class TestConfidenceInterval:
@@ -56,6 +60,17 @@ class TestConfidenceInterval:
         assert "n=3" in text
 
 
+#: The probability confidence_interval forms at 95% confidence.
+P975 = 1.0 - (1.0 - 0.95) / 2.0
+
+ORACLE_PROBABILITIES = (0.001, 0.05, 0.6, 0.9, 0.95, 0.99, 0.995, 0.999)
+
+degrees = st.integers(min_value=1, max_value=10**6)
+upper_half = st.floats(min_value=0.5, max_value=1.0, exclude_max=True)
+# Below ~1.8e-309 the Cauchy (ν = 1) quantile overflows to -inf.
+probabilities = st.floats(min_value=1e-300, max_value=1.0, exclude_max=True)
+
+
 class TestStudentT:
     def test_matches_table_values(self):
         # Classic table entries
@@ -65,6 +80,97 @@ class TestStudentT:
     def test_rejects_zero_degrees(self):
         with pytest.raises(ValueError):
             student_t_quantile(0, 0.975)
+
+    def test_rejects_fractional_degrees(self):
+        with pytest.raises(TypeError):
+            student_t_quantile(2.5, 0.975)
+
+    @pytest.mark.parametrize(
+        "probability", [0.0, 1.0, -0.25, 1.5, math.nan, math.inf, -math.inf]
+    )
+    def test_rejects_probability_outside_open_unit_interval(self, probability):
+        # These used to come back as NaN and flow silently into a CI.
+        with pytest.raises(ValueError, match="probability"):
+            student_t_quantile(5, probability)
+
+    @pytest.mark.parametrize(
+        "nu, density_at_0",
+        [
+            (1, 1.0 / math.pi),
+            (2, 1.0 / (2.0 * math.sqrt(2.0))),
+            (3, 2.0 / (math.pi * math.sqrt(3.0))),
+            (4, 3.0 / 8.0),
+        ],
+    )
+    def test_full_relative_precision_near_the_median(self, nu, density_at_0):
+        # t ≈ δ / density(0) up to a relative O(t²), far below an ulp here.
+        delta = 2.0**-40
+        assert student_t_quantile(nu, 0.5 + delta) == pytest.approx(
+            delta / density_at_0, rel=1e-14, abs=0.0
+        )
+
+    def test_full_relative_precision_in_the_cauchy_tail(self):
+        # ν = 1: q(p) = -1/tan(πp), which is -1/(πp) to an ulp at p = 1e-10.
+        assert student_t_quantile(1, 1e-10) == pytest.approx(
+            -1e10 / math.pi, rel=1e-15, abs=0.0
+        )
+
+    def test_95_percent_path_reads_the_table_bit_for_bit(self):
+        assert P975 == 0.975
+        for nu, value in enumerate(_T975, start=1):
+            assert student_t_quantile(nu, P975) == value
+            assert student_t_quantile(nu, 1.0 - P975) == -value
+
+    def test_inversion_reproduces_every_table_entry(self):
+        # No scipy needed, so a typo in the table cannot hide behind a
+        # skipped oracle test.
+        for nu, value in enumerate(_T975, start=1):
+            assert _t_upper_quantile(nu, 1.0 - P975) == pytest.approx(value, rel=1e-11)
+
+
+class TestStudentTOracle:
+    """scipy is a test-only dependency: the oracle for the inversion."""
+
+    def test_matches_scipy_up_to_1000_degrees(self):
+        stats = pytest.importorskip("scipy.stats")
+        nus = range(1, 1001)
+        worst = max(
+            (abs(student_t_quantile(nu, p) - want) / abs(want), nu, p)
+            for p in ORACLE_PROBABILITIES
+            for nu, want in zip(nus, map(float, stats.t.ppf(p, nus)))
+        )
+        assert worst[0] <= 1e-13, worst
+
+    @pytest.mark.parametrize("nu", [10**4, 10**6, 10**12])
+    def test_matches_scipy_at_large_degrees(self, nu):
+        stats = pytest.importorskip("scipy.stats")
+        for p in ORACLE_PROBABILITIES:
+            want = float(stats.t.ppf(p, nu))
+            assert student_t_quantile(nu, p) == pytest.approx(want, rel=1e-12)
+
+
+class TestStudentTProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(degrees, upper_half)
+    def test_odd_symmetry(self, nu, p):
+        # 1 - p is exact for p >= 1/2, so the two calls mirror each other.
+        assert student_t_quantile(nu, 1.0 - p) == -student_t_quantile(nu, p)
+
+    @given(degrees)
+    def test_median_is_zero(self, nu):
+        assert student_t_quantile(nu, 0.5) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(degrees, probabilities, probabilities)
+    def test_strictly_increasing_in_probability(self, nu, p1, p2):
+        low, high = sorted((p1, p2))
+        assume(high - low > 1e-9)  # far above the last-ulp noise
+        assert student_t_quantile(nu, low) < student_t_quantile(nu, high)
+
+    @settings(max_examples=200, deadline=None)
+    @given(degrees, upper_half)
+    def test_upper_quantiles_shrink_with_degrees(self, nu, p):
+        assert student_t_quantile(nu + 1, p) <= student_t_quantile(nu, p)
 
 
 class TestRequiredReplications:

@@ -1,8 +1,33 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy_or_numpy(self):
+        """A module-level heavy import would add ~1 s to every CLI run."""
+        probe = (
+            "import sys, repro.__main__; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy'))))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestParser:

@@ -9,6 +9,7 @@ config dataclasses.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -217,15 +218,28 @@ class TestLoaderFormats:
         assert scenario.points[0][1].ocb.hotn == 50
 
     def test_toml_text_loads(self):
+        pytest.importorskip("tomllib")
         scenario = load_scenario_text(self.TOML, suffix=".toml")
         assert scenario.name == "toml-study"
         assert math.isinf(scenario.points[0][1].netthru)
         assert scenario.points[0][1].ocb.hotn == 50
 
     def test_yaml_and_toml_compile_identically(self):
+        pytest.importorskip("tomllib")
         a = load_scenario_text(self.YAML)
         b = load_scenario_text(self.TOML, suffix=".toml")
         assert a.points[0][1] == b.points[0][1]
+
+    def test_toml_without_tomllib_names_the_file(self, tmp_path, monkeypatch):
+        """Before Python 3.11 there is no tomllib: a schema error naming
+        the file and the way out, not an uncaught ModuleNotFoundError."""
+        from repro.scenarios import load_scenario_file
+
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "study.toml"
+        path.write_text(self.TOML, encoding="utf-8")
+        with pytest.raises(ScenarioSchemaError, match=r"study\.toml: .*3\.11"):
+            load_scenario_file(path)
 
     def test_invalid_yaml_reports_source(self):
         with pytest.raises(ScenarioSchemaError, match="bad.yaml"):
