@@ -1,4 +1,4 @@
-"""Kernel-equivalence digests: 15 pinned configs, one hex digest each.
+"""Model-equivalence digests: 20 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -13,11 +13,20 @@ event-list rewrite be swapped with confidence::
     VOODB_COMPILED=1 PYTHONPATH=src python benchmarks/digest_configs.py \
         --compare pure.json
 
-``--compare`` exits 1 on the first mismatch, printing both digests per
+The committed ``benchmarks/digests.json`` is the reference: comparing
+against it catches a model refactor that drifts a config no golden
+covers::
+
+    PYTHONPATH=src python benchmarks/digest_configs.py \
+        --compare benchmarks/digests.json
+
+``--compare`` exits 1 on any mismatch, printing both digests per
 config.  The config set deliberately crosses every subsystem the tick
 refactor touched: system classes, replacement policies, clustering,
 cluster topologies, virtual memory, prefetching, failure injection,
-lock contention and write traffic.
+lock contention and write traffic — plus the cluster page-service
+modes (sync fan-out on free and throttled interconnects, async copies,
+per-node failures, object-server forwarding).
 """
 
 from __future__ import annotations
@@ -25,11 +34,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from repro.core import run_replication
 from repro.core.failures import FailureConfig
-from repro.core.parameters import ClusterConfig, SystemClass, VOODBConfig
+from repro.core.parameters import (
+    ClusterConfig,
+    ReplicationConfig,
+    SystemClass,
+    VOODBConfig,
+)
 from repro.ocb.parameters import OCBConfig
 from repro.systems.o2 import o2_config
 from repro.systems.texas import texas_config
@@ -45,8 +60,19 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 15 pinned (name -> config) equivalence points."""
+    """The 20 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
+    writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
+    # Cluster page-service points: 4 concurrent users, so requests meet
+    # crashed nodes (failover, recovery waits) and in-flight appliers.
+    shared = writes.with_changes(nusers=4)
+    node_failures = FailureConfig(transient_mtbf_ms=500.0, crash_mtbf_ms=8_000.0)
+
+    def cluster(mbps: float = math.inf) -> ClusterConfig:
+        return ClusterConfig(
+            servers=3, placement="hash", replication=2, interconnect_mbps=mbps
+        )
+
     return {
         "default": base,
         # nusers > multilvl so the multiprogramming cap actually binds.
@@ -57,7 +83,7 @@ def pinned_configs() -> dict:
         "mru": base.with_changes(pgrep="MRU"),
         "fifo": base.with_changes(pgrep="FIFO"),
         "prefetch-cluster": base.with_changes(prefetch="cluster"),
-        "writes": VOODBConfig(ocb=_ocb(pwrite=0.3)),
+        "writes": writes,
         "contended-locks": VOODBConfig(
             ocb=_ocb(pwrite=0.3), multilvl=10, nusers=10
         ),
@@ -74,6 +100,21 @@ def pinned_configs() -> dict:
         "o2-dstc": o2_config(
             nc=20, no=5000, cache_mb=4, hotn=_HOTN
         ).with_changes(clustp="dstc"),
+        "cluster-sync-r2": shared.with_changes(cluster=cluster()),
+        "cluster-sync-r2-25mbps": shared.with_changes(cluster=cluster(25.0)),
+        "cluster-async-r2-failures": shared.with_changes(
+            cluster=cluster(),
+            replication=ReplicationConfig(mode="async"),
+            failures=node_failures,
+        ),
+        "cluster-sync-r2-failures": shared.with_changes(
+            cluster=cluster(), failures=node_failures
+        ),
+        "cluster-object-async-25mbps": shared.with_changes(
+            sysclass=SystemClass.OBJECT_SERVER,
+            cluster=cluster(25.0),
+            replication=ReplicationConfig(mode="async"),
+        ),
     }
 
 
@@ -88,13 +129,13 @@ def run_digests(seed: int = 1) -> dict:
     digests = {}
     for name, config in pinned_configs().items():
         digests[name] = digest_config(config, seed=seed)
-        print(f"{name:>18}  {digests[name]}")
+        print(f"{name:>27}  {digests[name]}")
     return digests
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 15 pinned kernel-equivalence configs."
+        description="Hex-digest the 20 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")
