@@ -632,8 +632,9 @@ class ClusterArchitecture(Architecture):
     page access routes to its owning node through the shard router, and
     all disk work happens on that node's private disk.  Like the
     single-server classes, the nowait faces return ``None`` when the
-    whole access resolved in place (client-cache hits, buffer hits over
-    free networks) — the PR-2 fast-path contract, extended per node.
+    whole access resolved in place (client-cache hits, buffer hits that
+    owe no network time) — the PR-2 fast-path contract, extended per
+    node.
     """
 
     def __init__(self, *args, cluster=None, **kwargs) -> None:
@@ -641,11 +642,6 @@ class ClusterArchitecture(Architecture):
         if cluster is None:
             raise ValueError(f"{type(self).__name__} needs a Cluster instance")
         self.cluster = cluster
-
-    @property
-    def _free_fabric(self) -> bool:
-        """Both networks free: the fully synchronous hit path applies."""
-        return self.network.infinite and self.cluster.interconnect.infinite
 
 
 class ClusterPageServer(ClusterArchitecture):
@@ -670,19 +666,11 @@ class ClusterPageServer(ClusterArchitecture):
         network = self.network
         cluster = self.cluster
         pages = iter(self.object_manager.pages_of(oid))
-        if network.infinite and (
-            not write
-            or cluster.router.replication == 1
-            or cluster.interconnect.infinite
-            or cluster.async_mode
-        ):
-            # Free client network, and the access cannot owe interconnect
-            # time synchronously (reads never do; replication-1 writes
-            # never propagate; async writes ship through the appliers,
-            # which pay the interconnect themselves): the whole loop
-            # stays synchronous until a node's disk misses — any timed
-            # remainder (quorum waits, crash downtime) rides the
-            # returned step.
+        if network.infinite:
+            # Free client network: the loop stays synchronous until a
+            # page service owes simulated time (disk misses, throttled
+            # interconnect transfers, crash downtime, quorum waits),
+            # and that remainder rides the returned step.
             round_trip_bytes = self.config.message_bytes + self.config.pgsize
             for page in pages:
                 if client_cache is not None:
@@ -692,13 +680,13 @@ class ClusterPageServer(ClusterArchitecture):
                     self.client_misses += 1
                 network.messages += 2
                 network.bytes_sent += round_trip_bytes
-                step = cluster.serve_page_nowait(page, write)
+                step = cluster.serve_page(page, write)
                 if step is not None:
                     return self._free_fabric_tail(step, pages, write)
             return None
         if client_cache is not None:
-            # Throttled fabric: client-cache hits still resolve in
-            # place; hand off at the first page that must travel.
+            # Throttled client network: client-cache hits still resolve
+            # in place; hand off at the first page that must travel.
             for page in pages:
                 if client_cache.access(page, False).hit:
                     self.client_hits += 1
@@ -709,7 +697,7 @@ class ClusterPageServer(ClusterArchitecture):
         return self._timed_access(pages, write)
 
     def _free_fabric_tail(self, step, pages, write: bool):
-        """Finish a free-fabric object access from its first disk miss."""
+        """Finish a free-network object access from its first timed page."""
         client_cache = self.client_cache
         network = self.network
         cluster = self.cluster
@@ -723,23 +711,20 @@ class ClusterPageServer(ClusterArchitecture):
                 self.client_misses += 1
             network.messages += 2
             network.bytes_sent += round_trip_bytes
-            step = cluster.serve_page_nowait(page, write)
+            step = cluster.serve_page(page, write)
             if step is not None:
                 yield from step
 
     def _timed_page(self, page: int, write: bool):
-        """One page's round trip over the throttled fabric."""
+        """One page's round trip over the throttled client network."""
         network = self.network
         cluster = self.cluster
         step = network.transfer_nowait(self.config.message_bytes)
         if step is not None:
             yield from step
-        if cluster.interconnect.infinite:
-            step = cluster.serve_page_nowait(page, write)
-            if step is not None:
-                yield from step
-        else:
-            yield from cluster.serve_page(page, write)
+        step = cluster.serve_page(page, write)
+        if step is not None:
+            yield from step
         step = network.transfer_nowait(self.config.pgsize)
         if step is not None:
             yield from step
@@ -751,7 +736,7 @@ class ClusterPageServer(ClusterArchitecture):
         yield from self._timed_access(pages, write)
 
     def _timed_access(self, pages, write: bool):
-        """Per-page round trips with at least one throttled network."""
+        """Per-page round trips over the throttled client network."""
         client_cache = self.client_cache
         for page in pages:
             if client_cache is not None:
@@ -794,12 +779,12 @@ class ClusterObjectServer(ClusterArchitecture):
         cluster = self.cluster
         span = self.object_manager.pages_of(oid)
         home = cluster.next_coordinator()
-        if self._free_fabric:
-            network = self.network
+        network = self.network
+        if network.infinite:
             network.transfer_nowait(self.config.message_bytes)
             pages = iter(span)
             for page in pages:
-                step = cluster.serve_page_nowait(page, write, home)
+                step = cluster.serve_page(page, write, home)
                 if step is not None:
                     return self._free_fabric_tail(step, pages, write, home, oid)
             network.transfer_nowait(self.db.size(oid))
@@ -810,7 +795,7 @@ class ClusterObjectServer(ClusterArchitecture):
         cluster = self.cluster
         yield from step
         for page in pages:
-            step = cluster.serve_page_nowait(page, write, home)
+            step = cluster.serve_page(page, write, home)
             if step is not None:
                 yield from step
         self.network.transfer_nowait(self.db.size(oid))
@@ -818,17 +803,13 @@ class ClusterObjectServer(ClusterArchitecture):
     def _timed_access(self, oid: int, span, write: bool, home: int):
         network = self.network
         cluster = self.cluster
-        fast_interconnect = cluster.interconnect.infinite
         step = network.transfer_nowait(self.config.message_bytes)
         if step is not None:
             yield from step
         for page in span:
-            if fast_interconnect:
-                step = cluster.serve_page_nowait(page, write, home)
-                if step is not None:
-                    yield from step
-            else:
-                yield from cluster.serve_page(page, write, home)
+            step = cluster.serve_page(page, write, home)
+            if step is not None:
+                yield from step
         step = network.transfer_nowait(self.db.size(oid))
         if step is not None:
             yield from step

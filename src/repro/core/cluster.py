@@ -33,6 +33,45 @@ home node, acquiring node partitions in node order — a total order over
 ``(home node, oid)``, so the conservative-2PL deadlock-freedom argument
 of :mod:`repro.core.locks` carries over unchanged.
 
+**One page-service pipeline.**  Every page access, whatever the
+replication mode and fault plan, runs :meth:`Cluster.serve_page`, whose
+stages are composed rather than forked per mode:
+
+1. *route* — the router names the replica set; a write goes to the
+   page's (elected) primary, a read balances round-robin across the
+   replicas or stays at the object's coordinator when it holds one;
+2. *failover* — a read routed to a crashed node moves on around the
+   replica ring, or waits out the earliest recovery when the whole set
+   is down; a write whose primary is down waits out its recovery, or,
+   under the fault layer, triggers a re-election;
+3. *consistency target* — async reads consult ``read_quorum`` replicas
+   and serve the freshest, falling back to the primary when a session
+   guarantee demands it;
+4. *serve* — the node's crash and gray probes, the coordinator's
+   forwarding round trip, and the buffer access with its miss I/O
+   (stretched at a gray node);
+5. *propagate or apply* — a sync write installs the image at every
+   live replica; an async write bumps the page version and enqueues the
+   image on each follower's apply queue.
+
+The result keeps the nowait contract: ``None`` when the access took no
+simulated time, otherwise one generator.  Two ordering rules fix the
+interleavings:
+
+* on a throttled interconnect, a forwarded (object-server) access
+  touches the owner's buffer only once its request message has crossed;
+* on a free interconnect, sync replica installs happen at call time,
+  so only the write-backs of the victims they evict pass through the
+  event loop.
+
+Modes differ in state, not in code.  A node without hazards is never
+down, and the fault-layer state starts inactive: no partition, no gray
+episode, no elected primaries, no repair cadence.  ``faults_on`` only
+switches behaviour where the fault layer really does something else:
+the retry ladder instead of skipping a down peer, an election instead
+of waiting out a crashed primary, read-repair, the applier's ship
+contract, and the final repair drain.
+
 The **consistency spectrum**
 (:class:`~repro.core.parameters.ReplicationConfig`) selects how replica
 writes propagate: the default ``sync`` mode pays the fan-out inside the
@@ -40,13 +79,8 @@ transaction, while ``async`` mode commits at the primary and enqueues
 the page image on every successor's FIFO apply queue, drained by a
 per-node *applier* process (interconnect ship + optional replay delay)
 — producing ``replica_lag_ms``/``stale_reads``/``apply_queue_peak``.
-Quorum reads consult ``read_quorum`` live replicas and serve the
-freshest; quorum writes wait for ``write_quorum − 1`` applier acks;
-the ``read_your_writes``/``monotonic_reads`` session guarantees fall
-back to the primary when the routed replica is behind the session
-floor.  Failure injection composes per node (independent hazard
-streams): reads fail over around crashed nodes in ring order, writes
-queue behind the down primary's recovery.
+Quorum writes wait for ``write_quorum − 1`` applier acks.  Failure
+injection composes per node (independent hazard streams).
 
 The **fault-tolerance layer**
 (:class:`~repro.core.failures.FaultConfig` /
@@ -283,7 +317,7 @@ class _ClusterFailureView:
 
     On a cluster, hazards live at the nodes: transient faults are drawn
     by each node's own injector at its disk, and crash probes happen per
-    page service at the serving node (``Cluster._crash_probe``) rather
+    page service at the serving node (``Cluster.serve_page``) rather
     than at the Transaction Manager's global boundary — a crash takes
     one node down, not the system.  The view therefore sums the per-node
     counters and answers the TM's probes with "nothing happened here".
@@ -352,12 +386,6 @@ class ClusterLockManager:
     # ------------------------------------------------------------------
     # Transaction-side protocol
     # ------------------------------------------------------------------
-    def admit(self):
-        yield self.admission_request
-
-    def leave(self):
-        yield self.admission_release
-
     def _partition(
         self, oids: Iterable[int], presorted: bool = False
     ) -> List[Tuple[int, List[int]]]:
@@ -379,11 +407,6 @@ class ClusterLockManager:
             for oid in set(oids):
                 parts.setdefault(home_of(oid), []).append(oid)
         return sorted(parts.items())
-
-    def acquire_all(self, txn_id: int, oids: Iterable[int], writes: set):
-        step = self.acquire_all_nowait(txn_id, oids, writes)
-        if step is not None:
-            yield from step
 
     def acquire_all_nowait(
         self,
@@ -412,11 +435,6 @@ class ClusterLockManager:
             if step is not None:
                 yield from step
 
-    def release_all(self, txn_id: int, oids: Iterable[int]):
-        step = self.release_all_nowait(txn_id, oids)
-        if step is not None:
-            yield from step
-
     def release_all_nowait(
         self, txn_id: int, oids: Iterable[int], presorted: bool = False
     ):
@@ -427,11 +445,7 @@ class ClusterLockManager:
             )
             if step is not None:
                 steps.append(step)
-        if not steps:
-            return None
-        if len(steps) == 1:
-            return steps[0]
-        return _chain(steps)
+        return _join(steps)
 
     # ------------------------------------------------------------------
     # Aggregate counters (the model's snapshot reads these)
@@ -470,6 +484,15 @@ class ClusterLockManager:
 def _chain(steps):
     for step in steps:
         yield from step
+
+
+def _join(steps: list):
+    """One nowait step running ``steps`` in order (``None`` if empty)."""
+    if not steps:
+        return None
+    if len(steps) == 1:
+        return steps[0]
+    return _chain(steps)
 
 
 class Cluster:
@@ -519,17 +542,9 @@ class Cluster:
         #: instead of the synchronous fan-out.
         self.async_mode = self.replication_config.is_async
         self._apply_delay = ms_to_ticks(self.replication_config.apply_delay_ms)
-        self._failures_enabled = config.failures.enabled
         #: public gate for the fault-tolerance layer (partitions, gray
         #: failures, retry contract, elections, anti-entropy).
         self.faults_on = config.faults.enabled
-        #: extended page service: any feature that perturbs the plain
-        #: sync path (async replication, per-node hazards and/or the
-        #: fault layer).  The plain path stays byte-identical when this
-        #: is False.
-        self._extended = (
-            self.async_mode or self._failures_enabled or self.faults_on
-        )
         #: latest version enqueued per page (bumped at the primary write).
         self._version: Dict[int, int] = {}
         #: latest version with a full write-quorum of acks per page.
@@ -542,7 +557,7 @@ class Cluster:
         self.replica_lag_ticks = 0
         self.read_failovers = 0
         self.write_recovery_waits = 0
-        #: page reads the extended path served (stale-rate denominator).
+        #: page reads served (the stale-rate denominator).
         self.reads_served = 0
         # Fault-layer counters (all stay 0 when the layer is off)
         self.partitions = 0
@@ -557,48 +572,50 @@ class Cluster:
         self.repair_pages = 0
         self.read_repairs = 0
         self.failures = NoFailures()
+        # Fault-layer state.  With the layer off every rate below is 0,
+        # so the state stays inactive: never partitioned, never gray,
+        # no elected primaries, no repair cadence.
+        fault = config.faults
+        self.retry_policy = RetryPolicy(config.retry)
+        self._partition_mtbf = ms_to_ticks(fault.partition_mtbf_ms)
+        self._partition_heal = ms_to_ticks(fault.partition_heal_ms)
+        self._gray_mtbf = ms_to_ticks(fault.gray_mtbf_ms)
+        self._gray_heal = ms_to_ticks(fault.gray_heal_ms)
+        #: the extra share of each disk operation a gray node pays.
+        self._gray_scale = fault.gray_slowdown - 1.0
+        self._election_delay = ms_to_ticks(fault.election_delay_ms)
+        self._repair_interval = ms_to_ticks(fault.repair_interval_ms)
+        self._partition_stream = None
+        self._partition_last = 0
+        #: tick until which the current partition holds (0 = whole).
+        self._partition_until = 0
+        self._group_of = self._resolve_group_of(fault, topology.servers)
+        #: per-page elected primary (absent = the placement primary).
+        self._leader: Dict[int, int] = {}
+        #: per-page election-in-progress completion tick.
+        self._electing: Dict[int, int] = {}
+        self._repair_last = 0
+        # Gray interconnect drag: the extra ticks one page ship to/from
+        # a gray node costs, and whether that slowed ship blows the
+        # retry timeout (making gray peers abandonable).
+        if math.isinf(topology.interconnect_mbps):
+            base_ship = 0
+        else:
+            ship_ms = self._page_bytes * 1000.0 / (
+                topology.interconnect_mbps * (2**20)
+            )
+            base_ship = ms_to_ticks(ship_ms)
+        self._gray_ship_extra = int(base_ship * self._gray_scale)
+        self._gray_timeout_prone = (
+            base_ship > 0
+            and int(base_ship * fault.gray_slowdown) >= self.retry_policy.timeout
+        )
         if self.faults_on:
-            fault = config.faults
-            self.retry_policy = RetryPolicy(config.retry)
-            self._partition_mtbf = ms_to_ticks(fault.partition_mtbf_ms)
-            self._partition_heal = ms_to_ticks(fault.partition_heal_ms)
-            self._gray_mtbf = ms_to_ticks(fault.gray_mtbf_ms)
-            self._gray_heal = ms_to_ticks(fault.gray_heal_ms)
-            self._gray_slowdown = fault.gray_slowdown
-            self._election_delay = ms_to_ticks(fault.election_delay_ms)
-            self._repair_interval = ms_to_ticks(fault.repair_interval_ms)
             self._partition_stream = sim.stream("partitions")
-            self._partition_last = 0
-            #: tick until which the current partition holds (0 = whole).
-            self._partition_until = 0
-            self._group_of = self._resolve_group_of(fault, topology.servers)
-            #: per-page elected primary (absent = the placement primary).
-            self._leader: Dict[int, int] = {}
-            #: per-page election-in-progress completion tick.
-            self._electing: Dict[int, int] = {}
-            self._repair_last = 0
-            # Gray interconnect drag: the extra ticks one page ship
-            # to/from a gray node costs, and whether that slowed ship
-            # blows the retry timeout (making gray peers abandonable).
-            if math.isinf(topology.interconnect_mbps):
-                base_ship = 0
-            else:
-                ship_ms = self._page_bytes * 1000.0 / (
-                    topology.interconnect_mbps * (2**20)
-                )
-                base_ship = ms_to_ticks(ship_ms)
-            self._gray_ship_extra = int(
-                base_ship * (self._gray_slowdown - 1.0)
-            )
-            self._gray_timeout_prone = (
-                base_ship > 0
-                and int(base_ship * self._gray_slowdown)
-                >= self.retry_policy.timeout
-            )
             for node in self.nodes:
                 node.gray_stream = sim.stream(f"gray-{node.index}")
                 node.retry_stream = sim.stream(f"retry-{node.index}")
-        if self._failures_enabled:
+        if config.failures.enabled:
             for node in self.nodes:
                 node.failures = FailureInjector(
                     sim,
@@ -638,156 +655,35 @@ class Cluster:
         self._coordinator_rr += 1
         return index
 
-    def _serving_node(self, page: int, write: bool, home: Optional[int]) -> int:
-        """Pick the node serving one page access, deterministically.
-
-        Writes always apply at the primary.  Reads prefer the home node
-        when it holds a replica (object-server locality), otherwise
-        balance round-robin across the replica set.
-        """
-        owners = self.router.replicas(page)
-        if write or len(owners) == 1:
-            return owners[0]
-        if home is not None and home in owners:
-            return home
-        index = self._rr % len(owners)
-        self._rr += 1
-        return owners[index]
-
     # ------------------------------------------------------------------
     # Page service
     # ------------------------------------------------------------------
-    def serve_page_nowait(self, page: int, write: bool, home: Optional[int] = None):
+    def serve_page(self, page: int, write: bool, home: Optional[int] = None):
         """Serve one page access; ``None`` when no simulated time passes.
 
-        Only valid when the interconnect is free (infinite throughput):
-        all messages are booked synchronously and a generator is
-        returned only for the disk work of buffer misses.  ``home`` is
-        the assembling node (object-server forwarding); ``None`` means
-        the client routed the request straight to the serving node
-        (page-server smart driver).
-        """
-        if self._extended:
-            return self._serve_page_ext(page, write, home)
-        owners = self.router.replicas(page)
-        target = self._serving_node(page, write, home)
-        node = self.nodes[target]
-        node.accesses += 1
-        if home is not None and target != home:
-            # The home node fetches the page from its owner: one
-            # request/response round trip on the interconnect.
-            self.remote_fetches += 1
-            self.interconnect.transfer_nowait(self._message_bytes)
-            self.interconnect.transfer_nowait(self._page_bytes)
-        if not write and target != owners[0]:
-            self.replica_reads += 1
-        outcome = node.memory.access(page, write)
-        step = None if outcome.hit else self._node_miss_io(node, outcome)
-        if write and len(owners) > 1:
-            extra = self._propagate_nowait(page, owners)
-            if extra is not None:
-                step = extra if step is None else _chain((step, extra))
-        return step
-
-    def serve_page(self, page: int, write: bool, home: Optional[int] = None):
-        """Timed variant of :meth:`serve_page_nowait` (generator).
-
-        Used when the interconnect has finite throughput, so replica
-        and forwarding transfers must pass through the event loop.
-        """
-        if self._extended:
-            step = self._serve_page_ext(page, write, home)
-            if step is not None:
-                yield from step
-            return
-        owners = self.router.replicas(page)
-        target = self._serving_node(page, write, home)
-        node = self.nodes[target]
-        node.accesses += 1
-        interconnect = self.interconnect
-        if home is not None and target != home:
-            self.remote_fetches += 1
-            step = interconnect.transfer_nowait(self._message_bytes)
-            if step is not None:
-                yield from step
-        if not write and target != owners[0]:
-            self.replica_reads += 1
-        outcome = node.memory.access(page, write)
-        if not outcome.hit:
-            yield from self._node_miss_io(node, outcome)
-        if home is not None and target != home:
-            step = interconnect.transfer_nowait(self._page_bytes)
-            if step is not None:
-                yield from step
-        if write and len(owners) > 1:
-            for replica in owners[1:]:
-                self.replica_writes += 1
-                step = interconnect.transfer_nowait(self._page_bytes)
-                if step is not None:
-                    yield from step
-                yield from self._install_replica(self.nodes[replica], page)
-
-    def _propagate_nowait(self, page: int, owners: Tuple[int, ...]):
-        """Ship a written page to the non-primary replicas (free net).
-
-        The replicas install the received image straight into their
-        buffers — no disk read — so the only event-loop work is writing
-        back the dirty victims the installations evicted.
-        """
-        steps = None
-        for replica in owners[1:]:
-            self.replica_writes += 1
-            self.interconnect.transfer_nowait(self._page_bytes)
-            node = self.nodes[replica]
-            outcome = node.memory.access(page, True)
-            if not outcome.hit and outcome.writeback_pages:
-                if steps is None:
-                    steps = []
-                steps.append(self._node_writebacks(node, outcome.writeback_pages))
-        if steps is None:
-            return None
-        if len(steps) == 1:
-            return steps[0]
-        return _chain(steps)
-
-    def _install_replica(self, node: ClusterNode, page: int):
-        """Install a replicated page image at ``node`` (timed path)."""
-        outcome = node.memory.access(page, True)
-        if not outcome.hit and outcome.writeback_pages:
-            yield from self._node_writebacks(node, outcome.writeback_pages)
-
-    # ------------------------------------------------------------------
-    # Extended page service: async replication and/or per-node hazards
-    # ------------------------------------------------------------------
-    def _serve_page_ext(self, page: int, write: bool, home: Optional[int]):
-        """Nowait-contract page service for the extended cluster modes.
-
-        Backs both :meth:`serve_page_nowait` and :meth:`serve_page` when
-        async replication or per-node failure injection is active:
-        timed work (finite-interconnect transfers, crash downtime,
-        quorum waits, disk misses) is returned as a generator, ``None``
-        means the access completed without simulated time.
+        The single entry point of the page-service pipeline (see the
+        module docstring): otherwise the timed remainder — disk misses,
+        throttled transfers, crash downtime, elections, quorum waits —
+        comes back as one generator.  ``home`` is the assembling node
+        (object-server forwarding); ``None`` means the client routed the
+        request straight to the serving node (page-server smart driver).
         """
         owners = self.router.replicas(page)
-        if self.faults_on:
-            self._fault_probe()
-            if write:
-                leader = self._leader.get(page, owners[0])
-                if self._leader_impaired(leader, owners, self.sim.now):
-                    # The primary crashed or lost its majority: elect
-                    # the freshest reachable replica and write there
-                    # (no write-blocking recovery wait).
-                    return self._election_then_write(page, owners, home)
-                return self._write_core(page, owners, home, leader)
+        self._fault_probe()
+        if not write:
             return self._read_core(page, owners, home)
-        if write:
-            delay = self.nodes[owners[0]].down_until - self.sim.now
-            if delay > 0:
-                # Writes queue behind the crashed primary's recovery.
-                self.write_recovery_waits += 1
-                return self._write_after_recovery(delay, page, home)
-            return self._write_core(page, owners, home)
-        return self._read_core(page, owners, home)
+        leader = self._leader.get(page, owners[0])
+        if self.faults_on:
+            if self._leader_impaired(leader, owners, self.sim.now):
+                # The primary crashed or lost its majority: elect the
+                # freshest reachable replica and write there (no
+                # write-blocking recovery wait).
+                return self._election_then_write(page, owners, home)
+        elif self.nodes[leader].down_until > self.sim.now:
+            # Writes queue behind the crashed primary's recovery.
+            self.write_recovery_waits += 1
+            return self._resume(self.nodes[leader].down_until, page, True, home)
+        return self._write_core(page, owners, home, leader)
 
     # -- Fault-layer state machinery (partitions / gray / retry) -------
     @staticmethod
@@ -1004,7 +900,15 @@ class Cluster:
     def _read_core(self, page: int, owners: Tuple[int, ...], home):
         now = self.sim.now
         nodes = self.nodes
-        target = self._serving_node(page, False, home)
+        # Reads prefer the home node when it holds a replica (object-
+        # server locality), otherwise balance round-robin.
+        if len(owners) == 1:
+            target = owners[0]
+        elif home is not None and home in owners:
+            target = home
+        else:
+            target = owners[self._rr % len(owners)]
+            self._rr += 1
         if nodes[target].down_until > now:
             start = owners.index(target)
             for offset in range(1, len(owners)):
@@ -1019,49 +923,39 @@ class Cluster:
                 # recovery, then retry the access from scratch.
                 self.read_failovers += 1
                 resume = min(nodes[index].down_until for index in owners)
-                return self._resume_read(resume, page, home)
+                return self._resume(resume, page, False, home)
         probes = 0
         penalty = 0
         repair = None
         if self.async_mode:
-            if self.faults_on:
-                target, probes, penalty, repair = (
-                    self._consistent_read_target_fault(
-                        page, owners, target, now
-                    )
-                )
-            else:
-                target, probes = self._consistent_read_target(
-                    page, owners, target, now
-                )
+            target, probes, penalty, repair = self._consistent_read_target(
+                page, owners, target, now
+            )
             if target is None:
                 # A session guarantee needs the (down) primary.
-                primary = (
-                    self._leader.get(page, owners[0])
-                    if self.faults_on
-                    else owners[0]
-                )
-                return self._resume_read(
-                    nodes[primary].down_until, page, home
-                )
+                primary = self._leader.get(page, owners[0])
+                return self._resume(nodes[primary].down_until, page, False, home)
+            applied = nodes[target].applied.get(page, 0)
+            if applied < self._committed.get(page, 0):
+                self.stale_reads += 1
+            if applied > self._served.get(page, 0):
+                self._served[page] = applied
         node = nodes[target]
         node.accesses += 1
         self.reads_served += 1
         if target != owners[0]:
             self.replica_reads += 1
-        if self.async_mode:
-            applied = node.applied.get(page, 0)
-            if applied < self._committed.get(page, 0):
-                self.stale_reads += 1
-            if applied > self._served.get(page, 0):
-                self._served[page] = applied
-        downtime = self._crash_probe(node)
-        degraded = False
-        if self.faults_on:
-            self._gray_probe(node)
-            degraded = node.gray_until > now
-            if degraded:
-                self.degraded_reads += 1
+        # Per-service crash probe at the serving node: a crashed node's
+        # buffer is already cold (the injector invalidated it) and the
+        # in-flight request rides out the recovery, while later requests
+        # route around the node via ``down_until`` until it resumes.
+        downtime = node.failures.crash_check()
+        if downtime:
+            node.down_until = now + downtime
+        self._gray_probe(node)
+        degraded = node.gray_until > now
+        if degraded:
+            self.degraded_reads += 1
         forwarded = home is not None and target != home
         if forwarded:
             self.remote_fetches += 1
@@ -1081,17 +975,9 @@ class Cluster:
                     )
                 if degraded:
                     penalty += self._gray_ship_extra
-        if degraded:
-            outcome = node.memory.access(page, False)
-            miss = (
-                None
-                if outcome.hit
-                else self._node_miss_io_degraded(node, outcome)
-            )
-        else:
-            outcome = node.memory.access(page, False)
-            miss = None if outcome.hit else self._node_miss_io(node, outcome)
-        step = self._assemble(downtime + penalty, forwarded, probes, miss)
+        step = self._assemble(
+            node, page, False, degraded, downtime + penalty, forwarded, probes
+        )
         if repair is not None:
             step = repair if step is None else _chain((step, repair))
         return step
@@ -1101,63 +987,19 @@ class Cluster:
     ):
         """Apply quorum consultation and session guarantees to a read.
 
-        Returns ``(node, probe_messages)``; ``node`` is ``None`` when a
-        session guarantee can only be met by the primary and the primary
-        is down (the caller waits out its recovery).
-        """
-        rep = self.replication_config
-        nodes = self.nodes
-        probes = 0
-        if rep.read_quorum > 1 and len(owners) > 1:
-            # Consult R live replicas (ring order from the routed node)
-            # and serve from the freshest — each extra consultation is a
-            # version-probe round trip on the interconnect.
-            consulted = [target]
-            start = owners.index(target)
-            for offset in range(1, len(owners)):
-                if len(consulted) >= rep.read_quorum:
-                    break
-                candidate = owners[(start + offset) % len(owners)]
-                if nodes[candidate].down_until <= now:
-                    consulted.append(candidate)
-            probes = 2 * (len(consulted) - 1)
-            best = consulted[0]
-            best_version = nodes[best].applied.get(page, 0)
-            for candidate in consulted[1:]:
-                version = nodes[candidate].applied.get(page, 0)
-                if version > best_version:
-                    best, best_version = candidate, version
-            target = best
-        required = 0
-        if rep.read_your_writes:
-            required = self._version.get(page, 0)
-        if rep.monotonic_reads:
-            floor = self._served.get(page, 0)
-            if floor > required:
-                required = floor
-        if required and nodes[target].applied.get(page, 0) < required:
-            # Too stale for the session guarantee: fall back to the
-            # primary, which always holds the newest version when up.
-            primary = owners[0]
-            if nodes[primary].down_until > now:
-                return None, probes
-            target = primary
-        return target, probes
+        Consults ``read_quorum`` replicas in ring order from the routed
+        node and serves from the freshest; each extra consultation is a
+        version-probe round trip on the interconnect.  Without the fault
+        layer a down peer is simply skipped; with it, a peer that does
+        not answer within the timeout/backoff ladder is **abandoned**
+        (``abandoned_reads``), the ladder's cost lands on the read's
+        response time, and consulted replicas behind the freshest
+        version are **read-repaired** over the interconnect.
 
-    def _consistent_read_target_fault(
-        self, page: int, owners: Tuple[int, ...], target: int, now: int
-    ):
-        """Quorum consultation under the retry contract, with read-repair.
-
-        The fault-layer variant of :meth:`_consistent_read_target`:
-        consulted peers that do not answer within the timeout/backoff
-        ladder are **abandoned** (``abandoned_reads``) instead of
-        silently skipped, their ladder cost lands on the read's
-        response time, and replicas the consultation observes behind
-        the freshest version are **read-repaired** over the
-        interconnect.  Returns ``(target, probe_messages,
-        penalty_ticks, repair_step)``; ``target`` ``None`` means a
-        session guarantee needs the (down) primary.
+        Returns ``(target, probe_messages, penalty_ticks, repair_step)``;
+        ``target`` is ``None`` when a session guarantee can only be met
+        by the primary and the primary is down (the caller waits out its
+        recovery).
         """
         rep = self.replication_config
         nodes = self.nodes
@@ -1165,16 +1007,19 @@ class Cluster:
         penalty = 0
         repair = None
         if rep.read_quorum > 1 and len(owners) > 1:
-            rng = nodes[target].retry_stream
             consulted = [target]
             start = owners.index(target)
             for offset in range(1, len(owners)):
                 if len(consulted) >= rep.read_quorum:
                     break
                 candidate = owners[(start + offset) % len(owners)]
+                if not self.faults_on:
+                    if nodes[candidate].down_until <= now:
+                        consulted.append(candidate)
+                    continue
                 self._gray_probe(nodes[candidate])
                 ok, cost = self._retry_outcome(
-                    target, candidate, rng, now + penalty
+                    target, candidate, nodes[target].retry_stream, now + penalty
                 )
                 penalty += cost
                 if ok:
@@ -1188,14 +1033,15 @@ class Cluster:
                 version = nodes[candidate].applied.get(page, 0)
                 if version > best_version:
                     best, best_version = candidate, version
-            stale = [
-                c
-                for c in consulted
-                if nodes[c].applied.get(page, 0) < best_version
-            ]
-            if stale:
-                self.read_repairs += len(stale)
-                repair = self._read_repair(page, best_version, stale)
+            if self.faults_on:
+                stale = [
+                    c
+                    for c in consulted
+                    if nodes[c].applied.get(page, 0) < best_version
+                ]
+                if stale:
+                    self.read_repairs += len(stale)
+                    repair = self._read_repair(page, best_version, stale)
             target = best
         required = 0
         if rep.read_your_writes:
@@ -1206,7 +1052,7 @@ class Cluster:
                 required = floor
         if required and nodes[target].applied.get(page, 0) < required:
             # Too stale for the session guarantee: fall back to the
-            # elected primary, which holds the newest version when up.
+            # (elected) primary, which holds the newest version when up.
             primary = self._leader.get(page, owners[0])
             if nodes[primary].down_until > now:
                 return None, probes, penalty, repair
@@ -1229,63 +1075,47 @@ class Cluster:
                         node, outcome.writeback_pages
                     )
 
-    def _resume_read(self, resume: int, page: int, home):
+    def _resume(self, resume: int, page: int, write: bool, home):
+        """Wait until tick ``resume``, then serve the access afresh."""
         yield Hold(resume - self.sim.now)
-        step = self._serve_page_ext(page, False, home)
-        if step is not None:
-            yield from step
-
-    def _write_after_recovery(self, delay: int, page: int, home):
-        yield Hold(delay)
-        step = self._serve_page_ext(page, True, home)
+        step = self.serve_page(page, write, home)
         if step is not None:
             yield from step
 
     def _write_core(
-        self,
-        page: int,
-        owners: Tuple[int, ...],
-        home,
-        leader: Optional[int] = None,
+        self, page: int, owners: Tuple[int, ...], home, leader: int
     ):
         now = self.sim.now
-        primary = owners[0] if leader is None else leader
-        node = self.nodes[primary]
+        node = self.nodes[leader]
         node.accesses += 1
-        downtime = self._crash_probe(node)
-        degraded = False
-        if self.faults_on:
-            self._gray_probe(node)
-            degraded = node.gray_until > now
-        forwarded = home is not None and primary != home
+        downtime = node.failures.crash_check()  # as in _read_core
+        if downtime:
+            node.down_until = now + downtime
+        self._gray_probe(node)
+        forwarded = home is not None and leader != home
         if forwarded:
             self.remote_fetches += 1
+        step = self._assemble(
+            node, page, True, node.gray_until > now, downtime, forwarded, 0
+        )
+        if leader == owners[0]:
+            followers = owners[1:]
+        else:
+            followers = tuple(o for o in owners if o != leader)
         if not self.async_mode:
-            return self._sync_write_with_hazards(
-                page, owners, node, downtime, forwarded, degraded
-            )
+            if not followers:
+                return step
+            return self._sync_propagate(step, page, followers)
         version = self._version.get(page, 0) + 1
         self._version[page] = version
         node.applied[page] = version
-        outcome = node.memory.access(page, True)
-        if outcome.hit:
-            miss = None
-        elif degraded:
-            miss = self._node_miss_io_degraded(node, outcome)
-        else:
-            miss = self._node_miss_io(node, outcome)
         ack = None
-        if len(owners) > 1:
+        if followers:
             quorum = self.replication_config.write_quorum
             if quorum > 1:
                 # The ack cell: [outstanding count, gate the last
                 # acking applier opens].
                 ack = [quorum - 1, Gate(self.sim, "write-ack")]
-            followers = (
-                owners[1:]
-                if leader is None
-                else [o for o in owners if o != primary]
-            )
             for position, replica in enumerate(followers):
                 self.replica_writes += 1
                 peer = self.nodes[replica]
@@ -1301,7 +1131,6 @@ class Cluster:
                 if depth > peer.queue_peak:
                     peer.queue_peak = depth
                 peer.apply_gate.open()
-        step = self._assemble(downtime, forwarded, 0, miss)
         if ack is None:
             # W=1 (or no replicas): the primary apply is the commit.
             if version > self._committed.get(page, 0):
@@ -1319,66 +1148,62 @@ class Cluster:
         if version > self._committed.get(page, 0):
             self._committed[page] = version
 
-    def _sync_write_with_hazards(
-        self,
-        page: int,
-        owners: Tuple[int, ...],
-        node: ClusterNode,
-        downtime: int,
-        forwarded: bool,
-        degraded: bool = False,
-    ):
-        outcome = node.memory.access(page, True)
-        if outcome.hit:
-            miss = None
-        elif degraded:
-            miss = self._node_miss_io_degraded(node, outcome)
-        else:
-            miss = self._node_miss_io(node, outcome)
-        step = self._assemble(downtime, forwarded, 0, miss)
-        if len(owners) == 1:
-            return step
-        return self._sync_propagate(step, page, owners)
-
-    def _sync_propagate(self, step, page: int, owners: Tuple[int, ...]):
-        """Synchronous fan-out, skipping replicas that are down.
+    def _sync_propagate(self, step, page: int, followers: Tuple[int, ...]):
+        """Synchronous fan-out after ``step``, skipping replicas that are down.
 
         A crashed replica misses the propagation, but its crash already
         invalidated its buffer — on recovery the stale image cannot be
-        served from memory, so the skip is consistency-safe.
+        served from memory, so the skip is consistency-safe.  Replicas
+        install the received image straight into their buffers (no disk
+        read).  On a free interconnect they install at call time and
+        only the write-backs of the victims they evict are returned.
         """
+        if not self.interconnect.infinite:
+            return self._timed_propagate(step, page, followers)
+        now = self.sim.now
+        steps = [] if step is None else [step]
+        for replica in followers:
+            peer = self.nodes[replica]
+            if peer.down_until > now:
+                continue
+            self.replica_writes += 1
+            self.interconnect.transfer_nowait(self._page_bytes)
+            outcome = peer.memory.access(page, True)
+            if not outcome.hit and outcome.writeback_pages:
+                steps.append(self._node_writebacks(peer, outcome.writeback_pages))
+        return _join(steps)
+
+    def _timed_propagate(self, step, page: int, followers: Tuple[int, ...]):
         if step is not None:
             yield from step
         interconnect = self.interconnect
-        for replica in owners[1:]:
+        for replica in followers:
             peer = self.nodes[replica]
             if peer.down_until > self.sim.now:
                 continue
             self.replica_writes += 1
-            transfer = interconnect.transfer_nowait(self._page_bytes)
-            if transfer is not None:
-                yield from transfer
+            yield from interconnect.transfer_nowait(self._page_bytes)
             outcome = peer.memory.access(page, True)
             if not outcome.hit and outcome.writeback_pages:
                 yield from self._node_writebacks(
                     peer, outcome.writeback_pages
                 )
 
-    def _crash_probe(self, node: ClusterNode) -> int:
-        """Per-service crash probe at the serving node (0 = healthy).
-
-        On a crash the node's buffer is already cold (the injector
-        invalidated it) and the in-flight request rides out the
-        recovery; later requests route around the node via
-        ``down_until`` until it resumes.
-        """
-        downtime = node.failures.crash_check()
-        if downtime:
-            node.down_until = self.sim.now + downtime
-        return downtime
-
-    def _assemble(self, downtime: int, forwarded: bool, probes: int, miss):
-        """Fold the timed parts of one page service into a nowait step."""
+    def _assemble(
+        self,
+        node: ClusterNode,
+        page: int,
+        write: bool,
+        degraded: bool,
+        delay: int,
+        forwarded: bool,
+        probes: int,
+    ):
+        """Fold one page service's buffer access and timed parts into a
+        nowait step: ``delay`` ticks of downtime or retry penalty, the
+        forwarding round trip, ``probes`` version-probe messages, and the
+        miss I/O at ``node`` (stretched when the node is ``degraded``)."""
+        scale = self._gray_scale if degraded else 0.0
         interconnect = self.interconnect
         if interconnect.infinite:
             if forwarded:
@@ -1386,35 +1211,49 @@ class Cluster:
                 interconnect.transfer_nowait(self._page_bytes)
             for _ in range(probes):
                 interconnect.transfer_nowait(self._message_bytes)
-            if downtime == 0:
+            outcome = node.memory.access(page, write)
+            miss = None if outcome.hit else self._node_miss_io(node, outcome, scale)
+            if delay == 0:
                 return miss
-            return self._hold_then(downtime, miss)
-        return self._timed_tail(downtime, forwarded, probes, miss)
+            return self._hold_then(delay, miss)
+        if forwarded:
+            # The owner touches its buffer once the request has crossed.
+            return self._timed_tail(delay, probes, None, (node, page, write, scale))
+        outcome = node.memory.access(page, write)
+        miss = None if outcome.hit else self._node_miss_io(node, outcome, scale)
+        if delay == 0 and probes == 0:
+            return miss
+        return self._timed_tail(delay, probes, miss, None)
 
     @staticmethod
-    def _hold_then(downtime: int, miss):
-        yield Hold(downtime)
+    def _hold_then(delay: int, miss):
+        yield Hold(delay)
         if miss is not None:
             yield from miss
 
-    def _timed_tail(self, downtime: int, forwarded: bool, probes: int, miss):
-        if downtime:
-            yield Hold(downtime)
+    def _timed_tail(self, delay: int, probes: int, miss, forwarded):
+        """The throttled-interconnect remainder of one page service.
+
+        ``forwarded`` is ``None``, or the ``(node, page, write, scale)``
+        buffer access of a forwarded request, made once its request
+        message has crossed; the page then ships back to the home node.
+        """
+        if delay:
+            yield Hold(delay)
         interconnect = self.interconnect
-        if forwarded:
-            step = interconnect.transfer_nowait(self._message_bytes)
-            if step is not None:
-                yield from step
+        if forwarded is not None:
+            yield from interconnect.transfer_nowait(self._message_bytes)
         for _ in range(probes):
-            step = interconnect.transfer_nowait(self._message_bytes)
-            if step is not None:
-                yield from step
+            yield from interconnect.transfer_nowait(self._message_bytes)
+        if forwarded is not None:
+            node, page, write, scale = forwarded
+            outcome = node.memory.access(page, write)
+            if not outcome.hit:
+                miss = self._node_miss_io(node, outcome, scale)
         if miss is not None:
             yield from miss
-        if forwarded:
-            step = interconnect.transfer_nowait(self._page_bytes)
-            if step is not None:
-                yield from step
+        if forwarded is not None:
+            yield from interconnect.transfer_nowait(self._page_bytes)
 
     def _applier(self, node: ClusterNode):
         """The per-node replication applier (async mode).
@@ -1570,14 +1409,18 @@ class Cluster:
             yield Hold(resume - sim.now)
         yield from self._repair_sweep()
 
-    def _node_miss_io_degraded(self, node: ClusterNode, outcome):
-        """Gray-mode variant of :meth:`_node_miss_io`: every disk
-        operation at a degraded node is stretched by the configured
-        slowdown; the stretch counts as busy time (the disk really is
-        occupied that long)."""
+    @staticmethod
+    def _node_miss_io(node: ClusterNode, outcome, scale: float):
+        """The disk traffic one buffer miss produced, on the owning node.
+
+        Same inline request/release fast paths as the single-server
+        architectures: an uncontended node disk costs one Hold event.
+        At a gray node (``scale`` > 0) every operation is stretched by
+        that share of its duration; the stretch counts as busy time
+        (the disk really is occupied that long).
+        """
         io = node.io
         disk = io.disk
-        scale = self._gray_slowdown - 1.0
         for victim in outcome.writeback_pages:
             if not disk.try_acquire_inline():
                 yield io._request_disk
@@ -1598,28 +1441,6 @@ class Cluster:
             if extra:
                 io.busy_ticks += extra
                 yield Hold(extra)
-            if not disk.release_inline():
-                yield PARK
-
-    @staticmethod
-    def _node_miss_io(node: ClusterNode, outcome):
-        """The disk traffic one buffer miss produced, on the owning node.
-
-        Same inline request/release fast paths as the single-server
-        architectures: an uncontended node disk costs one Hold event.
-        """
-        io = node.io
-        disk = io.disk
-        for victim in outcome.writeback_pages:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            yield io.write_hold(victim)
-            if not disk.release_inline():
-                yield PARK
-        if outcome.read_page is not None:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            yield io.read_hold(outcome.read_page)
             if not disk.release_inline():
                 yield PARK
 

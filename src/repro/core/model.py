@@ -407,7 +407,15 @@ class VOODBSimulation:
             snapshot["replica_lag"] = cluster.replica_lag_ticks
             snapshot["read_failovers"] = cluster.read_failovers
             snapshot["write_recovery_waits"] = cluster.write_recovery_waits
-            snapshot["cluster_reads"] = cluster.reads_served
+            # Served reads, the stale-rate denominator, are reported only
+            # where replicas can lag or fail over: async copies, the
+            # fault layer or per-node failures.
+            audited = (
+                cluster.async_mode
+                or cluster.faults_on
+                or self.config.failures.enabled
+            )
+            snapshot["cluster_reads"] = cluster.reads_served if audited else 0
             if cluster.faults_on:
                 snapshot["partitions"] = cluster.partitions
                 snapshot["partition_ticks"] = cluster.partition_ticks

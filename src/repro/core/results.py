@@ -203,8 +203,8 @@ class PhaseResults:
         """Stale-read *rate*: stale reads per 1000 served page reads.
 
         The raw counter scales with the workload; the rate is the
-        comparable figure across scenarios (0.0 when no reads ran
-        through the extended path).
+        comparable figure across scenarios (0.0 when no served reads
+        were counted: plain sync clusters without failures report none).
         """
         if self.cluster_reads <= 0:
             return 0.0

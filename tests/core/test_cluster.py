@@ -288,8 +288,11 @@ class TestNowaitFastPath:
     place return ``None`` from the nowait face, even when a network in
     the fabric is throttled (reads never owe interconnect time)."""
 
-    def _warm_model(self, **changes):
-        model = VOODBSimulation(cluster_config(**changes), seed=1)
+    def _warm_model(self, consistency=None, **changes):
+        config = cluster_config(**changes)
+        if consistency is not None:
+            config = config.with_changes(replication=consistency)
+        model = VOODBSimulation(config, seed=1)
         # Resident working set: touch a few objects through the event
         # loop first — twice each, so under replication the round-robin
         # read balancing has populated *every* replica's buffer and the
@@ -308,6 +311,19 @@ class TestNowaitFastPath:
 
     def test_throttled_interconnect_read_hit_returns_none(self):
         model = self._warm_model(interconnect_mbps=1.0, replication=2)
+        assert model.architecture.access_object_nowait(0, False) is None
+
+    def test_async_throttled_interconnect_read_hit_returns_none(self):
+        # No downtime, no forwarding and no quorum probe: nothing timed
+        # to add, so an async R=1 read hit stays on the inline loop.
+        from repro.core.parameters import ReplicationConfig
+
+        model = self._warm_model(
+            consistency=ReplicationConfig(mode="async"),
+            interconnect_mbps=1.0,
+            replication=2,
+        )
+        assert model.cluster.async_mode
         assert model.architecture.access_object_nowait(0, False) is None
 
     def test_replication1_write_hit_returns_none(self):

@@ -460,6 +460,43 @@ class TestFaultMetrics:
         assert first == second
 
 
+#: Every fault counter on the ``Cluster`` object.  The benchmark's
+#: per-layer ledger reads these attributes directly, so with the layer
+#: off they must stay 0 even though its (inactive) state is consulted.
+FAULT_COUNTERS = (
+    "remote_timeouts",
+    "remote_retries",
+    "abandoned_reads",
+    "elections",
+    "promotions",
+    "repair_pages",
+    "read_repairs",
+    "partitions",
+    "gray_episodes",
+    "degraded_reads",
+)
+
+
+class TestFaultCountersWithLayerOff:
+    @pytest.mark.parametrize(
+        "name,x",
+        [("stale-read-audit", "R2W2"), ("failover-under-load", "baseline")],
+    )
+    def test_every_fault_counter_stays_zero(self, name, x):
+        points = get_scenario(name).scaled(60).points
+        config = dict(points)[x]
+        model = VOODBSimulation(config, seed=1)
+        model.run()
+        cluster = model.cluster
+        assert not cluster.faults_on
+        assert cluster.reads_served > 0
+        if config.failures.enabled:
+            # Down nodes were met, yet no retry ladder or election ran.
+            assert cluster.read_failovers + cluster.write_recovery_waits > 0
+        for counter in FAULT_COUNTERS:
+            assert getattr(cluster, counter) == 0, counter
+
+
 # ----------------------------------------------------------------------
 # Satellite 1: stale-read rate in report + JSON, pinned by the golden
 # ----------------------------------------------------------------------
