@@ -1,4 +1,4 @@
-"""Model-equivalence digests: 20 pinned configs, one hex digest each.
+"""Model-equivalence digests: 25 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -26,7 +26,8 @@ refactor touched: system classes, replacement policies, clustering,
 cluster topologies, virtual memory, prefetching, failure injection,
 lock contention and write traffic — plus the cluster page-service
 modes (sync fan-out on free and throttled interconnects, async copies,
-per-node failures, object-server forwarding).
+per-node failures, object-server forwarding) and the single-server
+miss paths behind client caches and prefetching.
 """
 
 from __future__ import annotations
@@ -60,13 +61,20 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 20 pinned (name -> config) equivalence points."""
+    """The 25 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
     # crashed nodes (failover, recovery waits) and in-flight appliers.
     shared = writes.with_changes(nusers=4)
     node_failures = FailureConfig(transient_mtbf_ms=500.0, crash_mtbf_ms=8_000.0)
+    # Single-server miss paths no golden covers: client caches on free
+    # and throttled networks, dirty write-backs, one-ahead prefetching.
+    served = VOODBConfig(ocb=_ocb(pwrite=0.3), buffsize=256)
+    page_server = served.with_changes(client_buffsize=64, prefetch="one_ahead")
+    object_server = served.with_changes(
+        sysclass=SystemClass.OBJECT_SERVER, client_buffsize=64
+    )
 
     def cluster(mbps: float = math.inf) -> ClusterConfig:
         return ClusterConfig(
@@ -115,6 +123,19 @@ def pinned_configs() -> dict:
             cluster=cluster(25.0),
             replication=ReplicationConfig(mode="async"),
         ),
+        "page-server-cache-free-net": page_server.with_changes(
+            netthru=math.inf
+        ),
+        "page-server-cache-1mbps": page_server.with_changes(nusers=4),
+        "object-server-cache-free-net": object_server.with_changes(
+            netthru=math.inf
+        ),
+        "object-server-cache-1mbps": object_server.with_changes(nusers=4),
+        # 5 MB leaves Texas 256 frames: swap-outs, swap-ins and the
+        # reserved-page swap-in plus read all fire (8 MB never swaps).
+        "texas-vm-5mb-writes": texas_config(
+            nc=20, no=5000, memory_mb=5, hotn=_HOTN, pwrite=0.3
+        ),
     }
 
 
@@ -135,7 +156,7 @@ def run_digests(seed: int = 1) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 20 pinned model-equivalence configs."
+        description="Hex-digest the 25 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")
