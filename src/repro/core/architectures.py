@@ -20,10 +20,13 @@ organization:
 * :class:`DBServer` — the whole transaction ships to the server and only
   request/result messages cross the network.
 
-The shared server-side path (memory access, dirty write-back, swap
-traffic, the read itself, prefetching) lives in the base class so that
-architectures differ *only* in where requests travel — which is the
-point of the paper's genericity claim.
+Every strategy serves a buffer miss on one path: the base class's
+``_miss_io`` hands the miss's outcome to
+:meth:`~repro.core.io_subsystem.IOSubsystem.serve_miss` (dirty
+write-backs, swap traffic, the read itself), then runs the prefetcher.
+Architectures therefore differ *only* in where requests travel — the
+point of the paper's genericity claim — while the I/O Subsystem alone
+decides what a disk access costs (Figure 5).
 """
 
 from __future__ import annotations
@@ -84,12 +87,6 @@ class Architecture(ABC):
         self.client_misses = 0
 
     # ------------------------------------------------------------------
-    def access_object(self, oid: int, write: bool):
-        """Process-generator performing one object access end to end."""
-        step = self.access_object_nowait(oid, write)
-        if step is not None:
-            yield from step
-
     @abstractmethod
     def access_object_nowait(self, oid: int, write: bool):
         """One object access, synchronous when no simulated time passes.
@@ -100,25 +97,12 @@ class Architecture(ABC):
         the dominant outcome once the working set is resident — or a
         generator to ``yield from`` for the part that needs the event
         loop.  Pure cache hits then cost zero generator round-trips.
-        :meth:`access_object` is a convenience wrapper over this.
         """
 
-    def begin_transaction(self):
-        """Hook before a transaction's accesses (network for DB server)."""
-        step = self.begin_transaction_nowait()
-        if step is not None:
-            yield from step
-
-    def end_transaction(self):
-        """Hook after a transaction's accesses."""
-        step = self.end_transaction_nowait()
-        if step is not None:
-            yield from step
-
     def begin_transaction_nowait(self):
-        """The envelope face subclasses override (the Transaction
-        Manager calls only this pair): ``None`` when there is no work —
-        the default for every non-DB-server class."""
+        """The transaction envelope (the Transaction Manager calls only
+        this pair): ``None`` when there is no work — the default for
+        every non-DB-server class."""
         return None
 
     def end_transaction_nowait(self):
@@ -127,93 +111,26 @@ class Architecture(ABC):
     # ------------------------------------------------------------------
     # Shared server-side page path
     # ------------------------------------------------------------------
-    def _server_page_access(self, page: int, write: bool):
-        """Figure 4's Buffering Manager → I/O Subsystem chain for a page."""
-        outcome = self.memory.access(page, write)
-        if outcome.hit:
-            if page in self._prefetched_unused:
-                self._prefetched_unused.discard(page)
-                self.prefetch_hits += 1
-            return
-        yield from self._miss_io(outcome, page)
-
     def _miss_io(self, outcome, page: int):
-        """The disk traffic one buffer miss produced (writebacks, swap,
-        the read itself, prefetching)."""
-        io = self.io
-        disk = io.disk
-        disk_inline = disk.try_acquire_inline
-        disk_release = disk.release_inline
-        for victim in outcome.writeback_pages:
-            if not disk_inline():
-                yield io._request_disk
-            yield io.write_hold(victim)
-            if not disk_release():
-                yield PARK
-        for __ in outcome.swap_out_pages:
-            if not disk_inline():
-                yield io._request_disk
-            yield io.swap_write_hold()
-            if not disk_release():
-                yield PARK
-        if outcome.swap_read:
-            if not disk_inline():
-                yield io._request_disk
-            yield io.swap_read_hold()
-            if not disk_release():
-                yield PARK
-        read_page = outcome.read_page
-        if read_page is not None:
-            # io.read_page, inlined: this is once-per-buffer-miss.
-            if not disk_inline():
-                yield io._request_disk
-            yield io.read_hold(read_page)
-            if not disk_release():
-                yield PARK
-            if self._prefetch_enabled:
-                yield from self._prefetch_after_miss(page)
+        """One demand miss on ``page``: the disk work its outcome owes
+        (:meth:`IOSubsystem.serve_miss`), then any prefetching."""
+        yield from self.io.serve_miss(outcome)
+        if self._prefetch_enabled:
+            yield from self._prefetch_after_miss(page)
 
     def _prefetch_after_miss(self, page: int):
+        """Stage the prefetcher's pages, each served like a miss."""
         admit = self._admit_prefetched
-        if admit is None:
-            return  # prefetching needs a buffer; the VM model has none
-        io = self.io
-        disk = io.disk
-        disk_inline = disk.try_acquire_inline
-        disk_release = disk.release_inline
+        serve_miss = self.io.serve_miss
         for extra in self.prefetcher.pages_after_miss(
             page, self.object_manager.total_pages
         ):
             outcome = admit(extra)
             if outcome is None:
                 continue
-            for victim in outcome.writeback_pages:
-                if not disk_inline():
-                    yield io._request_disk
-                yield io.write_hold(victim)
-                if not disk_release():
-                    yield PARK
-            if not disk_inline():
-                yield io._request_disk
-            yield io.read_hold(extra)
-            if not disk_release():
-                yield PARK
+            yield from serve_miss(outcome)
             self._prefetched_unused.add(extra)
             self.prefetched_pages += 1
-
-    def _server_object_access(self, oid: int, write: bool):
-        """Fetch every page of the object, then run the swizzle hook."""
-        for page in self.object_manager.pages_of(oid):
-            yield from self._server_page_access(page, write)
-        io = self.io
-        disk_inline = io.disk.try_acquire_inline
-        disk_release = io.disk.release_inline
-        for __ in self.memory.note_object_access(oid):
-            if not disk_inline():
-                yield io._request_disk
-            yield io.swap_write_hold()
-            if not disk_release():
-                yield PARK
 
     def _server_object_access_nowait(self, oid: int, write: bool):
         """Synchronous server-side object access, handing off on a miss.
@@ -221,8 +138,8 @@ class Architecture(ABC):
         Walks the object's pages through the memory model in place; on
         the first miss it returns a generator that finishes that miss's
         disk work and the remaining pages.  Returns ``None`` when every
-        page hit (and the swizzle hook owed nothing) — no simulated time
-        passed, so there is nothing to yield.
+        page hit — no simulated time passed, so there is nothing to
+        yield.
         """
         memory = self.memory
         prefetched = self._prefetched_unused
@@ -234,84 +151,29 @@ class Architecture(ABC):
                     prefetched.discard(page)
                     self.prefetch_hits += 1
                 continue
-            return self._object_access_tail(oid, outcome, page, pages, write)
-        notes = memory.note_object_access(oid)
-        if notes:
-            return self._swap_notes(notes)
+            return self._object_access_tail(outcome, page, pages, write)
         return None
 
-    def _object_access_tail(self, oid, outcome, page, pages, write):
+    def _object_access_tail(self, outcome, page, pages, write):
         """Finish an object access from its first missing page on.
 
-        The miss traffic (write-backs, swap, the read) and the walk over
-        the object's remaining pages run in this single frame — the VM
-        model's fault storms otherwise pay a ``_miss_io`` +
-        ``_server_page_access`` generator pair per faulted page.  The
-        command sequence is exactly the delegated formulation's.
+        Each miss goes through :meth:`_miss_io`; the walk over the
+        object's remaining pages stays in this one frame, so the hits
+        between misses cost no generator.
         """
-        io = self.io
-        request_disk = io._request_disk
-        disk = io.disk
-        disk_inline = disk.try_acquire_inline
-        disk_release = disk.release_inline
         memory_access = self.memory.access
         prefetched = self._prefetched_unused
-        prefetching = self._prefetch_enabled
         while True:
-            for victim in outcome.writeback_pages:
-                if not disk_inline():
-                    yield request_disk
-                yield io.write_hold(victim)
-                if not disk_release():
-                    yield PARK
-            for __ in outcome.swap_out_pages:
-                if not disk_inline():
-                    yield request_disk
-                yield io.swap_write_hold()
-                if not disk_release():
-                    yield PARK
-            if outcome.swap_read:
-                if not disk_inline():
-                    yield request_disk
-                yield io.swap_read_hold()
-                if not disk_release():
-                    yield PARK
-            read_page = outcome.read_page
-            if read_page is not None:
-                if not disk_inline():
-                    yield request_disk
-                yield io.read_hold(read_page)
-                if not disk_release():
-                    yield PARK
-                if prefetching:
-                    yield from self._prefetch_after_miss(page)
+            yield from self._miss_io(outcome, page)
             for page in pages:
                 outcome = memory_access(page, write)
-                if outcome.hit:
-                    if page in prefetched:
-                        prefetched.discard(page)
-                        self.prefetch_hits += 1
-                    continue
-                break
+                if not outcome.hit:
+                    break
+                if page in prefetched:
+                    prefetched.discard(page)
+                    self.prefetch_hits += 1
             else:
-                break
-        for __ in self.memory.note_object_access(oid):
-            if not disk_inline():
-                yield request_disk
-            yield io.swap_write_hold()
-            if not disk_release():
-                yield PARK
-
-    def _swap_notes(self, notes):
-        io = self.io
-        disk_inline = io.disk.try_acquire_inline
-        disk_release = io.disk.release_inline
-        for __ in notes:
-            if not disk_inline():
-                yield io._request_disk
-            yield io.swap_write_hold()
-            if not disk_release():
-                yield PARK
+                return
 
     def notify_reorganized(self) -> None:
         """Clustering moved objects: client/prefetch state is stale."""
@@ -422,25 +284,8 @@ class PageServer(Architecture):
         network = self.network
         memory = self.memory
         prefetched = self._prefetched_unused
-        round_trip_bytes = self.config.message_bytes + self.config.pgsize
-        io = self.io
-        prefetching = self._prefetch_enabled
-        disk = io.disk
-        if (
-            not outcome.writeback_pages
-            and not outcome.swap_out_pages
-            and not outcome.swap_read
-            and outcome.read_page is not None
-            and not prefetching
-        ):
-            # Plain first miss (the common case), inlined.
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            yield io.read_hold(outcome.read_page)
-            if not disk.release_inline():
-                yield PARK
-        else:
-            yield from self._miss_io(outcome, page)
+        round_trip_bytes = self._round_trip_bytes
+        yield from self._miss_io(outcome, page)
         for page in pages:
             if client_cache is not None:
                 if client_cache.access(page, False).hit:
@@ -451,21 +296,7 @@ class PageServer(Architecture):
             network.bytes_sent += round_trip_bytes
             outcome = memory.access(page, write)
             if not outcome.hit:
-                if (
-                    not outcome.writeback_pages
-                    and not outcome.swap_out_pages
-                    and not outcome.swap_read
-                    and outcome.read_page is not None
-                    and not prefetching
-                ):
-                    # Plain read miss (the common case), inlined.
-                    if not io.disk.try_acquire_inline():
-                        yield io._request_disk
-                    yield io.read_hold(outcome.read_page)
-                    if not io.disk.release_inline():
-                        yield PARK
-                else:
-                    yield from self._miss_io(outcome, page)
+                yield from self._miss_io(outcome, page)
             elif page in prefetched:
                 prefetched.discard(page)
                 self.prefetch_hits += 1
@@ -474,13 +305,11 @@ class PageServer(Architecture):
         """Ship the remaining pages over the (finite) network.
 
         The whole simulation funnels through this loop on the page-server
-        class, so the per-page collaborators are inlined: the network
-        transfer's three commands are yielded here instead of through a
-        ``_timed_transfer`` generator per message, and the server-side
-        page access runs in this frame with the plain read miss (no
-        writebacks, no swap, no prefetcher) spelled out.  Counter
-        updates and float accumulations are the exact sequence the
-        delegated formulation performs.
+        class, so the network transfer's three commands are yielded here
+        instead of through a ``_timed_transfer`` generator per message,
+        with the exact counter updates that generator performs.  The
+        server-side buffer access runs in this frame too; only a miss
+        leaves it, for :meth:`_miss_io`.
         """
         client_cache = self.client_cache
         network = self.network
@@ -488,11 +317,6 @@ class PageServer(Architecture):
         pgsize = self.config.pgsize
         memory_access = self.memory.access
         prefetched = self._prefetched_unused
-        prefetching = self._prefetch_enabled
-        io = self.io
-        request_disk = io._request_disk
-        release_disk = io._release_disk
-        read_hold = io.read_hold
         request_medium = network._request_medium
         release_medium = network._release_medium
         holds = network._holds
@@ -509,9 +333,6 @@ class PageServer(Architecture):
         medium = network.medium
         medium_inline = medium.try_acquire_inline
         medium_release = medium.release_inline
-        disk = io.disk
-        disk_inline = disk.try_acquire_inline
-        disk_release = disk.release_inline
         while True:
             network.messages += 1
             network.bytes_sent += message_bytes
@@ -522,25 +343,11 @@ class PageServer(Architecture):
             if not medium_release():
                 yield PARK
             outcome = memory_access(page, write)
-            if outcome.hit:
-                if page in prefetched:
-                    prefetched.discard(page)
-                    self.prefetch_hits += 1
-            elif (
-                not outcome.writeback_pages
-                and not outcome.swap_out_pages
-                and not outcome.swap_read
-                and outcome.read_page is not None
-                and not prefetching
-            ):
-                # Plain read miss (the common case), inlined.
-                if not disk_inline():
-                    yield request_disk
-                yield read_hold(outcome.read_page)
-                if not disk_release():
-                    yield PARK
-            else:
+            if not outcome.hit:
                 yield from self._miss_io(outcome, page)
+            elif page in prefetched:
+                prefetched.discard(page)
+                self.prefetch_hits += 1
             network.messages += 1
             network.bytes_sent += pgsize
             network.busy_ticks += page_time
@@ -595,14 +402,13 @@ class ObjectServer(Architecture):
         self.network.transfer_nowait(self.db.size(oid))
 
     def _object_server_tail(self, oid: int, write: bool):
+        """The access over a throttled network: request, server, object."""
         network = self.network
-        step = network.transfer_nowait(self.config.message_bytes)
+        yield from network.transfer_nowait(self.config.message_bytes)
+        step = self._server_object_access_nowait(oid, write)
         if step is not None:
             yield from step
-        yield from self._server_object_access(oid, write)
-        step = network.transfer_nowait(self.db.size(oid))
-        if step is not None:
-            yield from step
+        yield from network.transfer_nowait(self.db.size(oid))
 
     def notify_reorganized(self) -> None:
         super().notify_reorganized()

@@ -154,15 +154,6 @@ class BufferManager:
                 writebacks.append(victim)
         return _NO_WRITEBACKS if writebacks is None else writebacks
 
-    def note_object_access(self, oid: int) -> Sequence[int]:
-        """Hook for memory models reacting to object-level accesses.
-
-        A plain database buffer does nothing here; the Texas virtual-
-        memory model (:mod:`repro.core.virtual_memory`) overrides this to
-        run its reservation cascade.  Returns pages owed as swap writes.
-        """
-        return ()
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------

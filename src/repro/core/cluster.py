@@ -113,7 +113,7 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.despy.process import PARK, Hold, Release, Request, WaitFor
+from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
 from repro.despy.timebase import MS_PER_TICK, ms_to_ticks
 from repro.core.buffering import BufferManager
@@ -1071,9 +1071,7 @@ class Cluster:
                 node.applied[page] = version
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
-                    yield from self._node_writebacks(
-                        node, outcome.writeback_pages
-                    )
+                    yield from node.io.write_back(outcome.writeback_pages)
 
     def _resume(self, resume: int, page: int, write: bool, home):
         """Wait until tick ``resume``, then serve the access afresh."""
@@ -1170,7 +1168,7 @@ class Cluster:
             self.interconnect.transfer_nowait(self._page_bytes)
             outcome = peer.memory.access(page, True)
             if not outcome.hit and outcome.writeback_pages:
-                steps.append(self._node_writebacks(peer, outcome.writeback_pages))
+                steps.append(peer.io.write_back(outcome.writeback_pages))
         return _join(steps)
 
     def _timed_propagate(self, step, page: int, followers: Tuple[int, ...]):
@@ -1185,9 +1183,7 @@ class Cluster:
             yield from interconnect.transfer_nowait(self._page_bytes)
             outcome = peer.memory.access(page, True)
             if not outcome.hit and outcome.writeback_pages:
-                yield from self._node_writebacks(
-                    peer, outcome.writeback_pages
-                )
+                yield from peer.io.write_back(outcome.writeback_pages)
 
     def _assemble(
         self,
@@ -1212,7 +1208,7 @@ class Cluster:
             for _ in range(probes):
                 interconnect.transfer_nowait(self._message_bytes)
             outcome = node.memory.access(page, write)
-            miss = None if outcome.hit else self._node_miss_io(node, outcome, scale)
+            miss = None if outcome.hit else node.io.serve_miss(outcome, scale)
             if delay == 0:
                 return miss
             return self._hold_then(delay, miss)
@@ -1220,7 +1216,7 @@ class Cluster:
             # The owner touches its buffer once the request has crossed.
             return self._timed_tail(delay, probes, None, (node, page, write, scale))
         outcome = node.memory.access(page, write)
-        miss = None if outcome.hit else self._node_miss_io(node, outcome, scale)
+        miss = None if outcome.hit else node.io.serve_miss(outcome, scale)
         if delay == 0 and probes == 0:
             return miss
         return self._timed_tail(delay, probes, miss, None)
@@ -1249,7 +1245,7 @@ class Cluster:
             node, page, write, scale = forwarded
             outcome = node.memory.access(page, write)
             if not outcome.hit:
-                miss = self._node_miss_io(node, outcome, scale)
+                miss = node.io.serve_miss(outcome, scale)
         if miss is not None:
             yield from miss
         if forwarded is not None:
@@ -1312,9 +1308,7 @@ class Cluster:
                 applied[page] = version
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
-                    yield from self._node_writebacks(
-                        node, outcome.writeback_pages
-                    )
+                    yield from node.io.write_back(outcome.writeback_pages)
             self.replica_applies += 1
             self.replica_lag_ticks += sim.now - enqueued
             if ack is not None:
@@ -1380,9 +1374,7 @@ class Cluster:
                 node.applied[page] = best
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
-                    yield from self._node_writebacks(
-                        node, outcome.writeback_pages
-                    )
+                    yield from node.io.write_back(outcome.writeback_pages)
                 self.repair_pages += 1
 
     def drain_repairs(self) -> bool:
@@ -1408,52 +1400,6 @@ class Cluster:
         if resume > sim.now:
             yield Hold(resume - sim.now)
         yield from self._repair_sweep()
-
-    @staticmethod
-    def _node_miss_io(node: ClusterNode, outcome, scale: float):
-        """The disk traffic one buffer miss produced, on the owning node.
-
-        Same inline request/release fast paths as the single-server
-        architectures: an uncontended node disk costs one Hold event.
-        At a gray node (``scale`` > 0) every operation is stretched by
-        that share of its duration; the stretch counts as busy time
-        (the disk really is occupied that long).
-        """
-        io = node.io
-        disk = io.disk
-        for victim in outcome.writeback_pages:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            hold = io.write_hold(victim)
-            extra = int(hold.duration * scale)
-            yield hold
-            if extra:
-                io.busy_ticks += extra
-                yield Hold(extra)
-            if not disk.release_inline():
-                yield PARK
-        if outcome.read_page is not None:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            hold = io.read_hold(outcome.read_page)
-            extra = int(hold.duration * scale)
-            yield hold
-            if extra:
-                io.busy_ticks += extra
-                yield Hold(extra)
-            if not disk.release_inline():
-                yield PARK
-
-    @staticmethod
-    def _node_writebacks(node: ClusterNode, victims):
-        io = node.io
-        disk = io.disk
-        for victim in victims:
-            if not disk.try_acquire_inline():
-                yield io._request_disk
-            yield io.write_hold(victim)
-            if not disk.release_inline():
-                yield PARK
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

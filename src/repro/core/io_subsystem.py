@@ -9,14 +9,17 @@ matter to response time and not only to I/O counts.
 
 The disk itself is a despy :class:`~repro.despy.resource.Resource` of
 capacity 1 — the "server disk controller and secondary storage" passive
-resource of Table 1 — so concurrent transactions serialize on it.
+resource of Table 1 — so concurrent transactions serialize on it.  This
+module is the only code that takes it: a buffer miss hands its
+:class:`~repro.core.buffering.AccessOutcome` to :meth:`IOSubsystem.serve_miss`,
+and every system class pays the same disk for the same outcome.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from repro.despy.process import PARK, Hold, Release, Request
+from repro.despy.process import PARK, Hold, Request
 from repro.despy.resource import Resource
 from repro.despy.timebase import MS_PER_TICK
 from repro.core.failures import NoFailures
@@ -39,7 +42,6 @@ class IOSubsystem:
         "_sequential_time",
         "_random_time",
         "_request_disk",
-        "_release_disk",
         "_hold_sequential",
         "_hold_random",
         "reads",
@@ -61,13 +63,12 @@ class IOSubsystem:
         # The config is frozen, so its derived timing properties are
         # constants for this subsystem's lifetime; resolving them once
         # keeps the per-page path free of property recomputation.  The
-        # Request/Release commands are immutable messages naming the
-        # disk, so every operation can yield the same two instances.
+        # Request command is an immutable message naming the disk, so
+        # every operation can yield the same instance.
         self._sequential_ok = config.sequential_optimization
         self._sequential_time = config.sequential_io_ticks
         self._random_time = config.random_io_ticks
         self._request_disk = Request(self.disk)
-        self._release_disk = Release(self.disk)
         # Without failures every page op holds for one of exactly two
         # durations, so two shared Hold commands cover almost all I/O.
         self._hold_sequential = Hold(self._sequential_time)
@@ -91,8 +92,10 @@ class IOSubsystem:
     def _service(self, page: int) -> "tuple[int, Hold]":
         """Contiguity-shortcut timing core: (service ticks, shared Hold).
 
-        The single source of truth for the Figure 5 rule.  Mutates the
-        head position, so call at most once per physical access.
+        The single source of truth for the Figure 5 rule: every database
+        page the disk reads or writes — one at a time or in a bulk run —
+        is priced here.  Mutates the head position, so call at most once
+        per physical access.
         """
         if self._sequential_ok and page == self._last_page + 1:
             self.sequential_accesses += 1
@@ -106,88 +109,89 @@ class IOSubsystem:
         """Service ticks for one page, applying the contiguity shortcut."""
         return self._service(page)[0]
 
-    def _penalized(self, time: int, hold: Hold) -> "tuple[int, Hold]":
-        """Apply the failure hazard's per-operation penalty, if any.
+    def _hold(self, page: Optional[int], write: bool) -> Hold:
+        """Time and count one operation; call with the disk held.
 
-        Keeps the shared Hold when the penalty is zero (the usual case);
-        otherwise the adjusted duration needs its own command.
+        ``page`` ``None`` is a swap transfer: swap lives in its own disk
+        region, so it pays the full random-access cost and breaks
+        database-region contiguity (the arm moved) — §4.3.2's "costly
+        swap".  The failure hazard adds its per-operation penalty, and
+        the whole duration counts as busy time.
         """
+        if page is None:
+            self._last_page = -2
+            time = self._random_time
+            hold = self._hold_random
+            if write:
+                self.swap_writes += 1
+            else:
+                self.swap_reads += 1
+        else:
+            time, hold = self._service(page)
+            if write:
+                self.writes += 1
+            else:
+                self.reads += 1
         penalty = self.failures.io_penalty()
         if penalty:
             time += penalty
-            return time, Hold(time)
-        return time, hold
+            hold = Hold(time)
+        self.busy_ticks += time
+        return hold
 
     # ------------------------------------------------------------------
     # Process-style operations (yield from these inside processes)
     # ------------------------------------------------------------------
-    def read_hold(self, page: int) -> Hold:
-        """Timing + accounting for one page read.
+    def _occupy(self, page: Optional[int], write: bool, scale: float = 0.0):
+        """One operation: take the disk, hold it, give it back.
 
-        Must be called with the disk held (the head state mutates here);
-        callers yield ``io._request_disk``, then this Hold, then
-        ``io._release_disk`` — which is exactly :meth:`read_page`, kept
-        callable piecewise so hot generators can inline the three
-        commands without re-deriving disk mechanics.
-
-        The Figure 5 rule and the hazard penalty are spelled out inline
-        (one frame instead of three): this runs once per physical page
-        access across the whole simulation.
+        The hold is priced once the disk is granted, against the head
+        position the previous holder left.  The request/release pair
+        uses the inline merge fast paths, so an uncontended operation
+        costs a single Hold event (see Resource.try_acquire_inline).
+        ``scale`` > 0 stretches the hold by that share of its duration
+        (a gray node's degraded disk); the disk really is occupied that
+        long, so the stretch counts as busy time.
         """
-        if self._sequential_ok and page == self._last_page + 1:
-            self.sequential_accesses += 1
-            time = self._sequential_time
-            hold = self._hold_sequential
-        else:
-            time = self._random_time
-            hold = self._hold_random
-        self._last_page = page
-        penalty = self.failures.io_penalty()
-        if penalty:
-            time += penalty
-            hold = Hold(time)
-        self.reads += 1
-        self.busy_ticks += time
-        return hold
-
-    def write_hold(self, page: int) -> Hold:
-        """Timing + accounting for one page write (same rules as reads)."""
-        if self._sequential_ok and page == self._last_page + 1:
-            self.sequential_accesses += 1
-            time = self._sequential_time
-            hold = self._hold_sequential
-        else:
-            time = self._random_time
-            hold = self._hold_random
-        self._last_page = page
-        penalty = self.failures.io_penalty()
-        if penalty:
-            time += penalty
-            hold = Hold(time)
-        self.writes += 1
-        self.busy_ticks += time
-        return hold
-
-    def read_page(self, page: int):
-        """Read one page: reserve the disk, pay the service time.
-
-        The request/release pair uses the inline merge fast paths: an
-        uncontended read that is provably the next dispatch costs a
-        single Hold event (see Resource.try_acquire_inline).
-        """
-        if not self.disk.try_acquire_inline():
+        disk = self.disk
+        if not disk.try_acquire_inline():
             yield self._request_disk
-        yield self.read_hold(page)
-        if not self.disk.release_inline():
+        hold = self._hold(page, write)
+        yield hold
+        if scale:
+            extra = int(hold.duration * scale)
+            if extra:
+                self.busy_ticks += extra
+                yield Hold(extra)
+        if not disk.release_inline():
             yield PARK
 
-    def write_page(self, page: int):
-        """Write one page (same head mechanics as a read)."""
-        if not self.disk.try_acquire_inline():
-            yield self._request_disk
-        yield self.write_hold(page)
-        if not self.disk.release_inline():
-            yield PARK
+    def serve_miss(self, outcome, scale: float = 0.0):
+        """All the disk work one buffer miss owes, one operation at a time.
+
+        In order: the dirty victims' write-backs, the swap-outs, the
+        swap-in, then the read of the missing page itself.  ``scale``
+        stretches every operation as in :meth:`_occupy`.
+        """
+        occupy = self._occupy
+        for victim in outcome.writeback_pages:
+            yield from occupy(victim, True, scale)
+        for __ in outcome.swap_out_pages:
+            yield from occupy(None, True, scale)
+        if outcome.swap_read:
+            yield from occupy(None, False, scale)
+        if outcome.read_page is not None:
+            yield from occupy(outcome.read_page, False, scale)
+
+    def write_back(self, victims: Iterable[int]):
+        """Write dirty evicted pages back, one operation each."""
+        for victim in victims:
+            yield from self._occupy(victim, True)
+
+    def swap_out(self, pages: Iterable[int]):
+        """Write pages out to the swap partition, one operation each."""
+        for __ in pages:
+            yield from self._occupy(None, True)
 
     def read_pages(self, pages: Iterable[int]):
         """Bulk read; sorts the batch so contiguous runs pay transfer only.
@@ -195,81 +199,28 @@ class IOSubsystem:
         Used by the Clustering Manager's reorganization, which reads whole
         regions of the base (paper §4.4 "clustering overhead").
         """
-        batch: List[int] = sorted(set(pages))
-        if not self.disk.try_acquire_inline():
-            yield self._request_disk
-        total = self.failures.io_penalty() if batch else 0
-        for page in batch:
-            time = self.access_time(page)
-            self.reads += 1
-            total += time
-        self.busy_ticks += total
-        yield Hold(total)
-        if not self.disk.release_inline():
-            yield PARK
+        return self._bulk(pages, False)
 
     def write_pages(self, pages: Iterable[int]):
         """Bulk write, contiguity-aware like :meth:`read_pages`."""
+        return self._bulk(pages, True)
+
+    def _bulk(self, pages: Iterable[int], write: bool):
+        """One disk hold for a whole sorted batch (one hazard penalty)."""
         batch: List[int] = sorted(set(pages))
-        if not self.disk.try_acquire_inline():
+        disk = self.disk
+        if not disk.try_acquire_inline():
             yield self._request_disk
         total = self.failures.io_penalty() if batch else 0
         for page in batch:
-            time = self.access_time(page)
-            self.writes += 1
-            total += time
+            total += self.access_time(page)
+        if write:
+            self.writes += len(batch)
+        else:
+            self.reads += len(batch)
         self.busy_ticks += total
         yield Hold(total)
-        if not self.disk.release_inline():
-            yield PARK
-
-    def swap_read_hold(self) -> Hold:
-        """Timing + accounting for one swap-partition read.
-
-        Swap lives in its own disk region, so the transfer pays the full
-        random-access cost and breaks database-region contiguity (the arm
-        moved) — §4.3.2's "costly swap".  Call with the disk held, like
-        :meth:`read_hold`; VM-heavy runs pay this once per fault, so the
-        three-command form avoids a generator per swap I/O.
-        """
-        self._last_page = -2
-        time = self._random_time
-        hold = self._hold_random
-        penalty = self.failures.io_penalty()
-        if penalty:
-            time += penalty
-            hold = Hold(time)
-        self.swap_reads += 1
-        self.busy_ticks += time
-        return hold
-
-    def swap_write_hold(self) -> Hold:
-        """Timing + accounting for one swap-partition write."""
-        self._last_page = -2
-        time = self._random_time
-        hold = self._hold_random
-        penalty = self.failures.io_penalty()
-        if penalty:
-            time += penalty
-            hold = Hold(time)
-        self.swap_writes += 1
-        self.busy_ticks += time
-        return hold
-
-    def swap_read(self):
-        """Read one page back from the swap partition (generator form)."""
-        if not self.disk.try_acquire_inline():
-            yield self._request_disk
-        yield self.swap_read_hold()
-        if not self.disk.release_inline():
-            yield PARK
-
-    def swap_write(self):
-        """Write one page out to the swap partition (generator form)."""
-        if not self.disk.try_acquire_inline():
-            yield self._request_disk
-        yield self.swap_write_hold()
-        if not self.disk.release_inline():
+        if not disk.release_inline():
             yield PARK
 
     # ------------------------------------------------------------------

@@ -200,11 +200,6 @@ class VirtualMemoryManager:
             hit=False, read_page=page, swap_out_pages=swap_outs
         )
 
-    def note_object_access(self, oid: int) -> Sequence[int]:
-        """Object-level hook of the memory interface: nothing to do here —
-        Texas swizzles per faulted *page*, inside :meth:`access`."""
-        return ()
-
     def _swizzle(self, page: int) -> Sequence[int]:
         """Pointer-swizzle a freshly loaded page: reserve frames for every
         page its objects reference.  Returns pages swapped out to make

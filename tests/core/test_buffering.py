@@ -58,10 +58,6 @@ class TestAccess:
         buf.access(1, write=True)
         assert buf.is_dirty(1)
 
-    def test_note_object_access_is_noop(self):
-        buf = make_buffer()
-        assert list(buf.note_object_access(42)) == []
-
 
 class TestPrefetchAdmission:
     def test_admit_prefetched_loads_page(self):

@@ -297,11 +297,14 @@ class TestNowaitFastPath:
         # loop first — twice each, so under replication the round-robin
         # read balancing has populated *every* replica's buffer and the
         # next touch is a pure hit wherever it routes.
+        def touch(oid):
+            step = model.architecture.access_object_nowait(oid, False)
+            if step is not None:
+                yield from step
+
         for _round in range(2):
             for oid in (0, 1, 2):
-                model.sim.process(
-                    model.architecture.access_object(oid, False)
-                )
+                model.sim.process(touch(oid))
         model.sim.run()
         return model
 

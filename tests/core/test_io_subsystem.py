@@ -3,7 +3,8 @@
 import pytest
 
 from repro.despy import Simulation, ticks_to_ms
-from repro.core import IOSubsystem, VOODBConfig
+from repro.core import AccessOutcome, IOSubsystem, VOODBConfig
+from repro.core.virtual_memory import VMAccessOutcome
 
 
 def make_io(sim=None, **overrides):
@@ -15,6 +16,11 @@ def make_io(sim=None, **overrides):
 def drive(sim, generator):
     sim.process(generator)
     return sim.run()
+
+
+def read_miss(page):
+    """A plain buffer miss: read ``page``, nothing to write back."""
+    return AccessOutcome(hit=False, read_page=page)
 
 
 class TestFigure5Rule:
@@ -45,15 +51,15 @@ class TestFigure5Rule:
 
 
 class TestTimedOperations:
-    def test_read_page_advances_clock(self):
+    def test_read_miss_advances_clock(self):
         sim, io = make_io()
-        drive(sim, io.read_page(5))
+        drive(sim, io.serve_miss(read_miss(5)))
         assert sim.now_ms == pytest.approx(12.2)
         assert io.reads == 1
 
-    def test_write_page_counts_and_times(self):
+    def test_write_back_counts_and_times(self):
         sim, io = make_io()
-        drive(sim, io.write_page(5))
+        drive(sim, io.write_back([5]))
         assert io.writes == 1
         assert sim.now_ms == pytest.approx(12.2)
 
@@ -61,13 +67,19 @@ class TestTimedOperations:
         sim, io = make_io()
 
         def chain():
-            yield from io.read_page(5)
-            yield from io.read_page(6)
-            yield from io.read_page(7)
+            yield from io.serve_miss(read_miss(5))
+            yield from io.serve_miss(read_miss(6))
+            yield from io.serve_miss(read_miss(7))
 
         drive(sim, chain())
         assert sim.now_ms == pytest.approx(12.2 + 0.5 + 0.5)
         assert io.sequential_accesses == 2
+
+    def test_write_backs_run_in_victim_order(self):
+        sim, io = make_io()
+        drive(sim, io.write_back([5, 6]))
+        assert io.writes == 2
+        assert sim.now_ms == pytest.approx(12.2 + 0.5)
 
     def test_bulk_read_sorts_for_contiguity(self):
         sim, io = make_io()
@@ -92,7 +104,7 @@ class TestTimedOperations:
         done = []
 
         def reader(tag):
-            yield from io.read_page(100 + tag * 50)
+            yield from io.serve_miss(read_miss(100 + tag * 50))
             done.append((tag, sim.now_ms))
 
         sim.process(reader(0))
@@ -102,14 +114,106 @@ class TestTimedOperations:
         assert done[0][1] == pytest.approx(12.2)
         assert done[1][1] == pytest.approx(24.4)
 
+    def test_hold_is_timed_at_grant_not_up_front(self):
+        """Misses on pages 5 and 6 arrive together.  The page-6 step is
+        built first, as a nowait path builds its step before running it,
+        but granted second: its read is priced against the head the
+        page-5 read left, so it is sequential."""
+        sim, io = make_io()
+        done = []
+        steps = {6: io.serve_miss(read_miss(6)), 5: io.serve_miss(read_miss(5))}
+
+        def miss(page):
+            yield from steps[page]
+            done.append((page, sim.now_ms))
+
+        sim.process(miss(5))
+        sim.process(miss(6))
+        sim.run()
+        assert done == [
+            (5, pytest.approx(12.2)),
+            (6, pytest.approx(12.2 + 0.5)),
+        ]
+        assert io.sequential_accesses == 1
+
+
+class TestServeMiss:
+    def test_runs_writeback_swap_out_swap_in_then_read(self):
+        sim, io = make_io()
+        order = []
+
+        class Recorder:
+            """Hazard stub that logs the counters at each operation."""
+
+            @staticmethod
+            def io_penalty():
+                order.append((io.writes, io.swap_writes, io.swap_reads, io.reads))
+                return 0
+
+        io.failures = Recorder()
+        outcome = VMAccessOutcome(
+            hit=False,
+            read_page=11,
+            writeback_pages=[10],
+            swap_read=True,
+            swap_out_pages=[42],
+        )
+        drive(sim, io.serve_miss(outcome))
+        assert order == [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)]
+        # Page 11 follows page 10, but the swap moved the arm in between:
+        # all four operations are random.
+        random_ticks = io.config.random_io_ticks
+        assert io.sequential_accesses == 0
+        assert sim.now == 4 * random_ticks
+        assert io.busy_ticks == 4 * random_ticks
+        assert (io.writes, io.swap_writes, io.swap_reads, io.reads) == (1, 1, 1, 1)
+
+    def test_scale_stretches_every_operation(self):
+        """A gray node's ``scale=1.0`` doubles each operation's disk
+        occupancy, and the stretch counts as busy time."""
+        sim, io = make_io()
+        outcome = AccessOutcome(hit=False, read_page=6, writeback_pages=[5])
+        drive(sim, io.serve_miss(outcome, scale=1.0))
+        random_ticks = io.config.random_io_ticks
+        sequential_ticks = io.config.sequential_io_ticks
+        assert sim.now == 2 * (random_ticks + sequential_ticks)
+        assert io.busy_ticks == 2 * (random_ticks + sequential_ticks)
+        assert (io.writes, io.reads, io.sequential_accesses) == (1, 1, 1)
+
+    def test_stretch_keeps_the_disk_held(self):
+        sim, io = make_io()
+        done = []
+
+        def stretched():
+            yield from io.serve_miss(read_miss(5), scale=1.0)
+            done.append(("stretched", sim.now_ms))
+
+        def writer():
+            yield from io.write_back([7])
+            done.append(("writer", sim.now_ms))
+
+        sim.process(stretched())
+        sim.process(writer())
+        sim.run()
+        assert done == [
+            ("stretched", pytest.approx(24.4)),
+            ("writer", pytest.approx(24.4 + 12.2)),
+        ]
+
+    def test_hit_owes_nothing(self):
+        sim, io = make_io()
+        drive(sim, io.serve_miss(AccessOutcome(hit=True)))
+        assert sim.now == 0
+        assert io.total_ios == 0
+
 
 class TestSwapTraffic:
     def test_swap_ops_counted_separately(self):
         sim, io = make_io()
 
         def work():
-            yield from io.swap_write()
-            yield from io.swap_read()
+            yield from io.swap_out([3])
+            yield from io.serve_miss(VMAccessOutcome(hit=False, swap_read=True))
 
         drive(sim, work())
         assert io.swap_writes == 1
@@ -118,13 +222,20 @@ class TestSwapTraffic:
         assert io.writes == 0
         assert io.total_ios == 2
 
+    def test_swap_out_pays_random_per_page(self):
+        sim, io = make_io()
+        drive(sim, io.swap_out([1, 2]))
+        assert io.swap_writes == 2
+        assert io.sequential_accesses == 0
+        assert sim.now_ms == pytest.approx(24.4)
+
     def test_swap_breaks_contiguity(self):
         sim, io = make_io()
 
         def work():
-            yield from io.read_page(5)
-            yield from io.swap_read()
-            yield from io.read_page(6)  # arm moved: random again
+            yield from io.serve_miss(read_miss(5))
+            yield from io.serve_miss(VMAccessOutcome(hit=False, swap_read=True))
+            yield from io.serve_miss(read_miss(6))  # arm moved: random again
 
         drive(sim, work())
         assert io.sequential_accesses == 0
@@ -135,15 +246,15 @@ class TestCounters:
         sim, io = make_io()
 
         def work():
-            yield from io.read_page(1)
-            yield from io.write_page(2)
+            yield from io.serve_miss(read_miss(1))
+            yield from io.write_back([2])
 
         drive(sim, work())
         assert io.total_ios == 2
 
     def test_reset_counters(self):
         sim, io = make_io()
-        drive(sim, io.read_page(1))
+        drive(sim, io.serve_miss(read_miss(1)))
         io.reset_counters()
         assert io.reads == 0
         assert io.busy_time_ms == 0.0
