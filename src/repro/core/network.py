@@ -73,16 +73,6 @@ class Network:
         """Tick cost of one message — the quantity the hot path holds."""
         return ms_to_ticks(nbytes * self._ms_per_byte)
 
-    def transfer(self, nbytes: int):
-        """Ship one message of ``nbytes`` (yield from inside a process).
-
-        Prefer :meth:`transfer_nowait` on hot paths: with infinite
-        NETTHRU it skips the generator round-trip entirely.
-        """
-        step = self.transfer_nowait(nbytes)
-        if step is not None:
-            yield from step
-
     def transfer_nowait(self, nbytes: int):
         """Count one message; return the timed-transfer generator to
         ``yield from``, or ``None`` when the medium is free (infinite
@@ -107,11 +97,6 @@ class Network:
         yield hold
         if not medium.release_inline():
             yield PARK
-
-    def request_response(self, request_bytes: int, response_bytes: int):
-        """A request/response round trip as two transfers."""
-        yield from self.transfer(request_bytes)
-        yield from self.transfer(response_bytes)
 
     def reset_counters(self) -> None:
         self.messages = 0

@@ -35,7 +35,7 @@ class TestTransferTime:
 class TestTransfers:
     def test_transfer_advances_clock(self):
         sim, net = make_network(netthru=1.0)
-        sim.process(net.transfer(2**20))
+        sim.process(net.transfer_nowait(2**20))
         sim.run()
         assert sim.now_ms == pytest.approx(1000.0)
         assert net.messages == 1
@@ -43,30 +43,31 @@ class TestTransfers:
 
     def test_infinite_network_still_counts_messages(self):
         sim, net = make_network(netthru=math.inf)
-
-        def work():
-            yield from net.transfer(4096)
-            yield from net.transfer(128)
-
-        sim.process(work())
-        sim.run()
+        assert net.transfer_nowait(4096) is None
+        assert net.transfer_nowait(128) is None
         assert sim.now == 0
         assert net.messages == 2
         assert net.bytes_sent == 4096 + 128
 
-    def test_request_response_counts_two_messages(self):
+    def test_round_trip_counts_two_messages(self):
         sim, net = make_network(netthru=1.0)
-        sim.process(net.request_response(128, 4096))
+
+        def round_trip():
+            yield from net.transfer_nowait(128)
+            yield from net.transfer_nowait(4096)
+
+        sim.process(round_trip())
         sim.run()
         assert net.messages == 2
         assert net.bytes_sent == 128 + 4096
+        assert net.busy_ticks == net.transfer_ticks(128) + net.transfer_ticks(4096)
 
     def test_medium_serializes_transfers(self):
         sim, net = make_network(netthru=1.0)
         finished = []
 
         def sender(tag):
-            yield from net.transfer(2**20)
+            yield from net.transfer_nowait(2**20)
             finished.append((tag, sim.now_ms))
 
         sim.process(sender(0))
@@ -77,7 +78,7 @@ class TestTransfers:
 
     def test_reset_counters(self):
         sim, net = make_network()
-        sim.process(net.transfer(100))
+        sim.process(net.transfer_nowait(100))
         sim.run()
         net.reset_counters()
         assert net.messages == 0
