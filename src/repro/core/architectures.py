@@ -113,7 +113,12 @@ class Architecture(ABC):
     # ------------------------------------------------------------------
     def _miss_io(self, outcome, page: int):
         """One demand miss on ``page``: the disk work its outcome owes
-        (:meth:`IOSubsystem.serve_miss`), then any prefetching."""
+        (:meth:`IOSubsystem.serve_miss`), then any prefetching.
+
+        A prefetched page that was evicted unused is demand-read now, so
+        its next hit is no prefetch hit.
+        """
+        self._prefetched_unused.discard(page)
         yield from self.io.serve_miss(outcome)
         if self._prefetch_enabled:
             yield from self._prefetch_after_miss(page)

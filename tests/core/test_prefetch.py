@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.despy import Simulation
 from repro.core import (
+    BufferManager,
     ClusterPrefetch,
+    IOSubsystem,
     NoPrefetch,
     OneAheadPrefetch,
     SystemClass,
@@ -11,7 +14,53 @@ from repro.core import (
     VOODBSimulation,
     make_prefetch_policy,
 )
+from repro.core.architectures import Centralized
 from repro.ocb import OCBConfig
+
+
+class _PagePerObject:
+    """Object directory stub: object ``i`` lives alone on page ``i``."""
+
+    total_pages = 100
+
+    @staticmethod
+    def pages_of(oid):
+        return (oid,)
+
+
+def _two_frame_server():
+    """A centralized server with a 2-frame LRU buffer, prefetching one
+    page ahead of every demand miss."""
+    sim = Simulation()
+    config = VOODBConfig(
+        sysclass=SystemClass.CENTRALIZED,
+        buffsize=2,
+        pgrep="LRU",
+        prefetch="one_ahead",
+    )
+    return Centralized(
+        sim,
+        config,
+        None,
+        _PagePerObject(),
+        BufferManager(config, sim.stream("memory")),
+        IOSubsystem(sim, config),
+        None,
+        OneAheadPrefetch(),
+    )
+
+
+def _touch(arch, *oids):
+    """Read the objects one after another in one simulated process."""
+
+    def work():
+        for oid in oids:
+            step = arch.access_object_nowait(oid, False)
+            if step is not None:
+                yield from step
+
+    arch.sim.process(work())
+    arch.sim.run()
 
 
 class TestPolicies:
@@ -72,6 +121,21 @@ class TestIntegration:
     def test_no_prefetch_stages_nothing(self):
         model, results = self._run("none")
         assert results.phase.prefetched_pages == 0
+
+    def test_prefetch_hit_is_a_hit_on_a_page_prefetched_unused(self):
+        arch = _two_frame_server()
+        _touch(arch, 10, 11)  # 11 was prefetched by the miss on 10
+        assert (arch.prefetched_pages, arch.prefetch_hits) == (1, 1)
+
+    def test_demand_read_page_is_no_longer_prefetched(self):
+        """Prefetched, evicted unused, then demand-read: its next hit is
+        an ordinary hit, not a prefetch hit."""
+        arch = _two_frame_server()
+        # 10 misses and prefetches 11; 20 evicts 10, prefetches 21 and
+        # evicts 11 unused; 11 is demand-read, then hit.
+        _touch(arch, 10, 20, 11, 11)
+        assert arch.prefetched_pages == 3
+        assert arch.prefetch_hits == 0
 
     def test_prefetch_skipped_under_virtual_memory(self):
         config = VOODBConfig(
