@@ -4,14 +4,7 @@ The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
 counters included) to canonical JSON, and hash it.  Two kernels are
 *equivalent* exactly when every digest matches — the check that lets
-the compiled (mypyc) kernel, the pure-Python kernel, and any future
-event-list rewrite be swapped with confidence::
-
-    # pure-Python side
-    PYTHONPATH=src python benchmarks/digest_configs.py --out pure.json
-    # compiled side (after pip install -e .[compiled] with VOODB_MYPYC=1)
-    VOODB_COMPILED=1 PYTHONPATH=src python benchmarks/digest_configs.py \
-        --compare pure.json
+a kernel or event-list rewrite be swapped in with confidence.
 
 The committed ``benchmarks/digests.json`` is the reference: comparing
 against it catches a model refactor that drifts a config no golden
@@ -162,13 +155,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the digests JSON here")
     parser.add_argument(
         "--compare",
-        help="digests JSON from another kernel; exit 1 on any mismatch",
+        help="reference digests JSON; exit 1 on any mismatch",
     )
     args = parser.parse_args(argv)
 
-    from repro.despy import KERNEL_BACKEND
-
-    print(f"kernel backend: {KERNEL_BACKEND}")
     digests = run_digests(seed=args.seed)
     if args.out:
         payload = {"seed": args.seed, "digests": digests}

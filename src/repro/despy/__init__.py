@@ -20,36 +20,7 @@ intervals (`stats`, implementing the [Ban96] method of paper §4.2.2).
 It is validated the way DESP-C++ was validated against QNAP2: by checking
 simulated queueing systems against closed-form M/M/1 and M/M/c results
 (`validation`, exercised in the test suite).
-
-Compiled kernel
----------------
-The four hot modules (``events``, ``process``, ``resource``, ``engine``)
-can optionally be built as mypyc extension modules (``pip install -e
-.[compiled]`` with ``VOODB_MYPYC=1``; see setup.py).  Setting
-``VOODB_COMPILED=1`` at import time installs the compiled modules under
-the ``repro.despy.*`` names **before** any submodule import below, so
-every consumer — model code, tests, ``isinstance`` checks — sees one
-consistent set of classes.  Without the env var, or when no compiled
-artifacts exist, the pure-Python modules load as always;
-:data:`KERNEL_BACKEND` says which one won.
 """
-
-import os as _os
-import sys as _sys
-
-KERNEL_BACKEND = "pure"
-if _os.environ.get("VOODB_COMPILED", "").strip().lower() in ("1", "true", "yes"):
-    try:
-        from repro import _despy_compiled as _compiled_pkg
-
-        for _name in ("events", "process", "resource", "engine"):
-            _sys.modules[f"repro.despy.{_name}"] = getattr(_compiled_pkg, _name)
-        KERNEL_BACKEND = "compiled"
-        del _compiled_pkg
-    except ImportError:
-        # No compiled artifacts in this environment: fall back cleanly.
-        KERNEL_BACKEND = "pure"
-del _os, _sys
 
 from repro.despy.arrivals import (
     fixed_interarrivals,
@@ -102,7 +73,6 @@ from repro.despy.validation import (
 )
 
 __all__ = [
-    "KERNEL_BACKEND",
     "TICK_SHIFT",
     "TICKS_PER_MS",
     "MS_PER_TICK",
