@@ -100,9 +100,9 @@ class Architecture(ABC):
         """
 
     def begin_transaction_nowait(self):
-        """The transaction envelope (the Transaction Manager calls only
-        this pair): ``None`` when there is no work — the default for
-        every non-DB-server class."""
+        """The envelope face subclasses override (the Transaction
+        Manager calls only this pair): ``None`` when there is no work —
+        the default for every non-DB-server class."""
         return None
 
     def end_transaction_nowait(self):

@@ -109,15 +109,28 @@ class IOSubsystem:
         """Service ticks for one page, applying the contiguity shortcut."""
         return self._service(page)[0]
 
-    def _hold(self, page: Optional[int], write: bool) -> Hold:
-        """Time and count one operation; call with the disk held.
+    # ------------------------------------------------------------------
+    # Process-style operations (yield from these inside processes)
+    # ------------------------------------------------------------------
+    def _occupy(self, page: Optional[int], write: bool, scale: float = 0.0):
+        """One operation: take the disk, hold it, give it back.
 
+        The hold is priced once the disk is granted, against the head
+        position the previous holder left; the failure hazard adds its
+        per-operation penalty, and the whole duration is busy time.
         ``page`` ``None`` is a swap transfer: swap lives in its own disk
         region, so it pays the full random-access cost and breaks
         database-region contiguity (the arm moved) — §4.3.2's "costly
-        swap".  The failure hazard adds its per-operation penalty, and
-        the whole duration counts as busy time.
+        swap".  ``scale`` > 0 stretches the hold by that share of its
+        duration (a gray node's degraded disk); the disk really is
+        occupied that long, so the stretch is busy time too.  The
+        request/release pair uses the inline merge fast paths, so an
+        uncontended operation costs a single Hold event (see
+        Resource.try_acquire_inline).
         """
+        disk = self.disk
+        if not disk.try_acquire_inline():
+            yield self._request_disk
         if page is None:
             self._last_page = -2
             time = self._random_time
@@ -137,29 +150,9 @@ class IOSubsystem:
             time += penalty
             hold = Hold(time)
         self.busy_ticks += time
-        return hold
-
-    # ------------------------------------------------------------------
-    # Process-style operations (yield from these inside processes)
-    # ------------------------------------------------------------------
-    def _occupy(self, page: Optional[int], write: bool, scale: float = 0.0):
-        """One operation: take the disk, hold it, give it back.
-
-        The hold is priced once the disk is granted, against the head
-        position the previous holder left.  The request/release pair
-        uses the inline merge fast paths, so an uncontended operation
-        costs a single Hold event (see Resource.try_acquire_inline).
-        ``scale`` > 0 stretches the hold by that share of its duration
-        (a gray node's degraded disk); the disk really is occupied that
-        long, so the stretch counts as busy time.
-        """
-        disk = self.disk
-        if not disk.try_acquire_inline():
-            yield self._request_disk
-        hold = self._hold(page, write)
         yield hold
         if scale:
-            extra = int(hold.duration * scale)
+            extra = int(time * scale)
             if extra:
                 self.busy_ticks += extra
                 yield Hold(extra)
