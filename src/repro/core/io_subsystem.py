@@ -181,11 +181,6 @@ class IOSubsystem:
         for victim in victims:
             yield from self._occupy(victim, True)
 
-    def swap_out(self, pages: Iterable[int]):
-        """Write pages out to the swap partition, one operation each."""
-        for __ in pages:
-            yield from self._occupy(None, True)
-
     def read_pages(self, pages: Iterable[int]):
         """Bulk read; sorts the batch so contiguous runs pay transfer only.
 

@@ -23,6 +23,11 @@ def read_miss(page):
     return AccessOutcome(hit=False, read_page=page)
 
 
+def swap_miss(**swaps):
+    """A virtual-memory fault that owes only swap traffic."""
+    return VMAccessOutcome(hit=False, **swaps)
+
+
 class TestFigure5Rule:
     def test_random_access_pays_search_latency_transfer(self):
         sim, io = make_io()
@@ -212,8 +217,8 @@ class TestSwapTraffic:
         sim, io = make_io()
 
         def work():
-            yield from io.swap_out([3])
-            yield from io.serve_miss(VMAccessOutcome(hit=False, swap_read=True))
+            yield from io.serve_miss(swap_miss(swap_out_pages=[3]))
+            yield from io.serve_miss(swap_miss(swap_read=True))
 
         drive(sim, work())
         assert io.swap_writes == 1
@@ -224,7 +229,7 @@ class TestSwapTraffic:
 
     def test_swap_out_pays_random_per_page(self):
         sim, io = make_io()
-        drive(sim, io.swap_out([1, 2]))
+        drive(sim, io.serve_miss(swap_miss(swap_out_pages=[1, 2])))
         assert io.swap_writes == 2
         assert io.sequential_accesses == 0
         assert sim.now_ms == pytest.approx(24.4)
@@ -234,7 +239,7 @@ class TestSwapTraffic:
 
         def work():
             yield from io.serve_miss(read_miss(5))
-            yield from io.serve_miss(VMAccessOutcome(hit=False, swap_read=True))
+            yield from io.serve_miss(swap_miss(swap_read=True))
             yield from io.serve_miss(read_miss(6))  # arm moved: random again
 
         drive(sim, work())
