@@ -1,4 +1,4 @@
-"""Model-equivalence digests: 25 pinned configs, one hex digest each.
+"""Model-equivalence digests: 29 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -19,8 +19,9 @@ refactor touched: system classes, replacement policies, clustering,
 cluster topologies, virtual memory, prefetching, failure injection,
 lock contention and write traffic — plus the cluster page-service
 modes (sync fan-out on free and throttled interconnects, async copies,
-per-node failures, object-server forwarding) and the single-server
-miss paths behind client caches and prefetching.
+per-node failures, object-server forwarding), the single-server
+miss paths behind client caches and prefetching, and both cluster
+system classes behind a client cache on free and throttled networks.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 25 pinned (name -> config) equivalence points."""
+    """The 29 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
@@ -73,6 +74,14 @@ def pinned_configs() -> dict:
         return ClusterConfig(
             servers=3, placement="hash", replication=2, interconnect_mbps=mbps
         )
+
+    # Both cluster system classes behind a 64-frame client cache.
+    cached = served.with_changes(nusers=4, client_buffsize=64)
+    cluster_objects = cached.with_changes(
+        sysclass=SystemClass.OBJECT_SERVER,
+        cluster=cluster(25.0),
+        replication=ReplicationConfig(mode="async"),
+    )
 
     return {
         "default": base,
@@ -129,6 +138,14 @@ def pinned_configs() -> dict:
         "texas-vm-5mb-writes": texas_config(
             nc=20, no=5000, memory_mb=5, hotn=_HOTN, pwrite=0.3
         ),
+        "cluster-page-cache-free-net": cached.with_changes(
+            netthru=math.inf, cluster=cluster()
+        ),
+        "cluster-page-cache-1mbps": cached.with_changes(cluster=cluster()),
+        "cluster-object-cache-free-net": cluster_objects.with_changes(
+            netthru=math.inf
+        ),
+        "cluster-object-cache-1mbps": cluster_objects,
     }
 
 
@@ -143,13 +160,13 @@ def run_digests(seed: int = 1) -> dict:
     digests = {}
     for name, config in pinned_configs().items():
         digests[name] = digest_config(config, seed=seed)
-        print(f"{name:>27}  {digests[name]}")
+        print(f"{name:>29}  {digests[name]}")
     return digests
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 25 pinned model-equivalence configs."
+        description="Hex-digest the 29 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")
