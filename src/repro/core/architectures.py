@@ -34,7 +34,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.despy.process import PARK, Hold
 from repro.core.buffering import BufferManager
 from repro.core.network import Network
 from repro.core.object_manager import ObjectManager
@@ -51,6 +50,8 @@ class Architecture(ABC):
     """The object-access path of one system class."""
 
     name: str = "abstract"
+    #: the client-side page or object cache, when the class has one
+    client_cache: Optional[BufferManager] = None
 
     def __init__(
         self,
@@ -183,6 +184,8 @@ class Architecture(ABC):
     def notify_reorganized(self) -> None:
         """Clustering moved objects: client/prefetch state is stale."""
         self._prefetched_unused.clear()
+        if self.client_cache is not None:
+            self.client_cache.invalidate_all()
 
     # ------------------------------------------------------------------
     # Client-cache construction (shared by the single-server and
@@ -233,134 +236,67 @@ class PageServer(Architecture):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.client_cache: Optional[BufferManager] = self._page_client_cache()
-        #: request + page response, precomputed for the free-net loop
+        self.client_cache = self._page_client_cache()
+        #: request + page response, booked together by the free-net loop
         self._round_trip_bytes = self.config.message_bytes + self.config.pgsize
 
     def access_object_nowait(self, oid: int, write: bool):
         client_cache = self.client_cache
         network = self.network
-        pages = iter(self._om_pages_of(oid))
-        if network.infinite:
-            # Free network (Table 4's NETTHRU = +inf): transfers only
-            # count, so the whole loop stays synchronous until a page
-            # actually needs the disk.  The request and response
-            # messages are booked together — the totals are all that is
-            # observable.
-            memory = self.memory
-            prefetched = self._prefetched_unused
-            round_trip_bytes = self._round_trip_bytes
-            for page in pages:
-                if client_cache is not None:
-                    if client_cache.access(page, False).hit:
-                        self.client_hits += 1
-                        continue
-                    self.client_misses += 1
-                network.messages += 2
-                network.bytes_sent += round_trip_bytes
-                outcome = memory.access(page, write)
-                if outcome.hit:
-                    if page in prefetched:
-                        prefetched.discard(page)
-                        self.prefetch_hits += 1
-                    continue
-                return self._page_server_free_net_tail(
-                    outcome, page, pages, write
-                )
-            return None
-        for page in pages:
-            if client_cache is not None:
-                if client_cache.access(page, False).hit:
-                    self.client_hits += 1
-                    continue
-                self.client_misses += 1
-            # This page must travel: hand the rest to the event loop.
-            # Its client-cache miss is already booked, so the tail
-            # starts at the ship-request step.
-            return self._page_server_tail(page, pages, write)
-        return None
-
-    def _page_server_free_net_tail(self, outcome, page, pages, write: bool):
-        """Finish a free-network object access from its first disk miss.
-
-        The first page's round trip is already counted by the caller.
-        """
-        client_cache = self.client_cache
-        network = self.network
-        memory = self.memory
+        free = network.infinite
         prefetched = self._prefetched_unused
-        round_trip_bytes = self._round_trip_bytes
-        yield from self._miss_io(outcome, page)
+        pages = iter(self._om_pages_of(oid))
         for page in pages:
             if client_cache is not None:
                 if client_cache.access(page, False).hit:
                     self.client_hits += 1
                     continue
                 self.client_misses += 1
-            network.messages += 2
-            network.bytes_sent += round_trip_bytes
-            outcome = memory.access(page, write)
+            if not free:
+                return self._page_server_tail(page, pages, write)
+            # Free network (Table 4's NETTHRU = +inf): the request
+            # arrives at once.  This is the model's inner loop, so a
+            # server-buffer hit books its round trip here in place.
+            outcome = self.memory.access(page, write)
             if not outcome.hit:
-                yield from self._miss_io(outcome, page)
-            elif page in prefetched:
+                return self._page_server_tail(page, pages, write, outcome)
+            network.messages += 2
+            network.bytes_sent += self._round_trip_bytes
+            if page in prefetched:
                 prefetched.discard(page)
                 self.prefetch_hits += 1
+        return None
 
-    def _page_server_tail(self, page, pages, write: bool):
-        """Ship the remaining pages over the (finite) network.
+    def _page_server_tail(self, page, pages, write: bool, outcome=None):
+        """Finish an access from its first page that owes simulated time.
 
-        The whole simulation funnels through this loop on the page-server
-        class, so the network transfer's three commands are yielded here
-        instead of through a ``_timed_transfer`` generator per message,
-        with the exact counter updates that generator performs.  The
-        server-side buffer access runs in this frame too; only a miss
-        leaves it, for :meth:`_miss_io`.
+        ``page`` has missed the client cache.  On a throttled network its
+        request has yet to cross (``outcome`` is ``None``); on a free one
+        the access loop has already read the server buffer, which missed.
+        A request crosses before the server buffer is read, and a miss
+        goes through :meth:`_miss_io`.
         """
         client_cache = self.client_cache
-        network = self.network
+        transfer = self.network.transfer_nowait
         message_bytes = self.config.message_bytes
         pgsize = self.config.pgsize
         memory_access = self.memory.access
         prefetched = self._prefetched_unused
-        request_medium = network._request_medium
-        release_medium = network._release_medium
-        holds = network._holds
-        msg_hold = holds.get(message_bytes)
-        if msg_hold is None:
-            msg_hold = holds[message_bytes] = Hold(
-                network.transfer_ticks(message_bytes)
-            )
-        msg_time = msg_hold.duration
-        page_hold = holds.get(pgsize)
-        if page_hold is None:
-            page_hold = holds[pgsize] = Hold(network.transfer_ticks(pgsize))
-        page_time = page_hold.duration
-        medium = network.medium
-        medium_inline = medium.try_acquire_inline
-        medium_release = medium.release_inline
         while True:
-            network.messages += 1
-            network.bytes_sent += message_bytes
-            network.busy_ticks += msg_time
-            if not medium_inline():
-                yield request_medium
-            yield msg_hold
-            if not medium_release():
-                yield PARK
-            outcome = memory_access(page, write)
+            step = transfer(message_bytes)
+            if step is not None:
+                yield from step
+            if outcome is None:
+                outcome = memory_access(page, write)
             if not outcome.hit:
                 yield from self._miss_io(outcome, page)
             elif page in prefetched:
                 prefetched.discard(page)
                 self.prefetch_hits += 1
-            network.messages += 1
-            network.bytes_sent += pgsize
-            network.busy_ticks += page_time
-            if not medium_inline():
-                yield request_medium
-            yield page_hold
-            if not medium_release():
-                yield PARK
+            step = transfer(pgsize)
+            if step is not None:
+                yield from step
+            outcome = None
             for page in pages:
                 if client_cache is not None:
                     if client_cache.access(page, False).hit:
@@ -371,11 +307,6 @@ class PageServer(Architecture):
             else:
                 return
 
-    def notify_reorganized(self) -> None:
-        super().notify_reorganized()
-        if self.client_cache is not None:
-            self.client_cache.invalidate_all()
-
 
 class ObjectServer(Architecture):
     """SYSCLASS = Object Server (ORION, ONTOS): objects ship to clients."""
@@ -384,7 +315,7 @@ class ObjectServer(Architecture):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.client_cache: Optional[BufferManager] = self._object_client_cache()
+        self.client_cache = self._object_client_cache()
 
     def access_object_nowait(self, oid: int, write: bool):
         if self.client_cache is not None:
@@ -392,33 +323,28 @@ class ObjectServer(Architecture):
                 self.client_hits += 1
                 return None
             self.client_misses += 1
-        network = self.network
-        if network.infinite:
-            network.transfer_nowait(self.config.message_bytes)
-            step = self._server_object_access_nowait(oid, write)
-            if step is None:
-                network.transfer_nowait(self.db.size(oid))
-                return None
-            return self._object_server_finish(step, oid)
-        return self._object_server_tail(oid, write)
-
-    def _object_server_finish(self, step, oid: int):
-        yield from step
-        self.network.transfer_nowait(self.db.size(oid))
-
-    def _object_server_tail(self, oid: int, write: bool):
-        """The access over a throttled network: request, server, object."""
-        network = self.network
-        yield from network.transfer_nowait(self.config.message_bytes)
+        request = self.network.transfer_nowait(self.config.message_bytes)
+        if request is not None:
+            return self._object_server_tail(request, None, oid, write)
         step = self._server_object_access_nowait(oid, write)
         if step is not None:
-            yield from step
-        yield from network.transfer_nowait(self.db.size(oid))
+            return self._object_server_tail(None, step, oid, write)
+        self.network.transfer_nowait(self.db.size(oid))
+        return None
 
-    def notify_reorganized(self) -> None:
-        super().notify_reorganized()
-        if self.client_cache is not None:
-            self.client_cache.invalidate_all()
+    def _object_server_tail(self, request, step, oid: int, write: bool):
+        """Finish an access from the request crossing a throttled
+        network, or from the server work a free network's request
+        started.  The object ships after the server work: a concurrent
+        OCB delete can change its size meanwhile."""
+        if request is not None:
+            yield from request
+            step = self._server_object_access_nowait(oid, write)
+        if step is not None:
+            yield from step
+        response = self.network.transfer_nowait(self.db.size(oid))
+        if response is not None:
+            yield from response
 
 
 class DBServer(Architecture):
@@ -470,97 +396,61 @@ class ClusterPageServer(ClusterArchitecture):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.client_cache: Optional[BufferManager] = self._page_client_cache()
+        self.client_cache = self._page_client_cache()
 
     def access_object_nowait(self, oid: int, write: bool):
         client_cache = self.client_cache
+        pages = iter(self._om_pages_of(oid))
+        for page in pages:
+            if client_cache is not None:
+                if client_cache.access(page, False).hit:
+                    self.client_hits += 1
+                    continue
+                self.client_misses += 1
+            step = self._round_trip(page, write)
+            if step is not None:
+                return self._page_tail(step, page, pages, write)
+        return None
+
+    def _round_trip(self, page: int, write: bool):
+        """Start ``page``'s round trip: request, node service, response.
+
+        On a free client network all three happen in place, and the
+        result is the node's step (disk misses, a throttled interconnect,
+        crash downtime, quorum waits), ``None`` when it owes no time.  On
+        a throttled one the result is the request's crossing: the node
+        serves the page only once it has arrived, in :meth:`_page_tail`.
+        """
         network = self.network
-        cluster = self.cluster
-        pages = iter(self.object_manager.pages_of(oid))
-        if network.infinite:
-            # Free client network: the loop stays synchronous until a
-            # page service owes simulated time (disk misses, throttled
-            # interconnect transfers, crash downtime, quorum waits),
-            # and that remainder rides the returned step.
-            round_trip_bytes = self.config.message_bytes + self.config.pgsize
+        request = network.transfer_nowait(self.config.message_bytes)
+        if request is not None:
+            return request
+        step = self.cluster.serve_page(page, write)
+        network.transfer_nowait(self.config.pgsize)
+        return step
+
+    def _page_tail(self, step, page: int, pages, write: bool):
+        """Finish an access from its first round trip that owes time."""
+        client_cache = self.client_cache
+        network = self.network
+        while True:
+            yield from step
+            if not network.infinite:
+                step = self.cluster.serve_page(page, write)
+                if step is not None:
+                    yield from step
+                yield from network.transfer_nowait(self.config.pgsize)
             for page in pages:
                 if client_cache is not None:
                     if client_cache.access(page, False).hit:
                         self.client_hits += 1
                         continue
                     self.client_misses += 1
-                network.messages += 2
-                network.bytes_sent += round_trip_bytes
-                step = cluster.serve_page(page, write)
+                step = self._round_trip(page, write)
                 if step is not None:
-                    return self._free_fabric_tail(step, pages, write)
-            return None
-        if client_cache is not None:
-            # Throttled client network: client-cache hits still resolve
-            # in place; hand off at the first page that must travel.
-            for page in pages:
-                if client_cache.access(page, False).hit:
-                    self.client_hits += 1
-                    continue
-                self.client_misses += 1
-                return self._timed_tail(page, pages, write)
-            return None
-        return self._timed_access(pages, write)
-
-    def _free_fabric_tail(self, step, pages, write: bool):
-        """Finish a free-network object access from its first timed page."""
-        client_cache = self.client_cache
-        network = self.network
-        cluster = self.cluster
-        round_trip_bytes = self.config.message_bytes + self.config.pgsize
-        yield from step
-        for page in pages:
-            if client_cache is not None:
-                if client_cache.access(page, False).hit:
-                    self.client_hits += 1
-                    continue
-                self.client_misses += 1
-            network.messages += 2
-            network.bytes_sent += round_trip_bytes
-            step = cluster.serve_page(page, write)
-            if step is not None:
-                yield from step
-
-    def _timed_page(self, page: int, write: bool):
-        """One page's round trip over the throttled client network."""
-        network = self.network
-        cluster = self.cluster
-        step = network.transfer_nowait(self.config.message_bytes)
-        if step is not None:
-            yield from step
-        step = cluster.serve_page(page, write)
-        if step is not None:
-            yield from step
-        step = network.transfer_nowait(self.config.pgsize)
-        if step is not None:
-            yield from step
-
-    def _timed_tail(self, page: int, pages, write: bool):
-        """Finish a throttled access whose first page already missed the
-        client cache (the caller booked that miss)."""
-        yield from self._timed_page(page, write)
-        yield from self._timed_access(pages, write)
-
-    def _timed_access(self, pages, write: bool):
-        """Per-page round trips over the throttled client network."""
-        client_cache = self.client_cache
-        for page in pages:
-            if client_cache is not None:
-                if client_cache.access(page, False).hit:
-                    self.client_hits += 1
-                    continue
-                self.client_misses += 1
-            yield from self._timed_page(page, write)
-
-    def notify_reorganized(self) -> None:
-        super().notify_reorganized()
-        if self.client_cache is not None:
-            self.client_cache.invalidate_all()
+                    break
+            else:
+                return
 
 
 class ClusterObjectServer(ClusterArchitecture):
@@ -579,7 +469,7 @@ class ClusterObjectServer(ClusterArchitecture):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.client_cache: Optional[BufferManager] = self._object_client_cache()
+        self.client_cache = self._object_client_cache()
 
     def access_object_nowait(self, oid: int, write: bool):
         if self.client_cache is not None:
@@ -588,47 +478,30 @@ class ClusterObjectServer(ClusterArchitecture):
                 return None
             self.client_misses += 1
         cluster = self.cluster
-        span = self.object_manager.pages_of(oid)
+        pages = iter(self._om_pages_of(oid))
         home = cluster.next_coordinator()
-        network = self.network
-        if network.infinite:
-            network.transfer_nowait(self.config.message_bytes)
-            pages = iter(span)
-            for page in pages:
-                step = cluster.serve_page(page, write, home)
-                if step is not None:
-                    return self._free_fabric_tail(step, pages, write, home, oid)
-            network.transfer_nowait(self.db.size(oid))
-            return None
-        return self._timed_access(oid, span, write, home)
+        request = self.network.transfer_nowait(self.config.message_bytes)
+        if request is not None:
+            return self._object_tail(request, pages, write, home, oid)
+        for page in pages:
+            step = cluster.serve_page(page, write, home)
+            if step is not None:
+                return self._object_tail(step, pages, write, home, oid)
+        self.network.transfer_nowait(self.db.size(oid))
+        return None
 
-    def _free_fabric_tail(self, step, pages, write: bool, home: int, oid: int):
+    def _object_tail(self, step, pages, write: bool, home: int, oid: int):
+        """Finish an access from the request crossing a throttled network,
+        or from the first page service that owes time on a free one."""
         cluster = self.cluster
         yield from step
         for page in pages:
             step = cluster.serve_page(page, write, home)
             if step is not None:
                 yield from step
-        self.network.transfer_nowait(self.db.size(oid))
-
-    def _timed_access(self, oid: int, span, write: bool, home: int):
-        network = self.network
-        cluster = self.cluster
-        step = network.transfer_nowait(self.config.message_bytes)
-        if step is not None:
-            yield from step
-        for page in span:
-            step = cluster.serve_page(page, write, home)
-            if step is not None:
-                yield from step
-        step = network.transfer_nowait(self.db.size(oid))
-        if step is not None:
-            yield from step
-
-    def notify_reorganized(self) -> None:
-        super().notify_reorganized()
-        if self.client_cache is not None:
-            self.client_cache.invalidate_all()
+        response = self.network.transfer_nowait(self.db.size(oid))
+        if response is not None:
+            yield from response
 
 
 _ARCHITECTURES: Dict[SystemClass, type] = {

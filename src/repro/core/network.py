@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from repro.despy.process import PARK, Hold, Release, Request
+from repro.despy.process import PARK, Hold, Request
 from repro.despy.resource import Resource
 from repro.despy.timebase import MS_PER_TICK, ms_to_ticks
 from repro.core.parameters import VOODBConfig
@@ -36,7 +36,6 @@ class Network:
         "medium",
         "_ms_per_byte",
         "_request_medium",
-        "_release_medium",
         "_holds",
         "messages",
         "bytes_sent",
@@ -51,7 +50,6 @@ class Network:
         self._ms_per_byte = config.network_ms_per_byte
         if not self.infinite:
             self._request_medium = Request(self.medium)
-            self._release_medium = Release(self.medium)
             #: message sizes repeat (MESSAGE_BYTES, PGSIZE, object sizes),
             #: so the Hold for each distinct size is built once.
             self._holds: dict = {}
