@@ -197,12 +197,6 @@ class BufferManager:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_writebacks = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<BufferManager {self.resident_pages}/{self.capacity} "

@@ -76,14 +76,8 @@ class ClusteringManager:
         # from the hot path while keeping ``on_object_access`` the API.
         self.on_object_access = self.policy.on_object_access
 
-    def after_transaction(self):
-        """Automatic trigger check; reorganizes inline when requested."""
-        step = self.after_transaction_nowait()
-        if step is not None:
-            yield from step
-
     def after_transaction_nowait(self):
-        """Trigger check without the generator round-trip.
+        """Automatic trigger check; reorganizes inline when requested.
 
         Returns the reorganization generator to ``yield from`` when the
         policy fires, ``None`` (almost always) otherwise.

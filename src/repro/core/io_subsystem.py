@@ -216,14 +216,5 @@ class IOSubsystem:
     def total_ios(self) -> int:
         return self.reads + self.writes + self.swap_reads + self.swap_writes
 
-    def reset_counters(self) -> None:
-        """Zero the counters (used at workload-phase boundaries)."""
-        self.reads = 0
-        self.writes = 0
-        self.swap_reads = 0
-        self.swap_writes = 0
-        self.sequential_accesses = 0
-        self.busy_ticks = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<IOSubsystem reads={self.reads} writes={self.writes}>"

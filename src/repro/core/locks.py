@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
-from repro.despy.errors import ResourceError
 from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
 from repro.despy.timebase import MS_PER_TICK
@@ -91,34 +90,9 @@ class LockManager:
         return self.wait_ticks * MS_PER_TICK
 
     # ------------------------------------------------------------------
-    # Transaction-side protocol (yield from within processes)
+    # Transaction-side protocol (entering and leaving the multiprogramming
+    # mix is ``yield admission_request`` / ``yield admission_release``)
     # ------------------------------------------------------------------
-    def admit(self):
-        """Enter the multiprogramming mix (may queue)."""
-        if self.admission is None:
-            raise ResourceError(
-                "this lock table has no admission scheduler (cluster nodes "
-                "use the cluster-global one)"
-            )
-        yield self.admission_request
-
-    def leave(self):
-        if self.admission is None:
-            raise ResourceError(
-                "this lock table has no admission scheduler (cluster nodes "
-                "use the cluster-global one)"
-            )
-        yield self.admission_release
-
-    def acquire_all(self, txn_id: int, oids: Iterable[int], writes: set):
-        """Acquire locks on every distinct object, sorted (deadlock-free).
-
-        Pays GETLOCK per lock; blocks while any lock conflicts.
-        """
-        step = self.acquire_all_nowait(txn_id, oids, writes)
-        if step is not None:
-            yield from step
-
     def acquire_all_nowait(
         self,
         txn_id: int,
@@ -126,8 +100,9 @@ class LockManager:
         writes: set,
         presorted: bool = False,
     ):
-        """Like :meth:`acquire_all`, but synchronous when possible.
+        """Acquire locks on every distinct object, sorted (deadlock-free).
 
+        Pays GETLOCK per lock and blocks while any lock conflicts.
         Returns ``None`` when every lock was granted without paying time
         (GETLOCK = 0) or waiting; otherwise a generator to ``yield from``.
 
@@ -189,17 +164,15 @@ class LockManager:
                 self.wait_ticks += self.sim.now - started
             self.acquisitions += 1
 
-    def release_all(self, txn_id: int, oids: Iterable[int]):
-        """Release every lock, paying RELLOCK per lock, waking waiters."""
-        step = self.release_all_nowait(txn_id, oids)
-        if step is not None:
-            yield from step
-
     def release_all_nowait(
         self, txn_id: int, oids: Iterable[int], presorted: bool = False
     ):
-        """Like :meth:`release_all`; ``None`` when RELLOCK costs nothing
-        (releasing never blocks, so only the Hold needs the event loop)."""
+        """Release every lock, paying RELLOCK per lock, waking waiters.
+
+        Returns ``None`` when RELLOCK costs nothing (releasing never
+        blocks, so only the Hold needs the event loop); otherwise a
+        generator to ``yield from``.
+        """
         distinct = oids if presorted else sorted(set(oids))
         release_cost = self._rellock_ticks * len(distinct)
         if release_cost > 0:

@@ -96,11 +96,6 @@ class Network:
         if not medium.release_inline():
             yield PARK
 
-    def reset_counters(self) -> None:
-        self.messages = 0
-        self.bytes_sent = 0
-        self.busy_ticks = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         throughput = "inf" if self.infinite else f"{self.config.netthru}MB/s"
         return f"<Network {throughput} messages={self.messages}>"

@@ -108,7 +108,6 @@ class VirtualMemoryManager:
         "swap_ins",
         "swap_outs",
         "reservations",
-        "discarded_reservations",
     )
 
     def __init__(
@@ -299,14 +298,6 @@ class VirtualMemoryManager:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.swap_ins = 0
-        self.swap_outs = 0
-        self.reservations = 0
-        self.discarded_reservations = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -148,14 +148,6 @@ class TestMaintenance:
         buf.access(1)
         assert buf.hit_rate == pytest.approx(2 / 3)
 
-    def test_reset_counters(self):
-        buf = make_buffer()
-        buf.access(1)
-        buf.access(1)
-        buf.reset_counters()
-        assert buf.hits == 0
-        assert buf.misses == 0
-
     def test_zero_capacity_rejected(self):
         config = VOODBConfig(buffsize=1)
         with pytest.raises(ValueError):

@@ -350,15 +350,3 @@ class TestNowaitFastPath:
 
 def _drain(step):
     yield from step
-
-
-class TestNodeLockTableGuards:
-    def test_admit_on_node_table_fails_loudly(self):
-        from repro.despy.errors import ResourceError
-
-        model = VOODBSimulation(cluster_config(), seed=1)
-        node_locks = model.cluster.nodes[0].locks
-        with pytest.raises(ResourceError, match="admission scheduler"):
-            next(node_locks.admit())
-        with pytest.raises(ResourceError, match="admission scheduler"):
-            next(node_locks.leave())

@@ -256,10 +256,3 @@ class TestCounters:
 
         drive(sim, work())
         assert io.total_ios == 2
-
-    def test_reset_counters(self):
-        sim, io = make_io()
-        drive(sim, io.serve_miss(read_miss(1)))
-        io.reset_counters()
-        assert io.reads == 0
-        assert io.busy_time_ms == 0.0

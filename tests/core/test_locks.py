@@ -12,6 +12,12 @@ def make_locks(multilvl=10, getlock=0.5, rellock=0.5):
     return sim, LockManager(sim, config)
 
 
+def drive(step):
+    """Finish a nowait step: ``None`` means it completed in place."""
+    if step is not None:
+        yield from step
+
+
 class TestAdmission:
     def test_multiprogramming_level_caps_concurrency(self):
         sim, locks = make_locks(multilvl=2, getlock=0.0, rellock=0.0)
@@ -19,11 +25,11 @@ class TestAdmission:
         peak = [0]
 
         def txn(tag):
-            yield from locks.admit()
+            yield locks.admission_request
             inside.append(tag)
             peak[0] = max(peak[0], locks.admission.in_use)
             yield Hold(ms_to_ticks(5.0))
-            yield from locks.leave()
+            yield locks.admission_release
 
         for tag in range(4):
             sim.process(txn(tag))
@@ -38,8 +44,8 @@ class TestLockTimes:
         sim, locks = make_locks(getlock=0.5, rellock=0.0)
 
         def txn():
-            yield from locks.acquire_all(0, [1, 2, 3], set())
-            yield from locks.release_all(0, [1, 2, 3])
+            yield from drive(locks.acquire_all_nowait(0, [1, 2, 3], set()))
+            yield from drive(locks.release_all_nowait(0, [1, 2, 3]))
 
         sim.process(txn())
         sim.run()
@@ -50,8 +56,8 @@ class TestLockTimes:
         sim, locks = make_locks(getlock=0.0, rellock=0.5)
 
         def txn():
-            yield from locks.acquire_all(0, [1, 2], set())
-            yield from locks.release_all(0, [1, 2])
+            yield from drive(locks.acquire_all_nowait(0, [1, 2], set()))
+            yield from drive(locks.release_all_nowait(0, [1, 2]))
 
         sim.process(txn())
         sim.run()
@@ -61,8 +67,8 @@ class TestLockTimes:
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
 
         def txn():
-            yield from locks.acquire_all(0, [1, 2], set())
-            yield from locks.release_all(0, [1, 2])
+            yield from drive(locks.acquire_all_nowait(0, [1, 2], set()))
+            yield from drive(locks.release_all_nowait(0, [1, 2]))
 
         sim.process(txn())
         sim.run()
@@ -75,10 +81,10 @@ class TestSharing:
         progress = []
 
         def reader(tag):
-            yield from locks.acquire_all(tag, [42], set())
+            yield from drive(locks.acquire_all_nowait(tag, [42], set()))
             progress.append((tag, sim.now_ms))
             yield Hold(ms_to_ticks(3.0))
-            yield from locks.release_all(tag, [42])
+            yield from drive(locks.release_all_nowait(tag, [42]))
 
         sim.process(reader(0))
         sim.process(reader(1))
@@ -92,15 +98,15 @@ class TestSharing:
         progress = []
 
         def writer():
-            yield from locks.acquire_all(0, [42], {42})
+            yield from drive(locks.acquire_all_nowait(0, [42], {42}))
             yield Hold(ms_to_ticks(4.0))
-            yield from locks.release_all(0, [42])
+            yield from drive(locks.release_all_nowait(0, [42]))
 
         def reader():
             yield Hold(ms_to_ticks(1.0))
-            yield from locks.acquire_all(1, [42], set())
+            yield from drive(locks.acquire_all_nowait(1, [42], set()))
             progress.append(sim.now_ms)
-            yield from locks.release_all(1, [42])
+            yield from drive(locks.release_all_nowait(1, [42]))
 
         sim.process(writer())
         sim.process(reader())
@@ -114,15 +120,15 @@ class TestSharing:
         progress = []
 
         def reader():
-            yield from locks.acquire_all(0, [7], set())
+            yield from drive(locks.acquire_all_nowait(0, [7], set()))
             yield Hold(ms_to_ticks(2.0))
-            yield from locks.release_all(0, [7])
+            yield from drive(locks.release_all_nowait(0, [7]))
 
         def writer():
             yield Hold(ms_to_ticks(0.5))
-            yield from locks.acquire_all(1, [7], {7})
+            yield from drive(locks.acquire_all_nowait(1, [7], {7}))
             progress.append(sim.now_ms)
-            yield from locks.release_all(1, [7])
+            yield from drive(locks.release_all_nowait(1, [7]))
 
         sim.process(reader())
         sim.process(writer())
@@ -134,10 +140,10 @@ class TestSharing:
         progress = []
 
         def txn(tag, oid):
-            yield from locks.acquire_all(tag, [oid], {oid})
+            yield from drive(locks.acquire_all_nowait(tag, [oid], {oid}))
             progress.append((tag, sim.now_ms))
             yield Hold(ms_to_ticks(2.0))
-            yield from locks.release_all(tag, [oid])
+            yield from drive(locks.release_all_nowait(tag, [oid]))
 
         sim.process(txn(0, 1))
         sim.process(txn(1, 2))
@@ -149,10 +155,10 @@ class TestSharing:
         done = []
 
         def txn():
-            yield from locks.acquire_all(0, [5], set())
-            yield from locks.acquire_all(0, [5], set())  # idempotent
+            yield from drive(locks.acquire_all_nowait(0, [5], set()))
+            yield from drive(locks.acquire_all_nowait(0, [5], set()))  # idempotent
             done.append(sim.now_ms)
-            yield from locks.release_all(0, [5])
+            yield from drive(locks.release_all_nowait(0, [5]))
 
         sim.process(txn())
         sim.run()
@@ -162,8 +168,8 @@ class TestSharing:
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
 
         def txn():
-            yield from locks.acquire_all(0, [1, 2, 3], {2})
-            yield from locks.release_all(0, [1, 2, 3])
+            yield from drive(locks.acquire_all_nowait(0, [1, 2, 3], {2}))
+            yield from drive(locks.release_all_nowait(0, [1, 2, 3]))
 
         sim.process(txn())
         sim.run()
@@ -176,11 +182,11 @@ class TestContention:
         finished = []
 
         def writer(tag):
-            yield from locks.admit()
-            yield from locks.acquire_all(tag, [99], {99})
+            yield locks.admission_request
+            yield from drive(locks.acquire_all_nowait(tag, [99], {99}))
             yield Hold(ms_to_ticks(1.0))
-            yield from locks.release_all(tag, [99])
-            yield from locks.leave()
+            yield from drive(locks.release_all_nowait(tag, [99]))
+            yield locks.admission_release
             finished.append(sim.now_ms)
 
         for tag in range(3):

@@ -75,11 +75,3 @@ class TestTransfers:
         sim.run()
         assert finished[0][1] == pytest.approx(1000.0)
         assert finished[1][1] == pytest.approx(2000.0)
-
-    def test_reset_counters(self):
-        sim, net = make_network()
-        sim.process(net.transfer_nowait(100))
-        sim.run()
-        net.reset_counters()
-        assert net.messages == 0
-        assert net.bytes_sent == 0

@@ -125,14 +125,11 @@ class TestMaintenance:
         vm.access(0, write=True)
         assert vm.flush() == []
 
-    def test_hit_rate_and_reset(self):
+    def test_hit_rate(self):
         vm = make_vm()
         vm.access(0)
         vm.access(0)
         assert vm.hit_rate == pytest.approx(0.5)
-        vm.reset_counters()
-        assert vm.hits == 0
-        assert vm.misses == 0
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
