@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     Centralized,
+    ClusterConfig,
     DBServer,
     ObjectServer,
     PageServer,
@@ -13,6 +14,8 @@ from repro.core import (
     VOODBConfig,
     VOODBSimulation,
 )
+from repro.core.architectures import ClusterObjectServer, ClusterPageServer
+from repro.core.buffering import BufferManager
 from repro.ocb import OCBConfig
 
 SMALL_OCB = OCBConfig(nc=5, no=200, hotn=50)
@@ -113,3 +116,71 @@ class TestClientCache:
     def test_no_client_cache_by_default(self):
         model = build_model(SystemClass.PAGE_SERVER)
         assert model.architecture.client_cache is None
+
+
+class TestOneRoundTrip:
+    """One object access, cold server buffer, at t=0: the request crosses,
+    the server reads its buffer (a miss, so one disk read), the response
+    crosses — on a free network the same path passes no network time."""
+
+    @pytest.mark.parametrize("netthru", [math.inf, 1.0], ids=["free", "1mbps"])
+    @pytest.mark.parametrize(
+        "sysclass,cluster,cls",
+        [
+            (SystemClass.PAGE_SERVER, False, PageServer),
+            (SystemClass.OBJECT_SERVER, False, ObjectServer),
+            (SystemClass.PAGE_SERVER, True, ClusterPageServer),
+            (SystemClass.OBJECT_SERVER, True, ClusterObjectServer),
+        ],
+        ids=["page", "object", "cluster-page", "cluster-object"],
+    )
+    def test_request_crosses_before_the_server_reads(
+        self, monkeypatch, sysclass, cluster, cls, netthru
+    ):
+        changes = {}
+        if cluster:
+            changes["cluster"] = ClusterConfig(
+                servers=3, placement="hash", interconnect_mbps=math.inf
+            )
+        model = build_model(sysclass, netthru=netthru, **changes)
+        arch, net, sim = model.architecture, model.network, model.sim
+        assert type(arch) is cls
+        oid = next(
+            oid
+            for oid in range(model.db.config.no)
+            if len(model.object_manager.pages_of(oid)) == 1
+        )
+        server_reads = []
+        access = BufferManager.access
+
+        def recording_access(buffer, page, write=False):
+            server_reads.append(sim.now)
+            return access(buffer, page, write)
+
+        monkeypatch.setattr(BufferManager, "access", recording_access)
+
+        step = arch.access_object_nowait(oid, False)
+        assert step is not None  # the cold buffer misses: the disk owes time
+        sim.process(_finish(step))
+        sim.run()
+
+        config = model.config
+        ships_pages = cls in (PageServer, ClusterPageServer)
+        response = config.pgsize if ships_pages else model.db.size(oid)
+        disks = [node.io for node in model.cluster.nodes] if cluster else [model.io]
+        assert sum(io.reads for io in disks) == 1
+        disk_ticks = sum(io.busy_ticks for io in disks)
+        assert net.messages == 2
+        assert net.bytes_sent == config.message_bytes + response
+        if math.isinf(netthru):
+            assert net.busy_ticks == 0
+            assert server_reads == [0]
+        else:
+            request_ticks = net.transfer_ticks(config.message_bytes)
+            assert net.busy_ticks == request_ticks + net.transfer_ticks(response)
+            assert server_reads == [request_ticks]
+        assert sim.now == net.busy_ticks + disk_ticks
+
+
+def _finish(step):
+    yield from step
