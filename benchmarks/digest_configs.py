@@ -142,9 +142,7 @@ def pinned_configs() -> dict:
             netthru=math.inf, cluster=cluster()
         ),
         "cluster-page-cache-1mbps": cached.with_changes(cluster=cluster()),
-        "cluster-object-cache-free-net": cluster_objects.with_changes(
-            netthru=math.inf
-        ),
+        "cluster-object-cache-free-net": cluster_objects.with_changes(netthru=math.inf),
         "cluster-object-cache-1mbps": cluster_objects,
     }
 
