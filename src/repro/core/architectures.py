@@ -27,6 +27,14 @@ write-backs, swap traffic, the read itself), then runs the prefetcher.
 Architectures therefore differ *only* in where requests travel — the
 point of the paper's genericity claim — while the I/O Subsystem alone
 decides what a disk access costs (Figure 5).
+
+Requests and responses likewise cross the client network only through
+:meth:`~repro.core.network.Network.transfer_nowait`.  On a free network
+(NETTHRU = +inf) a transfer only counts and returns ``None``, so each
+client/server class runs one access loop and one tail on both networks;
+on a throttled one the server is reached only after the request has
+crossed.  The page server's free-network hit loop, the model's inner
+loop, books its round trips in place.
 """
 
 from __future__ import annotations

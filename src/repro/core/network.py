@@ -10,6 +10,9 @@ client on one workstation), which this model honors by skipping the
 resource entirely: zero time, but messages and bytes still counted, so
 I/O-oriented results are unaffected while the ablation benches can dial
 real throughputs.
+
+Requests cross a network only through :meth:`Network.transfer_nowait`,
+so the medium's acquire → hold → release lives in this module alone.
 """
 
 from __future__ import annotations

@@ -495,13 +495,13 @@ class EventList:
 
     # The merged-continuation predicate — "no immediate event queued and
     # no timed event ties the current tick at priority <= 0" — is
-    # deliberately *inlined* at its call sites rather than offered as a
-    # method: Process._step evaluates it on every continuation and
-    # Resource.try_acquire_inline/release_inline on every grant/release,
-    # and a call frame there is measurable.  When changing the test
-    # (e.g. the conservative bucket-horizon compare), update every copy:
-    # the three _step command branches in repro.despy.process and the
-    # two inline helpers in repro.despy.resource.
+    # evaluated in two places, both of which write the cached ``quiet``
+    # flag: :meth:`_compute_quiet` (the traced loop) and the refresh
+    # inlined in Simulation.run (the immediate drain's ``tie_free`` and
+    # the due-head/fallback test at each timed dispatch), where a call
+    # frame would be measurable.  Process._step and the Resource inline
+    # grant/release helpers only read the flag.  When changing the test
+    # (e.g. the conservative bucket-horizon compare), update both copies.
 
     # ------------------------------------------------------------------
     # Generic pop side (tests and the traced loop; the engine inlines)

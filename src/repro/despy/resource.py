@@ -88,7 +88,8 @@ class Resource:
         I/O and network transfer ends here); the uncontended no-waiter
         exit never leaves this frame.  The merge test is the event
         list's cached ``quiet`` flag — the same one Process._step reads
-        (see the note in repro.despy.events).
+        (see the merged-continuation note beside
+        ``EventList._compute_quiet`` in repro.despy.events).
         """
         in_use = self._in_use
         if in_use <= 0:
