@@ -499,8 +499,10 @@ class EventList:
     # flag: :meth:`_compute_quiet` (the traced loop) and the refresh
     # inlined in Simulation.run (the immediate drain's ``tie_free`` and
     # the due-head/fallback test at each timed dispatch), where a call
-    # frame would be measurable.  Process._step and the Resource inline
-    # grant/release helpers only read the flag.  When changing the test
+    # frame would be measurable.  Elsewhere the flag is only read
+    # (Process._step, the Resource inline grant/release helpers), cleared
+    # by the pushes that can create a tie, or set by the warp lane, whose
+    # empty event list passes the test trivially.  When changing the test
     # (e.g. the conservative bucket-horizon compare), update both copies.
 
     # ------------------------------------------------------------------
