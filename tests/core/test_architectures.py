@@ -161,7 +161,7 @@ class TestOneRoundTrip:
 
         step = arch.access_object_nowait(oid, False)
         assert step is not None  # the cold buffer misses: the disk owes time
-        sim.process(_finish(step))
+        sim.process(step)
         sim.run()
 
         config = model.config
@@ -180,7 +180,3 @@ class TestOneRoundTrip:
             assert net.busy_ticks == request_ticks + net.transfer_ticks(response)
             assert server_reads == [request_ticks]
         assert sim.now == net.busy_ticks + disk_ticks
-
-
-def _finish(step):
-    yield from step
