@@ -1,4 +1,4 @@
-"""Model-equivalence digests: 29 pinned configs, one hex digest each.
+"""Model-equivalence digests: 31 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -20,8 +20,10 @@ cluster topologies, virtual memory, prefetching, failure injection,
 lock contention and write traffic — plus the cluster page-service
 modes (sync fan-out on free and throttled interconnects, async copies,
 per-node failures, object-server forwarding), the single-server
-miss paths behind client caches and prefetching, and both cluster
-system classes behind a client cache on free and throttled networks.
+miss paths behind client caches and prefetching, both cluster system
+classes behind a client cache on free and throttled networks, and
+anti-entropy sweeps that yield on a throttled interconnect while
+partitions or crashes move versions underneath them.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ import math
 import sys
 
 from repro.core import run_replication
-from repro.core.failures import FailureConfig
+from repro.core.failures import FailureConfig, FaultConfig, RetryConfig
 from repro.core.parameters import (
+    ArrivalConfig,
     ClusterConfig,
     ReplicationConfig,
     SystemClass,
@@ -55,7 +58,7 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 29 pinned (name -> config) equivalence points."""
+    """The 31 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
@@ -82,6 +85,20 @@ def pinned_configs() -> dict:
         cluster=cluster(25.0),
         replication=ReplicationConfig(mode="async"),
     )
+    # Anti-entropy points: async copies on a throttled interconnect, so
+    # each sweep's page ships yield while versions, partitions and
+    # crashes change under it.  The retry setting rides on each point:
+    # without the fault layer it is rejected as inert.
+    repaired = VOODBConfig(
+        ocb=_ocb(pwrite=0.3),
+        multilvl=8,
+        arrivals=ArrivalConfig(mode="poisson", rate_tps=80.0),
+        cluster=ClusterConfig(servers=3, replication=3, interconnect_mbps=25.0),
+        replication=ReplicationConfig(
+            mode="async", read_quorum=2, apply_delay_ms=2.0
+        ),
+    )
+    retry = RetryConfig(timeout_ms=15.0, max_retries=2, backoff_base_ms=5.0)
 
     return {
         "default": base,
@@ -144,6 +161,21 @@ def pinned_configs() -> dict:
         "cluster-page-cache-1mbps": cached.with_changes(cluster=cluster()),
         "cluster-object-cache-free-net": cluster_objects.with_changes(netthru=math.inf),
         "cluster-object-cache-1mbps": cluster_objects,
+        "cluster-partition-repair": repaired.with_changes(
+            faults=FaultConfig(
+                partition_mtbf_ms=1500.0,
+                partition_heal_ms=400.0,
+                partition_groups=((0,), (1, 2)),
+                election_delay_ms=25.0,
+                repair_interval_ms=100.0,
+            ),
+            retry=retry,
+        ),
+        "cluster-crash-repair": repaired.with_changes(
+            failures=FailureConfig(crash_mtbf_ms=2000.0, recovery_time_ms=300.0),
+            faults=FaultConfig(election_delay_ms=25.0, repair_interval_ms=250.0),
+            retry=retry,
+        ),
     }
 
 
@@ -164,7 +196,7 @@ def run_digests(seed: int = 1) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 29 pinned model-equivalence configs."
+        description="Hex-digest the 31 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")
