@@ -111,7 +111,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
@@ -228,8 +229,13 @@ class ClusterNode:
         self.failures = NoFailures()
         #: tick until which this node is crash-recovering (0 = healthy).
         self.down_until = 0
-        #: highest page version applied locally (async replication).
+        #: highest page version applied locally (async replication);
+        #: written only by :meth:`Cluster._apply`.
         self.applied: Dict[int, int] = {}
+        #: pages this node replicates that another owner holds at a
+        #: newer version — kept only while anti-entropy runs, as the
+        #: repair sweep is its only reader.
+        self.behind: Set[int] = set()
         #: shipped page images awaiting local apply:
         #: ``(page, version, enqueued_tick, ack)`` entries, FIFO.
         self.apply_queue: deque = deque()
@@ -1068,7 +1074,7 @@ class Cluster:
             if step is not None:
                 yield from step
             if version > node.applied.get(page, 0):
-                node.applied[page] = version
+                self._apply(node, page, version)
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
                     yield from node.io.write_back(outcome.writeback_pages)
@@ -1106,7 +1112,7 @@ class Cluster:
             return self._sync_propagate(step, page, followers)
         version = self._version.get(page, 0) + 1
         self._version[page] = version
-        node.applied[page] = version
+        self._apply(node, page, version)
         ack = None
         if followers:
             quorum = self.replication_config.write_quorum
@@ -1305,7 +1311,7 @@ class Cluster:
             if down > 0:
                 yield Hold(down)
             if version > applied.get(page, 0):
-                applied[page] = version
+                self._apply(node, page, version)
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
                     yield from node.io.write_back(outcome.writeback_pages)
@@ -1317,20 +1323,41 @@ class Cluster:
                     ack[1].open()
 
     # -- Anti-entropy repair -------------------------------------------
+    def _apply(self, node: ClusterNode, page: int, version: int) -> None:
+        """Install ``version`` of ``page`` at ``node``, unguarded.
+
+        The only writer of ``applied``; callers keep their own version
+        guards.  While anti-entropy runs it also re-derives the page's
+        ``behind`` membership at every owner.
+        """
+        node.applied[page] = version
+        if self._repair_interval:
+            owners = [self.nodes[o] for o in self.router.replicas(page)]
+            newest = max(o.applied.get(page, 0) for o in owners)
+            for owner in owners:
+                if owner.applied.get(page, 0) < newest:
+                    owner.behind.add(page)
+                else:
+                    owner.behind.discard(page)
+
     def _repair_sweep(self):
         """One anti-entropy round over the whole cluster.
 
         Every live node exchanges a Merkle-style version summary (one
-        control message per reachable peer) and back-fills each page it
-        replicates whose freshest reachable copy is newer than its own,
-        paying one page ship per back-fill.  Versions only move
-        forward, so a sweep is idempotent and the old primary's
-        catch-up after a partition or crash is version-guarded.
+        control message per reachable peer), then walks its ``behind``
+        set in page order, so a pass costs O(behind pages), not O(pages
+        ever written).  A visited page whose freshest live, reachable
+        copy is newer than the node's own is back-filled at one page
+        ship.  Pages first written after the summary wait for the next
+        sweep.  A ship or write-back yields, and versions, partitions
+        and crashes may change meanwhile, so after one the rest of the
+        walk is re-read from ``behind``, past the current page.
         """
         sim = self.sim
         nodes = self.nodes
         interconnect = self.interconnect
         router = self.router
+        written = self._version
         for node in nodes:
             if node.down_until > sim.now:
                 continue
@@ -1347,10 +1374,11 @@ class Cluster:
                 step = interconnect.transfer_nowait(self._message_bytes)
                 if step is not None:
                     yield from step
-            for page in sorted(self._version):
+            born = len(written)
+            walk = sorted(node.behind, reverse=True)
+            while walk:
+                page = walk.pop()
                 owners = router.replicas(page)
-                if node.index not in owners:
-                    continue
                 have = node.applied.get(page, 0)
                 best = have
                 source = None
@@ -1371,11 +1399,20 @@ class Cluster:
                 step = interconnect.transfer_nowait(self._page_bytes)
                 if step is not None:
                     yield from step
-                node.applied[page] = best
+                self._apply(node, page, best)
                 outcome = node.memory.access(page, True)
                 if not outcome.hit and outcome.writeback_pages:
-                    yield from node.io.write_back(outcome.writeback_pages)
+                    step = node.io.write_back(outcome.writeback_pages)
+                    yield from step
                 self.repair_pages += 1
+                if step is not None:
+                    # The walk yielded: re-read it past this page, minus
+                    # the pages first written since the summary.
+                    newborn = set(islice(written, born, None))
+                    walk = sorted(
+                        (p for p in node.behind if p > page and p not in newborn),
+                        reverse=True,
+                    )
 
     def drain_repairs(self) -> bool:
         """Schedule the final anti-entropy round of a drained phase.

@@ -29,7 +29,7 @@ from repro.core.failures import (
 )
 from repro.core.model import VOODBSimulation, run_replication
 from repro.core.parameters import ReplicationConfig
-from repro.despy import RandomStream
+from repro.despy import Hold, RandomStream
 from repro.experiments import SerialExecutor
 from repro.experiments.report import format_scenario, scenario_to_json
 from repro.scenarios import get_scenario, run_scenario
@@ -400,6 +400,116 @@ def test_convergence_holds_with_crashes_too():
     for page, version in cluster._committed.items():
         for owner in cluster.router.replicas(page):
             assert cluster.nodes[owner].applied.get(page, 0) >= version
+
+
+# ----------------------------------------------------------------------
+# Anti-entropy: the per-node behind index and the sweep's exactness traps
+# ----------------------------------------------------------------------
+BEHIND_PLANS = {
+    "partitions": {},
+    "crashes": dict(
+        faults=FaultConfig(election_delay_ms=5.0, repair_interval_ms=50.0),
+        failures=FailureConfig(crash_mtbf_ms=150.0, recovery_time_ms=20.0),
+    ),
+}
+
+
+def _check_behind(cluster) -> int:
+    """Assert every ``behind`` set equals its brute-force definition:
+    the written pages the node owns that another owner holds newer.
+    Returns how many (node, page) pairs are behind."""
+    total = 0
+    for node in cluster.nodes:
+        expected = set()
+        for page in cluster._version:
+            owners = cluster.router.replicas(page)
+            newest = max(cluster.nodes[o].applied.get(page, 0) for o in owners)
+            if node.index in owners and node.applied.get(page, 0) < newest:
+                expected.add(page)
+        assert node.behind == expected, f"node {node.index}"
+        total += len(expected)
+    return total
+
+
+@pytest.mark.parametrize("plan", sorted(BEHIND_PLANS))
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=6, deadline=None)
+def test_behind_index_matches_brute_force(plan, seed):
+    model = VOODBSimulation(fault_config(**BEHIND_PLANS[plan]), seed=seed)
+    cluster = model.cluster
+    sweep = cluster._repair_sweep
+    seen = []
+
+    def checked_sweep():
+        seen.append(_check_behind(cluster))
+        yield from sweep()
+
+    cluster._repair_sweep = checked_sweep
+    model.run_phase(30)
+    seen.append(_check_behind(cluster))
+    assert len(seen) > 2, "the phase must run sweeps"
+
+
+def _sweep_race(versions, during, down=()):
+    """Run one sweep by hand while a helper moves versions under it.
+
+    ``versions`` maps each written page to its per-node versions;
+    ``down`` nodes are crashed for good.  ``during(cluster)`` fires one
+    tick into node 0's first page ship on the 25 Mbps interconnect.
+    """
+    model = VOODBSimulation(
+        fault_config(faults=FaultConfig(repair_interval_ms=50.0)), seed=1
+    )
+    cluster = model.cluster
+    for page, by_node in versions.items():
+        cluster._version[page] = max(by_node.values())
+        for index, version in by_node.items():
+            cluster._apply(cluster.nodes[index], page, version)
+    for index in down:
+        cluster.nodes[index].down_until = 10**15
+    peers = len(cluster.nodes) - 1 - len(down)
+    message = cluster.interconnect.transfer_ticks(model.config.message_bytes)
+
+    def helper():
+        yield Hold(peers * message + 1)
+        during(cluster)
+
+    model.sim.process(cluster._repair_sweep(), name="sweep")
+    model.sim.process(helper(), name="helper")
+    model.sim.run()
+    return cluster
+
+
+def test_page_falling_behind_mid_pass_is_repaired_in_that_pass():
+    """Page 9 falls behind at node 0 while node 0 ships page 7: it sorts
+    after the cursor, so node 0 repairs it in the same pass."""
+
+    def newer_nine(cluster):
+        cluster._version[9] = 2
+        cluster._apply(cluster.nodes[1], 9, 2)
+
+    cluster = _sweep_race(
+        {7: {0: 1, 1: 2, 2: 2}, 9: {0: 1, 1: 1, 2: 1}}, newer_nine
+    )
+    # Only node 0's pass could have installed at node 0.
+    assert cluster.nodes[0].applied[9] == 2
+    assert cluster.repair_pages == 3  # node 0: pages 7, 9; node 2: page 9
+    assert _check_behind(cluster) == 0
+
+
+def test_page_first_written_mid_pass_waits_for_the_next_pass():
+    """Page 9 is first written while node 0 ships page 7: it was not in
+    node 0's version summary, so node 0 leaves it; node 2, whose pass
+    starts later, back-fills it."""
+
+    def first_nine(cluster):
+        cluster._version[9] = 1
+        cluster._apply(cluster.nodes[1], 9, 1)
+
+    cluster = _sweep_race({7: {0: 1, 1: 2, 2: 2}}, first_nine)
+    assert cluster.nodes[0].applied.get(9, 0) == 0
+    assert cluster.nodes[0].behind == {9}
+    assert cluster.nodes[2].applied[9] == 1
 
 
 # ----------------------------------------------------------------------
