@@ -1352,6 +1352,9 @@ class Cluster:
         sweep.  A ship or write-back yields, and versions, partitions
         and crashes may change meanwhile, so after one the rest of the
         walk is re-read from ``behind``, past the current page.
+        Versions only move forward: a page that got a newer version
+        during its ship keeps it, and the ship is not counted as a
+        repair.
         """
         sim = self.sim
         nodes = self.nodes
@@ -1399,12 +1402,15 @@ class Cluster:
                 step = interconnect.transfer_nowait(self._page_bytes)
                 if step is not None:
                     yield from step
-                self._apply(node, page, best)
-                outcome = node.memory.access(page, True)
-                if not outcome.hit and outcome.writeback_pages:
-                    step = node.io.write_back(outcome.writeback_pages)
-                    yield from step
-                self.repair_pages += 1
+                # Versions only move forward: a newer copy installed
+                # while the page was on the wire stays.
+                if node.applied.get(page, 0) <= best:
+                    self._apply(node, page, best)
+                    outcome = node.memory.access(page, True)
+                    if not outcome.hit and outcome.writeback_pages:
+                        step = node.io.write_back(outcome.writeback_pages)
+                        yield from step
+                    self.repair_pages += 1
                 if step is not None:
                     # The walk yielded: re-read it past this page, minus
                     # the pages first written since the summary.

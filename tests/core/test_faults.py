@@ -512,6 +512,23 @@ def test_page_first_written_mid_pass_waits_for_the_next_pass():
     assert cluster.nodes[2].applied[9] == 1
 
 
+def test_sweep_never_lowers_a_version():
+    """Node 0 back-fills page 7 to version 2 from node 1 (the primary,
+    node 2, is down with version 3); its applier installs version 3
+    while that ship is on the wire.  The sweep must not overwrite it."""
+
+    def applier_installs_three(cluster):
+        cluster._apply(cluster.nodes[0], 7, 3)
+
+    cluster = _sweep_race(
+        {7: {2: 3, 1: 2, 0: 1}}, applier_installs_three, down=(2,)
+    )
+    assert cluster.nodes[0].applied[7] == 3
+    # Only node 1's back-fill from node 0 counts as a repaired page.
+    assert cluster.nodes[1].applied[7] == 3
+    assert cluster.repair_pages == 1
+
+
 # ----------------------------------------------------------------------
 # End-to-end: the fault kinds fire and surface as metrics
 # ----------------------------------------------------------------------
