@@ -1413,8 +1413,9 @@ class Cluster:
                     self.repair_pages += 1
                 if step is not None:
                     # The walk yielded: re-read it past this page, minus
-                    # the pages first written since the summary.
-                    newborn = set(islice(written, born, None))
+                    # the pages first written since the summary (the
+                    # newest keys of the insertion-ordered version map).
+                    newborn = set(islice(reversed(written), len(written) - born))
                     walk = sorted(
                         (p for p in node.behind if p > page and p not in newborn),
                         reverse=True,
