@@ -1326,19 +1326,24 @@ class Cluster:
     def _apply(self, node: ClusterNode, page: int, version: int) -> None:
         """Install ``version`` of ``page`` at ``node``, unguarded.
 
-        The only writer of ``applied``; callers keep their own version
-        guards.  While anti-entropy runs it also re-derives the page's
-        ``behind`` membership at every owner.
+        The only writer of ``applied``.  Callers keep their own version
+        guards, so a copy never goes back; while anti-entropy runs, an
+        install therefore only puts the page in the ``behind`` set of
+        each owner it now leads, and takes it out of ``node``'s once
+        ``node`` holds the newest copy.
         """
         node.applied[page] = version
         if self._repair_interval:
-            owners = [self.nodes[o] for o in self.router.replicas(page)]
-            newest = max(o.applied.get(page, 0) for o in owners)
-            for owner in owners:
-                if owner.applied.get(page, 0) < newest:
-                    owner.behind.add(page)
-                else:
-                    owner.behind.discard(page)
+            nodes = self.nodes
+            newest = version
+            for owner in self.router.replicas(page):
+                have = nodes[owner].applied.get(page, 0)
+                if have < version:
+                    nodes[owner].behind.add(page)
+                elif have > newest:
+                    newest = have
+            if newest == version:
+                node.behind.discard(page)
 
     def _repair_sweep(self):
         """One anti-entropy round over the whole cluster.
