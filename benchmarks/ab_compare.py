@@ -17,6 +17,19 @@ main?" and "is kernel flag X faster than flag Y?"::
     # serial vs 4-way parallel executor on the current tree
     python benchmarks/ab_compare.py --envs VOODB_JOBS=1 VOODB_JOBS=4
 
+A ref may also be the path of another checkout, used as it is.
+
+``--perfbench W`` compares the repository benchmark instead: each run
+is one ``perfbench/run.py --workload W --seconds 1`` in the side's own
+tree, and the side that runs first alternates from pair to pair.  The
+report gives, for every end-to-end metric in ``BENCHMARK.json``, each
+side's median and quartiles, how many pairs side B won, the median
+ratio (above 1 when B is better) and a verdict against the metric's
+bound; every run's ``correct`` and ``failed`` are printed as it ends::
+
+    python benchmarks/ab_compare.py --perfbench cluster-chaos \
+        --refs HEAD~1 WORKTREE -n 10 --out ab_chaos.json
+
 Per-bench timings come from the ``VOODB_BENCH_JSON`` summary the bench
 conftest writes (the same shape ``check_regression.py`` reads and CI
 uploads).  Benches faster than ``--min-seconds`` on both sides are
@@ -35,6 +48,7 @@ import json
 import math
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +59,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Sentinel ref meaning "the current working tree, as it is on disk".
 WORKTREE = "WORKTREE"
+
+#: ``--seconds`` of one perfbench run: one second runs the minimum of
+#: five processes.
+PERFBENCH_SECONDS = 1
 
 
 class Side:
@@ -114,6 +132,8 @@ def _run_suite(side: Side, bench_args: List[str], quiet: bool) -> Dict[str, floa
 def _make_ref_side(ref: str, tmpdir: Path) -> Side:
     if ref == WORKTREE:
         return Side("worktree", REPO_ROOT)
+    if Path(ref).is_dir():
+        return Side(ref, Path(ref).resolve())
     dest = tmpdir / f"ref-{ref.replace('/', '_')}"
     subprocess.run(
         ["git", "worktree", "add", "--detach", str(dest), ref],
@@ -197,13 +217,158 @@ def format_report(a: Side, b: Side, min_seconds: float) -> str:
         ["GEOMEAN", "-", "-",
          f"{geomean:.2f}x" if geomean is not None else "-", ""]
     )
-    widths = [max(len(r[i]) for r in rows) for i in range(5)]
+    return _align(rows)
+
+
+def _align(rows: List[List[str]]) -> str:
+    """Left-align the first column, right-align the rest."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = [
         "  ".join(cell.ljust(w) if i == 0 else cell.rjust(w)
                   for i, (cell, w) in enumerate(zip(row, widths))).rstrip()
         for row in rows
     ]
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Perfbench mode
+# ----------------------------------------------------------------------
+def _run_perfbench(side: Side, workload: str) -> dict:
+    """One ``perfbench/run.py`` run in a side's tree: its JSON result."""
+    env = os.environ.copy()
+    env.update(side.env)
+    cmd = [
+        sys.executable, str(side.root / "perfbench" / "run.py"),
+        "--workload", workload, "--seconds", str(PERFBENCH_SECONDS),
+    ]
+    proc = subprocess.run(
+        cmd, cwd=side.root, env=env, capture_output=True, text=True
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(
+            f"perfbench run failed on side {side.label!r} "
+            f"(exit {proc.returncode})"
+        )
+    return json.loads(lines[-1])
+
+
+def _quartiles(values: List[float]) -> List[float]:
+    """``[Q1, median, Q3]``; a single value is all three."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def perfbench_summary(
+    end_to_end: List[dict], runs_a: List[dict], runs_b: List[dict]
+) -> List[dict]:
+    """One row per ``BENCHMARK.json`` end-to-end metric.
+
+    Runs pair up by index.  ``ratio`` is above 1 when side B is better.
+    The verdict is ``unresolved`` when either side's interquartile
+    range exceeds the metric's bound as a share of its median (unless
+    every B run beats every A run), ``worse`` when B's median is worse
+    than A's by more than the bound, and ``ok`` otherwise.
+    """
+    rows = []
+    for spec in end_to_end:
+        name, bound = spec["name"], spec["bound"]
+        higher = spec["better"] == "higher"
+        a = [run["metrics"][name]["value"] for run in runs_a]
+        b = [run["metrics"][name]["value"] for run in runs_b]
+        qa, qb = _quartiles(a), _quartiles(b)
+        loss = qa[1] - qb[1] if higher else qb[1] - qa[1]
+        spread = max((q[2] - q[0]) / q[1] for q in (qa, qb))
+        dominates = min(b) > max(a) if higher else max(b) < min(a)
+        if spread > bound and not dominates:
+            verdict = "unresolved"
+        elif loss > bound * qa[1]:
+            verdict = "worse"
+        else:
+            verdict = "ok"
+        rows.append({
+            "metric": name,
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": bound,
+            "a": qa,
+            "b": qb,
+            "ratio": qb[1] / qa[1] if higher else qa[1] / qb[1],
+            "b_wins": sum(
+                vb > va if higher else vb < va for va, vb in zip(a, b)
+            ),
+            "pairs": len(a),
+            "gap_exceeds_a_iqr": abs(qb[1] - qa[1]) > qa[2] - qa[0],
+            "verdict": verdict,
+        })
+    return rows
+
+
+def format_perfbench(a: Side, b: Side, rows: List[dict]) -> str:
+    """The per-metric table of :func:`perfbench_summary`."""
+
+    def cell(q: List[float]) -> str:
+        return f"{q[1]:.5g} [{q[0]:.5g}-{q[2]:.5g}]"
+
+    table = [[
+        "metric", "A median [Q1-Q3]", "B median [Q1-Q3]", "ratio",
+        "B wins", "bound", "gap>IQR(A)", "verdict",
+    ]]
+    for row in rows:
+        table.append([
+            row["metric"], cell(row["a"]), cell(row["b"]),
+            f"{row['ratio']:.3f}x", f"{row['b_wins']}/{row['pairs']}",
+            f"{row['bound']:.0%}", "yes" if row["gap_exceeds_a_iqr"] else "no",
+            row["verdict"],
+        ])
+    return f"A = {a.label}\nB = {b.label}\n" + _align(table)
+
+
+def compare_perfbench(
+    side_a: Side, side_b: Side, workload: str, pairs: int, out: Optional[str]
+) -> int:
+    """Interleave ``pairs`` perfbench runs per side, alternating which
+    side goes first; exit 1 if any run is incorrect or fails."""
+    sides = (side_a, side_b)
+    runs: List[List[dict]] = [[], []]
+    for pair in range(pairs):
+        for index in (0, 1) if pair % 2 == 0 else (1, 0):
+            result = _run_perfbench(sides[index], workload)
+            runs[index].append(result)
+            print(
+                f"pair {pair + 1}/{pairs}: {sides[index].label}  "
+                f"correct={json.dumps(result['correct'])}  "
+                f"failed={result['failed']}/{result['attempted']}"
+            )
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    rows = perfbench_summary(spec["end_to_end"], *runs)
+    report = format_perfbench(side_a, side_b, rows)
+    every = runs[0] + runs[1]
+    bad = sum(not run["correct"] or run["failed"] > 0 for run in every)
+    print(f"\n{workload}, {pairs} pairs")
+    print(report)
+    print(
+        f"\ncorrect: {len(every) - bad}/{len(every)} runs; failed "
+        f"replications: {sum(run['failed'] for run in every)}"
+    )
+    if out:
+        payload = {
+            "workload": workload,
+            "pairs": pairs,
+            "seconds": PERFBENCH_SECONDS,
+            "sides": [
+                {"label": side.label, "runs": side_runs}
+                for side, side_runs in zip(sides, runs)
+            ],
+            "summary": rows,
+            "table": report,
+        }
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        print(f"\nreport written to {out}")
+    return 1 if bad else 0
 
 
 def main(argv=None) -> int:
@@ -242,6 +407,11 @@ def main(argv=None) -> int:
         help="exit 1 unless the geomean A/B speedup is >= RATIO "
              "(e.g. 1.15 to assert side B at least 1.15x faster)",
     )
+    parser.add_argument(
+        "--perfbench", metavar="WORKLOAD",
+        help="compare perfbench/run.py on one workload instead of the "
+             "bench suite (needs --refs)",
+    )
     parser.add_argument("--out", help="write the JSON report here")
     parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress per-run chatter"
@@ -249,6 +419,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.perfbench and not args.refs:
+        parser.error("--perfbench compares two trees: give --refs")
 
     bench_args = []
     if args.benches:
@@ -261,10 +433,15 @@ def main(argv=None) -> int:
         if args.refs:
             side_a = _make_ref_side(args.refs[0], tmpdir)
             side_b = _make_ref_side(args.refs[1], tmpdir)
-            ref_sides = [s for s in (side_a, side_b) if s.root != REPO_ROOT]
+            # Only the worktrees made here are removed afterwards.
+            ref_sides = [s for s in (side_a, side_b) if s.root.parent == tmpdir]
         else:
             side_a = _parse_env_side(args.envs[0])
             side_b = _parse_env_side(args.envs[1])
+        if args.perfbench:
+            return compare_perfbench(
+                side_a, side_b, args.perfbench, args.pairs, args.out
+            )
         for pair in range(args.pairs):
             for side in (side_a, side_b):
                 if not args.quiet:
