@@ -1407,8 +1407,6 @@ class Cluster:
                 step = interconnect.transfer_nowait(self._page_bytes)
                 if step is not None:
                     yield from step
-                # Versions only move forward: a newer copy installed
-                # while the page was on the wire stays.
                 if node.applied.get(page, 0) <= best:
                     self._apply(node, page, best)
                     outcome = node.memory.access(page, True)
@@ -1417,9 +1415,8 @@ class Cluster:
                         yield from step
                     self.repair_pages += 1
                 if step is not None:
-                    # The walk yielded: re-read it past this page, minus
-                    # the pages first written since the summary (the
-                    # newest keys of the insertion-ordered version map).
+                    # Pages first written since the summary are the newest
+                    # keys of the insertion-ordered version map.
                     newborn = set(islice(reversed(written), len(written) - born))
                     walk = sorted(
                         (p for p in node.behind if p > page and p not in newborn),
