@@ -92,8 +92,6 @@ class Architecture(ABC):
         # Counters
         self.prefetched_pages = 0
         self.prefetch_hits = 0
-        self.client_hits = 0
-        self.client_misses = 0
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -255,11 +253,8 @@ class PageServer(Architecture):
         prefetched = self._prefetched_unused
         pages = iter(self._om_pages_of(oid))
         for page in pages:
-            if client_cache is not None:
-                if client_cache.access(page, False).hit:
-                    self.client_hits += 1
-                    continue
-                self.client_misses += 1
+            if client_cache is not None and client_cache.access(page, False).hit:
+                continue
             if not free:
                 return self._page_server_tail(page, pages, write)
             # Free network (Table 4's NETTHRU = +inf): the request
@@ -306,11 +301,8 @@ class PageServer(Architecture):
                 yield from step
             outcome = None
             for page in pages:
-                if client_cache is not None:
-                    if client_cache.access(page, False).hit:
-                        self.client_hits += 1
-                        continue
-                    self.client_misses += 1
+                if client_cache is not None and client_cache.access(page, False).hit:
+                    continue
                 break
             else:
                 return
@@ -326,11 +318,9 @@ class ObjectServer(Architecture):
         self.client_cache = self._object_client_cache()
 
     def access_object_nowait(self, oid: int, write: bool):
-        if self.client_cache is not None:
-            if self.client_cache.access(oid, False).hit:
-                self.client_hits += 1
-                return None
-            self.client_misses += 1
+        client_cache = self.client_cache
+        if client_cache is not None and client_cache.access(oid, False).hit:
+            return None
         request = self.network.transfer_nowait(self.config.message_bytes)
         if request is not None:
             return self._object_server_tail(request, None, oid, write)
@@ -410,11 +400,8 @@ class ClusterPageServer(ClusterArchitecture):
         client_cache = self.client_cache
         pages = iter(self._om_pages_of(oid))
         for page in pages:
-            if client_cache is not None:
-                if client_cache.access(page, False).hit:
-                    self.client_hits += 1
-                    continue
-                self.client_misses += 1
+            if client_cache is not None and client_cache.access(page, False).hit:
+                continue
             step = self._round_trip(page, write)
             if step is not None:
                 return self._page_tail(step, page, pages, write)
@@ -449,11 +436,8 @@ class ClusterPageServer(ClusterArchitecture):
                     yield from step
                 yield from network.transfer_nowait(self.config.pgsize)
             for page in pages:
-                if client_cache is not None:
-                    if client_cache.access(page, False).hit:
-                        self.client_hits += 1
-                        continue
-                    self.client_misses += 1
+                if client_cache is not None and client_cache.access(page, False).hit:
+                    continue
                 step = self._round_trip(page, write)
                 if step is not None:
                     break
@@ -480,11 +464,9 @@ class ClusterObjectServer(ClusterArchitecture):
         self.client_cache = self._object_client_cache()
 
     def access_object_nowait(self, oid: int, write: bool):
-        if self.client_cache is not None:
-            if self.client_cache.access(oid, False).hit:
-                self.client_hits += 1
-                return None
-            self.client_misses += 1
+        client_cache = self.client_cache
+        if client_cache is not None and client_cache.access(oid, False).hit:
+            return None
         cluster = self.cluster
         pages = iter(self._om_pages_of(oid))
         home = cluster.next_coordinator()
@@ -540,7 +522,9 @@ def make_architecture(
 
     With a :class:`~repro.core.cluster.Cluster` the sharded variant of
     the system class is built instead (page/object server only — the
-    config layer rejects other classes in cluster mode).
+    config layer rejects other classes in cluster mode).  It gets no
+    server ``memory`` or ``io``: the nodes own those, and the cluster
+    serves every page.
     """
     if cluster is not None:
         cls = _CLUSTER_ARCHITECTURES.get(config.sysclass)
@@ -553,8 +537,8 @@ def make_architecture(
             config,
             db,
             object_manager,
-            memory,
-            io,
+            None,
+            None,
             network,
             prefetcher,
             cluster=cluster,

@@ -75,7 +75,6 @@ class BufferManager:
         "_frames",
         "hits",
         "misses",
-        "evictions",
         "dirty_writebacks",
     )
 
@@ -101,7 +100,6 @@ class BufferManager:
         # Counters
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.dirty_writebacks = 0
 
     # ------------------------------------------------------------------
@@ -146,7 +144,6 @@ class BufferManager:
         while len(frames) + needed > self.capacity:
             victim = self._choose_victim()
             dirty = frames.pop(victim)
-            self.evictions += 1
             if dirty:
                 self.dirty_writebacks += 1
                 if writebacks is None:

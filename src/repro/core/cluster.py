@@ -33,6 +33,11 @@ home node, acquiring node partitions in node order — a total order over
 ``(home node, oid)``, so the conservative-2PL deadlock-freedom argument
 of :mod:`repro.core.locks` carries over unchanged.
 
+The model's counter table reads a cluster through one summing view,
+:class:`NodeSum`: ``cluster.io``, ``cluster.memory`` and
+``cluster.failures`` (and the lock manager's counters) return the sum
+of each counter over the nodes, so the nodes pass for one server.
+
 **One page-service pipeline.**  Every page access, whatever the
 replication mode and fault plan, runs :meth:`Cluster.serve_page`, whose
 stages are composed rather than forked per mode:
@@ -116,7 +121,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
-from repro.despy.timebase import MS_PER_TICK, ms_to_ticks
+from repro.despy.timebase import ms_to_ticks
 from repro.core.buffering import BufferManager
 from repro.core.failures import FailureInjector, NoFailures, RetryPolicy
 from repro.core.io_subsystem import IOSubsystem
@@ -257,111 +262,24 @@ class ClusterNode:
         return f"<ClusterNode {self.index} accesses={self.accesses}>"
 
 
-class _ClusterIOView:
-    """Cluster-wide I/O counters, quacking like one ``IOSubsystem``."""
-
-    def __init__(self, nodes: List[ClusterNode]) -> None:
-        self._nodes = nodes
-
-    @property
-    def reads(self) -> int:
-        return sum(node.io.reads for node in self._nodes)
-
-    @property
-    def writes(self) -> int:
-        return sum(node.io.writes for node in self._nodes)
-
-    @property
-    def swap_reads(self) -> int:
-        return sum(node.io.swap_reads for node in self._nodes)
-
-    @property
-    def swap_writes(self) -> int:
-        return sum(node.io.swap_writes for node in self._nodes)
-
-    @property
-    def sequential_accesses(self) -> int:
-        return sum(node.io.sequential_accesses for node in self._nodes)
-
-    @property
-    def busy_ticks(self) -> int:
-        return sum(node.io.busy_ticks for node in self._nodes)
-
-    @property
-    def busy_time_ms(self) -> float:
-        return sum(node.io.busy_time_ms for node in self._nodes)
-
-    @property
-    def total_ios(self) -> int:
-        return (
-            self.reads + self.writes + self.swap_reads + self.swap_writes
-        )
-
-
-class _ClusterMemoryView:
-    """Cluster-wide buffer counters, quacking like one ``BufferManager``."""
-
-    def __init__(self, nodes: List[ClusterNode]) -> None:
-        self._nodes = nodes
-
-    @property
-    def hits(self) -> int:
-        return sum(node.memory.hits for node in self._nodes)
-
-    @property
-    def misses(self) -> int:
-        return sum(node.memory.misses for node in self._nodes)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class _ClusterFailureView:
-    """Cluster-wide hazard counters, quacking like one ``FailureInjector``.
-
-    On a cluster, hazards live at the nodes: transient faults are drawn
-    by each node's own injector at its disk, and crash probes happen per
-    page service at the serving node (``Cluster.serve_page``) rather
-    than at the Transaction Manager's global boundary — a crash takes
-    one node down, not the system.  The view therefore sums the per-node
-    counters and answers the TM's probes with "nothing happened here".
+class NodeSum:
+    """Counters summed over parts: reading ``x`` returns the sum of
+    ``part.x`` over the parts (the nodes' buffers, disks, lock tables or
+    hazard injectors), so N nodes pass for one server in the counter
+    table.  It answers counters only: a method summed over the nodes is
+    not a method.
     """
 
-    def __init__(self, nodes: List[ClusterNode]) -> None:
-        self._nodes = nodes
+    def __init__(self, parts: list) -> None:
+        self.parts = parts
 
-    @property
-    def transient_faults(self) -> int:
-        return sum(node.failures.transient_faults for node in self._nodes)
-
-    @property
-    def crashes(self) -> int:
-        return sum(node.failures.crashes for node in self._nodes)
-
-    @property
-    def downtime_ticks(self) -> int:
-        return sum(node.failures.downtime_ticks for node in self._nodes)
-
-    @property
-    def downtime_ms(self) -> float:
-        return self.downtime_ticks * MS_PER_TICK
-
-    @property
-    def frames_lost(self) -> int:
-        return sum(node.failures.frames_lost for node in self._nodes)
-
-    @staticmethod
-    def io_penalty() -> int:
-        return 0
-
-    @staticmethod
-    def crash_check() -> int:
-        return 0
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return sum(getattr(part, name) for part in self.parts)
 
 
-class ClusterLockManager:
+class ClusterLockManager(NodeSum):
     """Global MULTILVL admission + per-node sharded object lock tables.
 
     Implements the Transaction Manager's locking interface
@@ -371,7 +289,8 @@ class ClusterLockManager:
     node-local :class:`~repro.core.locks.LockManager` tables **strictly
     in node order** — the next partition is not touched until the
     previous one is fully granted, preserving the global acquisition
-    order that makes conservative 2PL deadlock-free.
+    order that makes conservative 2PL deadlock-free.  Its counters
+    (``waits``, ``wait_ticks``, ...) sum the node tables'.
     """
 
     def __init__(
@@ -381,12 +300,12 @@ class ClusterLockManager:
         nodes: List[ClusterNode],
         home_of,
     ) -> None:
+        super().__init__([node.locks for node in nodes])
         self.sim = sim
         self.config = config
         self.admission = Resource(sim, "scheduler", capacity=config.multilvl)
         self.admission_request = Request(self.admission)
         self.admission_release = Release(self.admission)
-        self._nodes = nodes
         self._home_of = home_of
 
     # ------------------------------------------------------------------
@@ -423,7 +342,7 @@ class ClusterLockManager:
     ):
         parts = self._partition(oids, presorted)
         for position, (node, part) in enumerate(parts):
-            step = self._nodes[node].locks.acquire_all_nowait(
+            step = self.parts[node].acquire_all_nowait(
                 txn_id, part, writes, presorted
             )
             if step is not None:
@@ -435,7 +354,7 @@ class ClusterLockManager:
     def _acquire_tail(self, step, txn_id, rest, writes, presorted):
         yield from step
         for node, part in rest:
-            step = self._nodes[node].locks.acquire_all_nowait(
+            step = self.parts[node].acquire_all_nowait(
                 txn_id, part, writes, presorted
             )
             if step is not None:
@@ -446,43 +365,16 @@ class ClusterLockManager:
     ):
         steps = []
         for node, part in self._partition(oids, presorted):
-            step = self._nodes[node].locks.release_all_nowait(
+            step = self.parts[node].release_all_nowait(
                 txn_id, part, presorted
             )
             if step is not None:
                 steps.append(step)
         return _join(steps)
 
-    # ------------------------------------------------------------------
-    # Aggregate counters (the model's snapshot reads these)
-    # ------------------------------------------------------------------
-    @property
-    def acquisitions(self) -> int:
-        return sum(node.locks.acquisitions for node in self._nodes)
-
-    @property
-    def releases(self) -> int:
-        return sum(node.locks.releases for node in self._nodes)
-
-    @property
-    def waits(self) -> int:
-        return sum(node.locks.waits for node in self._nodes)
-
-    @property
-    def wait_ticks(self) -> int:
-        return sum(node.locks.wait_ticks for node in self._nodes)
-
-    @property
-    def wait_time_ms(self) -> float:
-        return sum(node.locks.wait_time_ms for node in self._nodes)
-
-    @property
-    def locked_objects(self) -> int:
-        return sum(node.locks.locked_objects for node in self._nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<ClusterLockManager nodes={len(self._nodes)} "
+            f"<ClusterLockManager nodes={len(self.parts)} "
             f"locked={self.locked_objects} mpl={self.config.multilvl}>"
         )
 
@@ -531,8 +423,8 @@ class Cluster:
         self.interconnect = Network(
             sim, config.with_changes(netthru=topology.interconnect_mbps)
         )
-        self.io = _ClusterIOView(self.nodes)
-        self.memory = _ClusterMemoryView(self.nodes)
+        self.io = NodeSum([node.io for node in self.nodes])
+        self.memory = NodeSum([node.memory for node in self.nodes])
         self.locks = ClusterLockManager(sim, config, self.nodes, self.home_of)
         self._page_bytes = config.pgsize
         self._message_bytes = config.message_bytes
@@ -577,7 +469,6 @@ class Cluster:
         self.promotions = 0
         self.repair_pages = 0
         self.read_repairs = 0
-        self.failures = NoFailures()
         # Fault-layer state.  With the layer off every rate below is 0,
         # so the state stays inactive: never partitioned, never gray,
         # no elected primaries, no repair cadence.
@@ -630,17 +521,13 @@ class Cluster:
                     stream_label=f"failures-{node.index}",
                 )
                 node.io.failures = node.failures
-            self.failures = _ClusterFailureView(self.nodes)
+        self.failures = NodeSum([node.failures for node in self.nodes])
         if self.async_mode:
             for node in self.nodes:
                 node.apply_gate = Gate(sim, f"apply-{node.index}")
                 sim.process(
                     self._applier(node), name=f"applier-{node.index}"
                 )
-
-    @property
-    def replica_lag_ms(self) -> float:
-        return self.replica_lag_ticks * MS_PER_TICK
 
     # ------------------------------------------------------------------
     # Routing

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 from repro.despy.randomstream import RandomStream
-from repro.despy.timebase import MS_PER_TICK, ms_to_ticks
+from repro.despy.timebase import ms_to_ticks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.despy.engine import Simulation
@@ -295,11 +295,6 @@ class FailureInjector:
         self.transient_faults = 0
         self.crashes = 0
         self.downtime_ticks = 0
-        self.frames_lost = 0
-
-    @property
-    def downtime_ms(self) -> float:
-        return self.downtime_ticks * MS_PER_TICK
 
     def io_penalty(self) -> int:
         """Extra service ticks the next disk operation owes to transient
@@ -328,7 +323,7 @@ class FailureInjector:
             self.sim.now, "_last_crash_check", self._crash_mtbf
         ):
             self.crashes += 1
-            self.frames_lost += self.memory.invalidate_all()
+            self.memory.invalidate_all()
             self.downtime_ticks += self._recovery_time
             # Recovery downtime is not hazard exposure: push both hazard
             # clocks past the window, so the next probe measures elapsed
@@ -372,8 +367,6 @@ class NoFailures:
     transient_faults = 0
     crashes = 0
     downtime_ticks = 0
-    downtime_ms = 0.0
-    frames_lost = 0
 
     @staticmethod
     def io_penalty() -> int:

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.despy.process import PARK, Hold, Request
 from repro.despy.resource import Resource
-from repro.despy.timebase import MS_PER_TICK
 from repro.core.failures import NoFailures
 from repro.core.parameters import VOODBConfig
 
@@ -80,11 +79,6 @@ class IOSubsystem:
         self.swap_writes = 0
         self.sequential_accesses = 0
         self.busy_ticks = 0
-
-    @property
-    def busy_time_ms(self) -> float:
-        """Accumulated disk service time, reported in milliseconds."""
-        return self.busy_ticks * MS_PER_TICK
 
     # ------------------------------------------------------------------
     # Timing

@@ -14,6 +14,15 @@ Passive resources (Table 1) in this assembly:
 * database scheduler — the LockManager's MULTILVL admission resource
   plus the object lock table.
 
+Phase metrics come from one counter table, the
+:class:`~repro.core.results.PhaseResults` fields declared with a model
+source (:data:`~repro.core.results.COUNTERS`): ``_snapshot`` reads
+every row whose gate is open for this run before and after a phase,
+and ``_collect`` stores the deltas.  On clusters the model's ``io``,
+``memory``, ``locks`` and ``failures`` are
+:class:`~repro.core.cluster.NodeSum` views, so the same rows read the
+sums over the nodes.
+
 Public entry points:
 
 * :class:`VOODBSimulation` — one replication, with the multi-phase API
@@ -26,6 +35,7 @@ Public entry points:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Optional
 
 from repro.despy.engine import Simulation
@@ -44,7 +54,17 @@ from repro.core.network import Network
 from repro.core.object_manager import ObjectManager
 from repro.core.parameters import ArrivalConfig, MemoryModel, VOODBConfig
 from repro.core.prefetch import make_prefetch_policy
-from repro.core.results import ClusteringReport, PhaseResults, SimulationResults
+from repro.core.results import (
+    ALWAYS,
+    AUDITED,
+    CLUSTER,
+    COUNTERS,
+    FAULTS,
+    MS,
+    ClusteringReport,
+    PhaseResults,
+    SimulationResults,
+)
 from repro.core.transaction_manager import TransactionManager
 from repro.core.users import Users
 from repro.core.virtual_memory import VirtualMemoryManager
@@ -146,12 +166,12 @@ class VOODBSimulation:
         if config.cluster.enabled:
             # Sharded multi-server topology: every node carries its own
             # buffer/disk/lock table; the model-facing ``io``/``memory``/
-            # ``locks`` attributes become cluster-wide aggregate views.
-            # Unsupported combinations (VM, clustering policies,
-            # prefetch) were rejected at config construction.  Hazards
-            # live at the nodes (node-indexed injectors with replica
-            # failover); ``cluster.failures`` aggregates them — the TM's
-            # global crash probe is a no-op on clusters.
+            # ``locks``/``failures`` attributes sum the nodes' counters
+            # (:class:`~repro.core.cluster.NodeSum`).  Unsupported
+            # combinations (VM, clustering policies, prefetch) were
+            # rejected at config construction.  Hazards live at the
+            # nodes (node-indexed injectors with replica failover), so
+            # the TM gets no crash probe on clusters.
             self.cluster = Cluster(self.sim, config, self.object_manager)
             self.io = self.cluster.io
             self.memory = self.cluster.memory
@@ -209,13 +229,26 @@ class VOODBSimulation:
             self.architecture,
             self.locks,
             self.clustering,
-            failures=self.failures,
+            failures=self.failures if self.cluster is None else None,
         )
         self.users = Users(self.sim, config, self.db, self.tm)
         self._phase_counter = 0
         # Calibration of the phase being collected (aggregated tier
         # only); stashed by run_phase, consumed by _collect.
         self._phase_calibration = None
+        # The counter rows this run reads; a row whose gate is shut
+        # keeps its PhaseResults default.
+        gates = {ALWAYS}
+        cluster = self.cluster
+        if cluster is not None:
+            gates.add(CLUSTER)
+            # Served reads, the stale-rate base, are audited only where
+            # replicas can lag or fail over.
+            if cluster.async_mode or cluster.faults_on or config.failures.enabled:
+                gates.add(AUDITED)
+            if cluster.faults_on:
+                gates.add(FAULTS)
+        self._counters = [row for row in COUNTERS if row.metadata["gate"] in gates]
 
     # ------------------------------------------------------------------
     # Phase API
@@ -360,201 +393,91 @@ class VOODBSimulation:
     # ------------------------------------------------------------------
     # Counter snapshots
     # ------------------------------------------------------------------
-    def _snapshot(self) -> Dict[str, float]:
-        io, memory, network, locks, tm = (
-            self.io,
-            self.memory,
-            self.network,
-            self.locks,
-            self.tm,
-        )
-        arch = self.architecture
+    def _snapshot(self) -> Dict[str, object]:
+        """The source value of every counter row this run reads.
+
+        A ``node.`` row reads a tuple over the cluster nodes.  The
+        clustering report's overhead I/Os ride along, for the usage
+        reads and writes to exclude.
+        """
+        nodes = self.cluster.nodes if self.cluster is not None else ()
+        snapshot: Dict[str, object] = {}
+        for row in self._counters:
+            source = row.metadata["source"]
+            if source.startswith("node."):
+                read = attrgetter(source[len("node.") :])
+                snapshot[row.name] = tuple(read(node) for node in nodes)
+            else:
+                snapshot[row.name] = attrgetter(source)(self)
         report = self.clustering.report
-        snapshot = {
-            "time": self.sim.now,
-            "reads": io.reads,
-            "writes": io.writes,
-            "swap_reads": io.swap_reads,
-            "swap_writes": io.swap_writes,
-            "sequential": io.sequential_accesses,
-            "hits": memory.hits,
-            "misses": memory.misses,
-            "prefetched": arch.prefetched_pages,
-            "prefetch_hits": arch.prefetch_hits,
-            "net_messages": network.messages,
-            "net_bytes": network.bytes_sent,
-            "net_time": network.busy_ticks,
-            "lock_acq": locks.acquisitions,
-            "lock_waits": locks.waits,
-            "lock_wait_time": locks.wait_ticks,
-            "transactions": tm.transactions_executed,
-            "accesses": tm.objects_accessed,
-            "overhead_reads": report.overhead_reads,
-            "overhead_writes": report.overhead_writes,
-            "transient_faults": self.failures.transient_faults,
-            "crashes": self.failures.crashes,
-            "downtime": self.failures.downtime_ticks,
-        }
-        cluster = self.cluster
-        if cluster is not None:
-            snapshot["interconnect_messages"] = cluster.interconnect.messages
-            snapshot["interconnect_bytes"] = cluster.interconnect.bytes_sent
-            snapshot["remote_fetches"] = cluster.remote_fetches
-            snapshot["replica_reads"] = cluster.replica_reads
-            snapshot["replica_writes"] = cluster.replica_writes
-            snapshot["stale_reads"] = cluster.stale_reads
-            snapshot["replica_applies"] = cluster.replica_applies
-            snapshot["replica_lag"] = cluster.replica_lag_ticks
-            snapshot["read_failovers"] = cluster.read_failovers
-            snapshot["write_recovery_waits"] = cluster.write_recovery_waits
-            # Served reads, the stale-rate denominator, are reported only
-            # where replicas can lag or fail over: async copies, the
-            # fault layer or per-node failures.
-            audited = (
-                cluster.async_mode
-                or cluster.faults_on
-                or self.config.failures.enabled
-            )
-            snapshot["cluster_reads"] = cluster.reads_served if audited else 0
-            if cluster.faults_on:
-                snapshot["partitions"] = cluster.partitions
-                snapshot["partition_ticks"] = cluster.partition_ticks
-                snapshot["gray_episodes"] = cluster.gray_episodes
-                snapshot["degraded_reads"] = cluster.degraded_reads
-                snapshot["remote_timeouts"] = cluster.remote_timeouts
-                snapshot["remote_retries"] = cluster.remote_retries
-                snapshot["abandoned_reads"] = cluster.abandoned_reads
-                snapshot["elections"] = cluster.elections
-                snapshot["promotions"] = cluster.promotions
-                snapshot["repair_pages"] = cluster.repair_pages
-                snapshot["read_repairs"] = cluster.read_repairs
-            for node in cluster.nodes:
-                index = node.index
-                snapshot[f"server{index}_ios"] = node.io.total_ios
-                snapshot[f"server{index}_accesses"] = node.accesses
-                snapshot[f"server{index}_busy"] = node.io.busy_ticks
+        snapshot["overhead"] = (report.overhead_reads, report.overhead_writes)
         return snapshot
 
-    def _collect(self, snapshot: Dict[str, float]) -> PhaseResults:
-        """Phase metrics as counter deltas.
+    def _collect(self, snapshot: Dict[str, object]) -> PhaseResults:
+        """Phase metrics: each counter row's delta, plus what is not one.
 
-        This is the tick→ms boundary: every duration counter in the
-        snapshot is integer ticks, and the conversions below are the
-        only place phase durations become float milliseconds.
+        This is the tick→ms boundary for phase counters: a row in
+        :data:`~repro.core.results.MS` units reads integer ticks, and
+        ``_delta`` is the only place its phase value becomes float
+        milliseconds.
         """
         current = self._snapshot()
-
-        def delta(key: str) -> float:
-            return current[key] - snapshot[key]
-
+        values: Dict[str, object] = {}
+        for row in self._counters:
+            ms = row.metadata["unit"] == MS
+            before, after = snapshot[row.name], current[row.name]
+            if isinstance(after, tuple):
+                values[row.name] = tuple(
+                    _delta(b, a, ms) for b, a in zip(before, after)
+                )
+            else:
+                values[row.name] = _delta(before, after, ms)
         # Reorganizations inside the phase billed I/Os on the shared
         # disk; pull them out of the usage figures.
-        overhead_reads = delta("overhead_reads")
-        overhead_writes = delta("overhead_writes")
+        (reads_before, writes_before) = snapshot["overhead"]
+        (reads_after, writes_after) = current["overhead"]
+        values["reads"] -= reads_after - reads_before
+        values["writes"] -= writes_after - writes_before
         response = self.tm.phase_response
-        aggregation_fields: Dict[str, object] = {}
         calibration = self._phase_calibration
         if calibration is not None:
             self._phase_calibration = None
             users = self.users
-            aggregation_fields = {
-                "aggregation_population": calibration.population,
-                "aggregate_transactions": users.aggregate_completions,
-                "probe_transactions": len(users.probe_response_ticks),
-                "probe_response_times_ms": tuple(
-                    ticks * MS_PER_TICK
-                    for ticks in users.probe_response_ticks
+            values.update(
+                aggregation_population=calibration.population,
+                aggregate_transactions=users.aggregate_completions,
+                probe_transactions=len(users.probe_response_ticks),
+                probe_response_times_ms=tuple(
+                    ticks * MS_PER_TICK for ticks in users.probe_response_ticks
                 ),
-                "calibrated_rate_tps": calibration.rate_tps,
-                "calibration_iterations": calibration.iterations,
-                "calibration_converged": calibration.converged,
-                "calibration_trace": calibration.trace,
-            }
-        cluster_fields: Dict[str, object] = {}
-        if self.cluster is not None:
-            indices = [node.index for node in self.cluster.nodes]
-            cluster_fields = {
-                "server_ios": tuple(
-                    int(delta(f"server{i}_ios")) for i in indices
-                ),
-                "server_accesses": tuple(
-                    int(delta(f"server{i}_accesses")) for i in indices
-                ),
-                "server_busy_ms": tuple(
-                    delta(f"server{i}_busy") * MS_PER_TICK for i in indices
-                ),
-                "interconnect_messages": int(delta("interconnect_messages")),
-                "interconnect_bytes": int(delta("interconnect_bytes")),
-                "remote_fetches": int(delta("remote_fetches")),
-                "replica_reads": int(delta("replica_reads")),
-                "replica_writes": int(delta("replica_writes")),
-                "stale_reads": int(delta("stale_reads")),
-                "replica_applies": int(delta("replica_applies")),
-                "replica_lag_sum_ms": delta("replica_lag") * MS_PER_TICK,
-                "read_failovers": int(delta("read_failovers")),
-                "write_recovery_waits": int(delta("write_recovery_waits")),
-                "cluster_reads": int(delta("cluster_reads")),
-            }
-            if self.cluster.faults_on:
-                cluster_fields["fault_layer"] = True
-                cluster_fields["partitions"] = int(delta("partitions"))
-                cluster_fields["partition_ms"] = (
-                    delta("partition_ticks") * MS_PER_TICK
-                )
-                cluster_fields["gray_episodes"] = int(delta("gray_episodes"))
-                cluster_fields["degraded_reads"] = int(
-                    delta("degraded_reads")
-                )
-                cluster_fields["remote_timeouts"] = int(
-                    delta("remote_timeouts")
-                )
-                cluster_fields["remote_retries"] = int(
-                    delta("remote_retries")
-                )
-                cluster_fields["abandoned_reads"] = int(
-                    delta("abandoned_reads")
-                )
-                cluster_fields["elections"] = int(delta("elections"))
-                cluster_fields["promotions"] = int(delta("promotions"))
-                cluster_fields["repair_pages"] = int(delta("repair_pages"))
-                cluster_fields["read_repairs"] = int(delta("read_repairs"))
-            if self.cluster.async_mode:
+                calibrated_rate_tps=calibration.rate_tps,
+                calibration_iterations=calibration.iterations,
+                calibration_converged=calibration.converged,
+                calibration_trace=calibration.trace,
+            )
+        cluster = self.cluster
+        if cluster is not None:
+            values["fault_layer"] = cluster.faults_on
+            if cluster.async_mode:
                 # Run-to-date high-water marks (not phase deltas): the
                 # deepest each node's apply queue has ever been.
-                cluster_fields["apply_queue_peak"] = tuple(
-                    node.queue_peak for node in self.cluster.nodes
+                values["apply_queue_peak"] = tuple(
+                    node.queue_peak for node in cluster.nodes
                 )
         return PhaseResults(
-            transactions=int(delta("transactions")),
-            object_accesses=int(delta("accesses")),
-            reads=int(delta("reads") - overhead_reads),
-            writes=int(delta("writes") - overhead_writes),
-            swap_reads=int(delta("swap_reads")),
-            swap_writes=int(delta("swap_writes")),
-            buffer_hits=int(delta("hits")),
-            buffer_misses=int(delta("misses")),
-            prefetched_pages=int(delta("prefetched")),
-            prefetch_hits=int(delta("prefetch_hits")),
-            sequential_reads=int(delta("sequential")),
-            network_messages=int(delta("net_messages")),
-            network_bytes=int(delta("net_bytes")),
-            network_time_ms=delta("net_time") * MS_PER_TICK,
-            lock_acquisitions=int(delta("lock_acq")),
-            lock_waits=int(delta("lock_waits")),
-            lock_wait_time_ms=delta("lock_wait_time") * MS_PER_TICK,
             response_time_sum_ms=response.total * MS_PER_TICK,
             response_time_max_ms=max(response.maximum, 0) * MS_PER_TICK,
             response_times_ms=tuple(
                 ticks * MS_PER_TICK for ticks in self.tm.phase_response_series
             ),
-            elapsed_ms=delta("time") * MS_PER_TICK,
             transactions_by_kind=dict(self.tm.phase_kind_counts),
-            transient_faults=int(delta("transient_faults")),
-            crashes=int(delta("crashes")),
-            downtime_ms=delta("downtime") * MS_PER_TICK,
-            **aggregation_fields,
-            **cluster_fields,
+            **values,
         )
+
+
+def _delta(before, after, ms: bool):
+    """One counter's phase value: a count, or its ticks in ms."""
+    return (after - before) * MS_PER_TICK if ms else int(after - before)
 
 
 def run_replication(

@@ -38,7 +38,6 @@ class ObjectManager:
             # lookup would wipe the warm cache.
             self._page_refs_cache = shared_page_refs_cache
             self._page_refs_mutations = db.mutations
-        self.lookups = 0
         self.rebuilds = 0
 
     def _install(self, page_map: PageMap) -> None:
@@ -58,12 +57,15 @@ class ObjectManager:
     # Hot path
     # ------------------------------------------------------------------
     def pages_of(self, oid: int) -> range:
-        """Page span holding the object (one page for ordinary objects)."""
-        self.lookups += 1
+        """Page span holding the object (one page for ordinary objects).
+
+        A plain delegate rather than the page map's bound method, so a
+        caller that binds it once still sees the map :meth:`rebuild`
+        installs.
+        """
         return self._pages_of(oid)
 
     def page_of(self, oid: int) -> int:
-        self.lookups += 1
         return self._page_of(oid)
 
     def pages_referenced_by(self, oid: int) -> List[int]:

@@ -11,42 +11,90 @@ cover.
 replication; :class:`SimulationResults` extends it with clustering info
 for a complete replication.  Both flatten to ``dict`` for the
 :class:`~repro.despy.stats.ReplicationAnalyzer`.
+
+The :class:`PhaseResults` field list is also the model's counter table
+(:data:`COUNTERS`).  Each delta counter is declared once, with its
+model source, its unit (a count, or ticks reported as ms), its gate
+(:data:`ALWAYS`, :data:`CLUSTER`, :data:`AUDITED`, :data:`FAULTS`) and
+whether :meth:`PhaseResults.to_metrics` flattens it; its ``#:`` comment
+is its description.  The model's snapshot and phase delta and
+``to_metrics`` all loop over these rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Tuple
 
 from repro.despy.stats import MIN_STEADY_OBSERVATIONS, steady_state_estimate
 
 
+#: Counter-row gates: when the model reads a row and
+#: :meth:`PhaseResults.to_metrics` flattens it.  A row whose gate is
+#: shut keeps its default.  Every run:
+ALWAYS = "always"
+#: Cluster runs only.
+CLUSTER = "cluster"
+#: Cluster runs that audit served reads (async copies, the fault layer
+#: or per-node failures); flattened when any were counted.
+AUDITED = "audited"
+#: Cluster runs with the fault layer on.
+FAULTS = "faults"
+#: The unit of a row that reads integer ticks and reports milliseconds.
+MS = "ms"
+
+
+def _counter(
+    source: str, unit: str = "count", gate: str = ALWAYS, metric: bool = True
+):
+    """One row of the counter table: the phase delta of ``source``.
+
+    ``source`` is an attribute path on the model; a ``node.`` path is
+    read on every cluster node into a per-node tuple.  ``unit`` is a
+    count, or :data:`MS` for ticks reported as milliseconds.
+    ``metric`` says whether :meth:`PhaseResults.to_metrics` flattens the
+    row under its own name.
+    """
+    if source.startswith("node."):
+        default = ()
+    else:
+        default = 0.0 if unit == MS else 0
+    metadata = {"source": source, "unit": unit, "gate": gate, "metric": metric}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class PhaseResults:
-    """Metrics of one workload phase (a batch of transactions)."""
+    """Metrics of one workload phase (a batch of transactions).
 
-    transactions: int = 0
-    object_accesses: int = 0
+    The fields declared with :func:`_counter` are the counter table
+    (:data:`COUNTERS`): the model snapshots each row's source around a
+    phase and stores the delta, and :meth:`to_metrics` flattens the rows
+    it names.  The other fields are filled by the model in code.
+    """
+
+    transactions: int = _counter("tm.transactions_executed")
+    object_accesses: int = _counter("tm.objects_accessed")
     #: Pages read from disk for transaction processing (usage reads).
-    reads: int = 0
+    reads: int = _counter("io.reads")
     #: Pages written to disk for transaction processing (dirty evictions).
-    writes: int = 0
-    #: Swap I/Os (virtual-memory model only; included in reads+writes? no:
-    #: counted separately and *added* into total_ios).
-    swap_reads: int = 0
-    swap_writes: int = 0
-    buffer_hits: int = 0
-    buffer_misses: int = 0
-    prefetched_pages: int = 0
-    prefetch_hits: int = 0
-    sequential_reads: int = 0
-    network_messages: int = 0
-    network_bytes: int = 0
-    network_time_ms: float = 0.0
-    lock_acquisitions: int = 0
-    lock_waits: int = 0
-    lock_wait_time_ms: float = 0.0
+    writes: int = _counter("io.writes")
+    #: Swap I/Os (virtual-memory model only): counted apart from reads
+    #: and writes, and *added* into total_ios.
+    swap_reads: int = _counter("io.swap_reads", metric=False)
+    swap_writes: int = _counter("io.swap_writes", metric=False)
+    buffer_hits: int = _counter("memory.hits", metric=False)
+    buffer_misses: int = _counter("memory.misses", metric=False)
+    prefetched_pages: int = _counter("architecture.prefetched_pages", metric=False)
+    prefetch_hits: int = _counter("architecture.prefetch_hits", metric=False)
+    sequential_reads: int = _counter("io.sequential_accesses")
+    network_messages: int = _counter("network.messages")
+    network_bytes: int = _counter("network.bytes_sent")
+    network_time_ms: float = _counter("network.busy_ticks", MS)
+    lock_acquisitions: int = _counter("locks.acquisitions", metric=False)
+    lock_waits: int = _counter("locks.waits")
+    lock_wait_time_ms: float = _counter("locks.wait_ticks", MS, metric=False)
     response_time_sum_ms: float = 0.0
     response_time_max_ms: float = 0.0
     #: Per-transaction response times (ms) in completion order — the
@@ -55,12 +103,12 @@ class PhaseResults:
     #: MSER-5/batch-means summary derived from it goes in as the
     #: ``steady_*`` metrics.
     response_times_ms: Tuple[float, ...] = ()
-    elapsed_ms: float = 0.0
+    elapsed_ms: float = _counter("sim.now", MS)
     transactions_by_kind: Dict[str, int] = field(default_factory=dict)
     #: Hazards charged during the phase (§5 failures module).
-    transient_faults: int = 0
-    crashes: int = 0
-    downtime_ms: float = 0.0
+    transient_faults: int = _counter("failures.transient_faults")
+    crashes: int = _counter("failures.crashes")
+    downtime_ms: float = _counter("failures.downtime_ticks", MS)
     # -- Flow aggregation (0 population = plain closed/open phase) -------
     #: Simulated population the aggregated source tier stood in for.
     aggregation_population: int = 0
@@ -81,61 +129,69 @@ class PhaseResults:
     calibration_trace: Tuple[Tuple[float, float], ...] = ()
     # -- Cluster topology (empty tuples = single-server run) -------------
     #: Usage I/Os performed by each server node.
-    server_ios: Tuple[int, ...] = ()
+    server_ios: Tuple[int, ...] = _counter(
+        "node.io.total_ios", gate=CLUSTER, metric=False
+    )
     #: Page/object service operations each server node performed.
-    server_accesses: Tuple[int, ...] = ()
+    server_accesses: Tuple[int, ...] = _counter(
+        "node.accesses", gate=CLUSTER, metric=False
+    )
     #: Disk busy time of each server node (ms).
-    server_busy_ms: Tuple[float, ...] = ()
+    server_busy_ms: Tuple[float, ...] = _counter(
+        "node.io.busy_ticks", MS, CLUSTER, metric=False
+    )
     #: Inter-server network traffic (replica propagation + forwarding).
-    interconnect_messages: int = 0
-    interconnect_bytes: int = 0
+    interconnect_messages: int = _counter("cluster.interconnect.messages", gate=CLUSTER)
+    interconnect_bytes: int = _counter("cluster.interconnect.bytes_sent", gate=CLUSTER)
     #: Pages a home node fetched from a remote owner (object server).
-    remote_fetches: int = 0
+    remote_fetches: int = _counter("cluster.remote_fetches", gate=CLUSTER)
     #: Reads served by a non-primary replica (round-robin balancing).
-    replica_reads: int = 0
+    replica_reads: int = _counter("cluster.replica_reads", gate=CLUSTER)
     #: Page images propagated to non-primary replicas on writes.
-    replica_writes: int = 0
+    replica_writes: int = _counter("cluster.replica_writes", gate=CLUSTER)
     # -- Consistency spectrum (async replication + failover) --------------
     #: Reads that served a page version older than the last acknowledged
     #: write of that page (async replication lag made visible).
-    stale_reads: int = 0
+    stale_reads: int = _counter("cluster.stale_reads", gate=CLUSTER)
     #: Shipped page images the per-node appliers installed.
-    replica_applies: int = 0
+    replica_applies: int = _counter("cluster.replica_applies", gate=CLUSTER)
     #: Total enqueue-to-apply latency over all applies (ms).
-    replica_lag_sum_ms: float = 0.0
+    replica_lag_sum_ms: float = _counter(
+        "cluster.replica_lag_ticks", MS, CLUSTER, metric=False
+    )
     #: Reads rerouted away from a crashed replica.
-    read_failovers: int = 0
+    read_failovers: int = _counter("cluster.read_failovers", gate=CLUSTER)
     #: Writes that queued behind a crashed primary's recovery.
-    write_recovery_waits: int = 0
+    write_recovery_waits: int = _counter("cluster.write_recovery_waits", gate=CLUSTER)
     #: Peak apply-queue depth per server node (async mode only).
     apply_queue_peak: Tuple[int, ...] = ()
     # -- Fault-tolerance layer (FaultConfig / RetryConfig) -----------------
     #: Page reads the extended cluster path served (stale-rate base).
-    cluster_reads: int = 0
+    cluster_reads: int = _counter("cluster.reads_served", gate=AUDITED)
     #: Whether the fault layer was active this phase (gates metrics).
     fault_layer: bool = False
     #: Interconnect partitions drawn this phase.
-    partitions: int = 0
+    partitions: int = _counter("cluster.partitions", gate=FAULTS)
     #: Total simulated time some partition was active (ms).
-    partition_ms: float = 0.0
+    partition_ms: float = _counter("cluster.partition_ticks", MS, FAULTS)
     #: Gray (degraded-mode) episodes drawn across the nodes.
-    gray_episodes: int = 0
+    gray_episodes: int = _counter("cluster.gray_episodes", gate=FAULTS)
     #: Reads served by a node while it was gray.
-    degraded_reads: int = 0
+    degraded_reads: int = _counter("cluster.degraded_reads", gate=FAULTS)
     #: Remote-operation attempts that hit the timeout.
-    remote_timeouts: int = 0
+    remote_timeouts: int = _counter("cluster.remote_timeouts", gate=FAULTS)
     #: Backoff-and-retry rounds taken after a timeout.
-    remote_retries: int = 0
+    remote_retries: int = _counter("cluster.remote_retries", gate=FAULTS)
     #: Peers abandoned after exhausting the retry budget.
-    abandoned_reads: int = 0
+    abandoned_reads: int = _counter("cluster.abandoned_reads", gate=FAULTS)
     #: Primary elections held (crashed or partitioned-away leaders).
-    elections: int = 0
+    elections: int = _counter("cluster.elections", gate=FAULTS)
     #: Elections that promoted a different replica to primary.
-    promotions: int = 0
+    promotions: int = _counter("cluster.promotions", gate=FAULTS)
     #: Stale page copies anti-entropy back-filled.
-    repair_pages: int = 0
+    repair_pages: int = _counter("cluster.repair_pages", gate=FAULTS)
     #: Divergent replicas quorum reads repaired in place.
-    read_repairs: int = 0
+    read_repairs: int = _counter("cluster.read_repairs", gate=FAULTS)
 
     # ------------------------------------------------------------------
     @property
@@ -145,7 +201,11 @@ class PhaseResults:
         This is the figure the paper plots ("mean number of I/Os" over
         the HOTN transactions, averaged across replications).
         """
-        return self.reads + self.writes + self.swap_reads + self.swap_writes
+        return self.reads + self.writes + self.swap_ios
+
+    @property
+    def swap_ios(self) -> int:
+        return self.swap_reads + self.swap_writes
 
     @property
     def hit_rate(self) -> float:
@@ -268,27 +328,29 @@ class PhaseResults:
         return steady_state_estimate(self.response_times_ms, confidence=confidence)
 
     def to_metrics(self, prefix: str = "") -> Dict[str, float]:
-        """Flatten to a metric dict for the ReplicationAnalyzer."""
-        metrics = {
-            f"{prefix}transactions": float(self.transactions),
-            f"{prefix}object_accesses": float(self.object_accesses),
-            f"{prefix}total_ios": float(self.total_ios),
-            f"{prefix}reads": float(self.reads),
-            f"{prefix}writes": float(self.writes),
-            f"{prefix}swap_ios": float(self.swap_reads + self.swap_writes),
-            f"{prefix}hit_rate": self.hit_rate,
-            f"{prefix}sequential_reads": float(self.sequential_reads),
-            f"{prefix}network_messages": float(self.network_messages),
-            f"{prefix}network_bytes": float(self.network_bytes),
-            f"{prefix}network_time_ms": self.network_time_ms,
-            f"{prefix}lock_waits": float(self.lock_waits),
-            f"{prefix}mean_response_time_ms": self.mean_response_time_ms,
-            f"{prefix}throughput_tps": self.throughput_tps,
-            f"{prefix}elapsed_ms": self.elapsed_ms,
-            f"{prefix}transient_faults": float(self.transient_faults),
-            f"{prefix}crashes": float(self.crashes),
-            f"{prefix}downtime_ms": self.downtime_ms,
+        """Flatten to a metric dict for the ReplicationAnalyzer.
+
+        Every counter row marked ``metric`` goes in under its own name
+        while its gate is open; the derived figures follow.
+        """
+        cluster = bool(self.server_ios)
+        audited = cluster and bool(self.cluster_reads)
+        open_gates = {
+            ALWAYS: True,
+            CLUSTER: cluster,
+            AUDITED: audited,
+            FAULTS: cluster and self.fault_layer,
         }
+        metrics = {
+            f"{prefix}{row.name}": float(getattr(self, row.name))
+            for row in COUNTERS
+            if row.metadata["metric"] and open_gates[row.metadata["gate"]]
+        }
+        metrics[f"{prefix}total_ios"] = float(self.total_ios)
+        metrics[f"{prefix}swap_ios"] = float(self.swap_ios)
+        metrics[f"{prefix}hit_rate"] = self.hit_rate
+        metrics[f"{prefix}mean_response_time_ms"] = self.mean_response_time_ms
+        metrics[f"{prefix}throughput_tps"] = self.throughput_tps
         if self.aggregated:
             metrics[f"{prefix}aggregation_population"] = float(
                 self.aggregation_population
@@ -319,57 +381,19 @@ class PhaseResults:
             metrics[f"{prefix}steady_response_ci_ms"] = steady.half_width
             metrics[f"{prefix}steady_truncated"] = float(steady.truncated)
             metrics[f"{prefix}steady_batches"] = float(steady.batches)
-        if self.server_ios:
+        if cluster:
             metrics[f"{prefix}cluster_servers"] = float(len(self.server_ios))
             metrics[f"{prefix}cluster_imbalance"] = self.cluster_imbalance
             metrics[f"{prefix}cluster_max_utilization"] = (
                 self.cluster_max_utilization
             )
-            metrics[f"{prefix}interconnect_messages"] = float(
-                self.interconnect_messages
-            )
-            metrics[f"{prefix}interconnect_bytes"] = float(
-                self.interconnect_bytes
-            )
-            metrics[f"{prefix}remote_fetches"] = float(self.remote_fetches)
-            metrics[f"{prefix}replica_reads"] = float(self.replica_reads)
-            metrics[f"{prefix}replica_writes"] = float(self.replica_writes)
-            metrics[f"{prefix}stale_reads"] = float(self.stale_reads)
-            metrics[f"{prefix}replica_applies"] = float(self.replica_applies)
             metrics[f"{prefix}replica_lag_ms"] = self.replica_lag_ms
-            metrics[f"{prefix}read_failovers"] = float(self.read_failovers)
-            metrics[f"{prefix}write_recovery_waits"] = float(
-                self.write_recovery_waits
-            )
-            if self.cluster_reads:
-                metrics[f"{prefix}cluster_reads"] = float(self.cluster_reads)
+            if audited:
                 metrics[f"{prefix}stale_reads_per_1000_reads"] = (
                     self.stale_reads_per_1000_reads
                 )
-            if self.fault_layer:
-                metrics[f"{prefix}partitions"] = float(self.partitions)
-                metrics[f"{prefix}partition_ms"] = self.partition_ms
-                metrics[f"{prefix}gray_episodes"] = float(self.gray_episodes)
-                metrics[f"{prefix}degraded_reads"] = float(
-                    self.degraded_reads
-                )
-                metrics[f"{prefix}remote_timeouts"] = float(
-                    self.remote_timeouts
-                )
-                metrics[f"{prefix}remote_retries"] = float(
-                    self.remote_retries
-                )
-                metrics[f"{prefix}abandoned_reads"] = float(
-                    self.abandoned_reads
-                )
-                metrics[f"{prefix}elections"] = float(self.elections)
-                metrics[f"{prefix}promotions"] = float(self.promotions)
-                metrics[f"{prefix}repair_pages"] = float(self.repair_pages)
-                metrics[f"{prefix}read_repairs"] = float(self.read_repairs)
             for index, peak in enumerate(self.apply_queue_peak):
-                metrics[f"{prefix}server{index}_apply_queue_peak"] = float(
-                    peak
-                )
+                metrics[f"{prefix}server{index}_apply_queue_peak"] = float(peak)
             for index, ios in enumerate(self.server_ios):
                 metrics[f"{prefix}server{index}_total_ios"] = float(ios)
                 metrics[f"{prefix}server{index}_accesses"] = float(
@@ -379,6 +403,11 @@ class PhaseResults:
                     self.server_utilization(index)
                 )
         return metrics
+
+
+#: The counter table: the :class:`PhaseResults` fields declared with
+#: :func:`_counter`, in declaration order.
+COUNTERS = tuple(row for row in fields(PhaseResults) if "source" in row.metadata)
 
 
 @dataclass

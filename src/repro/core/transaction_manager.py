@@ -57,7 +57,6 @@ class TransactionManager:
         # Cumulative counters
         self.transactions_executed = 0
         self.objects_accessed = 0
-        # Per-phase trackers (reset by begin_phase)
         self.phase_response = OnlineStats()
         #: Per-transaction response times (ticks) in completion order —
         #: the series the steady-state pipeline (MSER-5 truncation +

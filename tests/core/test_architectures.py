@@ -104,14 +104,14 @@ class TestClientCache:
         with_cache = build_model(SystemClass.PAGE_SERVER, client_buffsize=64)
         r_without = without.run()
         r_with = with_cache.run()
-        assert with_cache.architecture.client_hits > 0
+        assert with_cache.architecture.client_cache.hits > 0
         assert with_cache.network.messages < without.network.messages
         assert r_with.phase.transactions == r_without.phase.transactions
 
     def test_object_server_client_cache_absorbs_repeats(self):
         model = build_model(SystemClass.OBJECT_SERVER, client_buffsize=16)
         model.run()
-        assert model.architecture.client_hits > 0
+        assert model.architecture.client_cache.hits > 0
 
     def test_no_client_cache_by_default(self):
         model = build_model(SystemClass.PAGE_SERVER)

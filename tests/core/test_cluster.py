@@ -169,13 +169,41 @@ class TestShardRouter:
 
 class TestClusterAssembly:
     def test_model_builds_cluster_views(self):
-        model = VOODBSimulation(cluster_config(), seed=1)
+        # An async cluster with per-node crashes and transient faults,
+        # under enough load to queue on locks.
+        from repro.core import FailureConfig
+        from repro.core.parameters import ReplicationConfig
+
+        config = cluster_config(replication=2).with_changes(
+            replication=ReplicationConfig(mode="async"),
+            failures=FailureConfig(
+                transient_mtbf_ms=200.0,
+                crash_mtbf_ms=200.0,
+                recovery_time_ms=20.0,
+            ),
+            arrivals=ArrivalConfig(mode="poisson", rate_tps=200.0),
+            multilvl=8,
+            ocb=cluster_config().ocb.with_changes(pwrite=0.5, root_region=20),
+        )
+        model = VOODBSimulation(config, seed=7)
         assert model.cluster is not None
-        assert len(model.cluster.nodes) == 4
+        nodes = model.cluster.nodes
+        assert len(nodes) == 4
         assert isinstance(model.architecture, ClusterPageServer)
-        # the aggregate views sum over the nodes
         assert model.io.reads == 0
         assert model.memory.hits == 0
+        model.run()
+        # The views sum over the nodes: these are the model paths the
+        # traced perfbench ledger reads.
+        assert model.io.total_ios == sum(node.io.total_ios for node in nodes)
+        assert model.memory.hits == sum(node.memory.hits for node in nodes)
+        assert model.memory.misses == sum(node.memory.misses for node in nodes)
+        assert model.locks.waits == sum(node.locks.waits for node in nodes)
+        assert model.failures.crashes == sum(
+            node.failures.crashes for node in nodes
+        )
+        assert model.memory.misses > 0 and model.locks.waits > 0
+        assert model.failures.crashes > 0
 
     def test_object_server_variant_selected(self):
         model = VOODBSimulation(

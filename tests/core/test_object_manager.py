@@ -37,12 +37,6 @@ class TestDirectory:
             for oid in om.objects_on(page):
                 assert page in om.pages_of(oid)
 
-    def test_lookups_counted(self, om):
-        before = om.lookups
-        om.page_of(0)
-        om.pages_of(1)
-        assert om.lookups == before + 2
-
     def test_pages_holding_sorted_distinct(self, om, db):
         pages = om.pages_holding([0, 1, 2, 0, 1])
         assert pages == sorted(set(pages))
