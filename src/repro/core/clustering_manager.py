@@ -28,7 +28,7 @@ particularity in Texas."
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.clustering.base import ClusteringPolicy
 from repro.clustering.placement import relocation_placement
@@ -62,6 +62,10 @@ class ClusteringManager:
         policy.attach(db)
         self.report = ClusteringReport(policy=policy.name)
         self._installed_clusters: List[List[int]] = []
+        #: called at the end of every reorganization, automatic or
+        #: demanded; the model wires the architecture's
+        #: ``notify_reorganized`` here.
+        self.on_reorganized: Callable[[], None] = lambda: None
         self._rebind_access_hook()
 
     # ------------------------------------------------------------------
@@ -143,6 +147,7 @@ class ClusteringManager:
         self.report.moved_objects += len(moved)
         self._installed_clusters = clusters
         self.policy.notify_reorganized(clusters)
+        self.on_reorganized()
 
     # ------------------------------------------------------------------
     def current_order(self) -> List[int]:

@@ -231,6 +231,7 @@ class VOODBSimulation:
             self.clustering,
             failures=self.failures if self.cluster is None else None,
         )
+        self.clustering.on_reorganized = self.architecture.notify_reorganized
         self.users = Users(self.sim, config, self.db, self.tm)
         self._phase_counter = 0
         # Calibration of the phase being collected (aggregated tier
@@ -355,7 +356,6 @@ class VOODBSimulation:
             self.clustering.demand_clustering(), name="clustering-demand"
         )
         self.sim.run()
-        self.architecture.notify_reorganized()
         report = self.clustering.report
         return ClusteringReport(
             policy=report.policy,

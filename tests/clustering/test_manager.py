@@ -2,6 +2,7 @@
 
 from repro.clustering import DSTCParameters
 from repro.core import SystemClass, VOODBConfig, VOODBSimulation
+from repro.core.architectures import Architecture
 from repro.ocb import OCBConfig
 
 # Hot repeated traversals over ~1-3 KB objects with no initial locality:
@@ -23,7 +24,7 @@ HOT_OCB = OCBConfig(
 
 def make_model(clustp="dstc", auto=False, seed=3, **cfg):
     config = VOODBConfig(
-        sysclass=SystemClass.CENTRALIZED,
+        sysclass=cfg.pop("sysclass", SystemClass.CENTRALIZED),
         buffsize=256,
         clustp=clustp,
         ocb=cfg.pop("ocb", HOT_OCB),
@@ -105,6 +106,26 @@ class TestAutomaticTrigger:
         model.run_phase(60, workload="hierarchy", stream_label="usage",
                         hierarchy_type=0, hierarchy_depth=3)
         assert model.clustering.report.reorganizations >= 1
+
+    def test_auto_reorganizations_notify_the_architecture(self, monkeypatch):
+        # A page server's client cache holds page images a reorganization
+        # makes stale, so every automatic reorganization must reach
+        # Architecture.notify_reorganized, as a demanded one does.
+        notified = []
+        original = Architecture.notify_reorganized
+
+        def counting(architecture):
+            notified.append(architecture.sim.now)
+            original(architecture)
+
+        monkeypatch.setattr(Architecture, "notify_reorganized", counting)
+        model = make_model(auto=True, sysclass=SystemClass.PAGE_SERVER,
+                           client_buffsize=64)
+        model.run_phase(60, workload="hierarchy", stream_label="usage",
+                        hierarchy_type=0, hierarchy_depth=3)
+        reorganizations = model.clustering.report.reorganizations
+        assert reorganizations >= 1
+        assert len(notified) == reorganizations
 
     def test_no_trigger_when_policy_is_none(self):
         model = make_model(clustp="none")
