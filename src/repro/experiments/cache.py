@@ -9,25 +9,22 @@ only the report code — then never recompute a point: the pilot's seeds
 ``base_seed..base_seed+n*``.
 
 The cache is content-addressed: the key digests a canonical JSON
-rendering of the (nested, frozen) config dataclass plus the replication
-function's qualified name, so two configs that compare equal always
-share entries while any parameter change — however deep — misses.
+rendering of the (nested, frozen) config dataclass, the replication
+function's qualified name and a hash of the simulator's own sources
+(:func:`source_digest`), so two configs that compare equal always
+share entries while any parameter change — however deep — or any edit
+under ``repro`` misses.
 
 Enable it by passing a :class:`ReplicationCache` to an executor, with
 ``python -m repro --cache-dir DIR``, or via the ``VOODB_CACHE_DIR``
 environment variable (read by :func:`default_cache`).
-
-Invalidation caveat: the key covers the *inputs* of a replication, not
-the simulator's code.  After changing anything under ``src/repro`` that
-affects results, clear the cache directory (or bump
-:data:`CACHE_VERSION`) — otherwise old metrics replay for unchanged
-configs.  The cache is opt-in for exactly this reason.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -38,8 +35,22 @@ from typing import Any, Dict, Optional
 #: Environment variable enabling the cache outside the CLI flag.
 CACHE_DIR_ENV = "VOODB_CACHE_DIR"
 
-#: Bump when the replication semantics change so stale entries miss.
-CACHE_VERSION = 1
+
+@functools.cache
+def source_digest() -> str:
+    """sha256 of the ``repro`` package's Python sources.
+
+    Computed once per process, on first cache use, so runs without a
+    cache never read the sources.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    names = sorted(path.relative_to(root).as_posix() for path in root.rglob("*.py"))
+    for name in names:
+        data = (root / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _canonical(value: Any) -> Any:
@@ -70,7 +81,7 @@ def config_digest(config: Any, replication_name: str = "") -> str:
     """Stable hex digest of a config (plus the replication protocol)."""
     payload = json.dumps(
         {
-            "version": CACHE_VERSION,
+            "source": source_digest(),
             "replication": replication_name,
             "config": _canonical(config),
         },

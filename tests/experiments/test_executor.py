@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import SystemClass, VOODBConfig
 from repro.despy.stats import ReplicationAnalyzer
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import ReplicationCache, config_digest
 from repro.experiments.executor import (
     ParallelExecutor,
@@ -130,6 +131,16 @@ class TestConfigDigest:
 
     def test_replication_protocol_alters_digest(self):
         assert config_digest(SMALL, "a") != config_digest(SMALL, "b")
+
+    def test_key_covers_the_simulator_sources(self, tmp_path, monkeypatch):
+        ReplicationCache(tmp_path).put(SMALL, 1, {"m": 1.0})
+        # An unchanged tree replays the entry ...
+        assert ReplicationCache(tmp_path).get(SMALL, 1) == {"m": 1.0}
+        # ... and a changed source hash misses it.
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+        cache = ReplicationCache(tmp_path)
+        assert cache.get(SMALL, 1) is None
+        assert cache.misses == 1
 
 
 class TestExecutorSelection:
