@@ -434,11 +434,10 @@ class VOODBSimulation:
                 values[row.name] = _delta(before, after, ms)
         # Reorganizations inside the phase billed I/Os on the shared
         # disk; pull them out of the usage figures.
-        (reads_before, writes_before) = snapshot["overhead"]
-        (reads_after, writes_after) = current["overhead"]
+        reads_before, writes_before = snapshot["overhead"]
+        reads_after, writes_after = current["overhead"]
         values["reads"] -= reads_after - reads_before
         values["writes"] -= writes_after - writes_before
-        response = self.tm.phase_response
         calibration = self._phase_calibration
         if calibration is not None:
             self._phase_calibration = None
@@ -464,6 +463,7 @@ class VOODBSimulation:
                 values["apply_queue_peak"] = tuple(
                     node.queue_peak for node in cluster.nodes
                 )
+        response = self.tm.phase_response
         return PhaseResults(
             response_time_sum_ms=response.total * MS_PER_TICK,
             response_time_max_ms=max(response.maximum, 0) * MS_PER_TICK,

@@ -69,9 +69,7 @@ class PhaseResults:
     """Metrics of one workload phase (a batch of transactions).
 
     The fields declared with :func:`_counter` are the counter table
-    (:data:`COUNTERS`): the model snapshots each row's source around a
-    phase and stores the delta, and :meth:`to_metrics` flattens the rows
-    it names.  The other fields are filled by the model in code.
+    (:data:`COUNTERS`); the model fills the others in code.
     """
 
     transactions: int = _counter("tm.transactions_executed")

@@ -134,7 +134,9 @@ class TestConfigDigest:
 
     def test_key_covers_the_simulator_sources(self, tmp_path, monkeypatch):
         ReplicationCache(tmp_path).put(SMALL, 1, {"m": 1.0})
-        # An unchanged tree replays the entry ...
+        # An unchanged tree hashes the same and replays the entry ...
+        digest = cache_module.source_digest
+        assert digest.__wrapped__() == digest()
         assert ReplicationCache(tmp_path).get(SMALL, 1) == {"m": 1.0}
         # ... and a changed source hash misses it.
         monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
