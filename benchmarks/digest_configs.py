@@ -1,4 +1,4 @@
-"""Model-equivalence digests: 31 pinned configs, one hex digest each.
+"""Model-equivalence digests: 32 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -23,7 +23,9 @@ per-node failures, object-server forwarding), the single-server
 miss paths behind client caches and prefetching, both cluster system
 classes behind a client cache on free and throttled networks, and
 anti-entropy sweeps that yield on a throttled interconnect while
-partitions or crashes move versions underneath them.
+partitions or crashes move versions underneath them, and automatic
+DSTC reorganizations that rebuild the page map while other users'
+transactions are in flight.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 31 pinned (name -> config) equivalence points."""
+    """The 32 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
@@ -127,6 +129,11 @@ def pinned_configs() -> dict:
         "o2-dstc": o2_config(
             nc=20, no=5000, cache_mb=4, hotn=_HOTN
         ).with_changes(clustp="dstc"),
+        # Reorganizes every 50 transactions (6 times) while the other
+        # three users' transactions hold pages of the old map.
+        "o2-dstc-auto-4u": o2_config(
+            nc=20, no=5000, cache_mb=4, hotn=_HOTN
+        ).with_changes(clustp="dstc", nusers=4, multilvl=4),
         "cluster-sync-r2": shared.with_changes(cluster=cluster()),
         "cluster-sync-r2-25mbps": shared.with_changes(cluster=cluster(25.0)),
         "cluster-async-r2-failures": shared.with_changes(
@@ -179,9 +186,19 @@ def pinned_configs() -> dict:
     }
 
 
-def digest_config(config: VOODBConfig, seed: int = 1) -> str:
+#: Clustering-policy keyword arguments of the points that need them.
+CLUSTERING_KWARGS = {
+    "o2-dstc-auto-4u": {"observation_period": 50, "auto_trigger": True},
+}
+
+
+def digest_config(
+    config: VOODBConfig, seed: int = 1, clustering_kwargs: dict | None = None
+) -> str:
     """Hex digest of one replication's complete metric dictionary."""
-    metrics = run_replication(config, seed=seed).to_metrics()
+    metrics = run_replication(
+        config, seed=seed, clustering_kwargs=clustering_kwargs
+    ).to_metrics()
     canonical = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -189,14 +206,16 @@ def digest_config(config: VOODBConfig, seed: int = 1) -> str:
 def run_digests(seed: int = 1) -> dict:
     digests = {}
     for name, config in pinned_configs().items():
-        digests[name] = digest_config(config, seed=seed)
+        digests[name] = digest_config(
+            config, seed=seed, clustering_kwargs=CLUSTERING_KWARGS.get(name)
+        )
         print(f"{name:>29}  {digests[name]}")
     return digests
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 31 pinned model-equivalence configs."
+        description="Hex-digest the 32 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")
