@@ -359,6 +359,17 @@ class LRUKPolicy(ReplacementPolicy):
         self._history.pop(page, None)
 
 
+def _drop_slot(pages: List[int], hand: int, page: int) -> int:
+    """Remove ``page``'s slot from a clock ring; return the hand, stepped
+    back when the slot was behind it so it stays on the same page.
+
+    A linear scan, but only invalidations forget a page.
+    """
+    index = pages.index(page)
+    del pages[index]
+    return hand - 1 if index < hand else hand
+
+
 class ClockPolicy(ReplacementPolicy):
     """Second-chance CLOCK: a hand sweeps reference bits."""
 
@@ -383,9 +394,6 @@ class ClockPolicy(ReplacementPolicy):
             if self._hand >= len(self._pages):
                 self._hand = 0
             page = self._pages[self._hand]
-            if page not in self._refbit:
-                self._pages.pop(self._hand)
-                continue
             if self._refbit[page]:
                 self._refbit[page] = False
                 self._hand += 1
@@ -395,8 +403,8 @@ class ClockPolicy(ReplacementPolicy):
                 return page
 
     def forget(self, page: int) -> None:
-        # Lazy removal: drop the bit now, compact when the hand passes.
-        self._refbit.pop(page, None)
+        if self._refbit.pop(page, None) is not None:
+            self._hand = _drop_slot(self._pages, self._hand, page)
 
 
 class GClockPolicy(ReplacementPolicy):
@@ -426,9 +434,6 @@ class GClockPolicy(ReplacementPolicy):
             if self._hand >= len(self._pages):
                 self._hand = 0
             page = self._pages[self._hand]
-            if page not in self._count:
-                self._pages.pop(self._hand)
-                continue
             if self._count[page] > 0:
                 self._count[page] -= 1
                 self._hand += 1
@@ -438,7 +443,8 @@ class GClockPolicy(ReplacementPolicy):
                 return page
 
     def forget(self, page: int) -> None:
-        self._count.pop(page, None)
+        if self._count.pop(page, None) is not None:
+            self._hand = _drop_slot(self._pages, self._hand, page)
 
 
 # ----------------------------------------------------------------------

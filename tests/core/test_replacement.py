@@ -188,6 +188,16 @@ class TestClock:
         policy.forget(1)
         assert policy.choose_victim() == 2
 
+    def test_forget_behind_the_hand_keeps_the_hand_on_its_page(self):
+        policy = ClockPolicy()
+        for page in (1, 2, 3, 4):
+            policy.on_admit(page)
+        policy.on_hit(1)
+        # 1 keeps its frame with its bit cleared; the hand stops on 3.
+        assert policy.choose_victim() == 2
+        policy.forget(1)
+        assert policy.choose_victim() == 3
+
 
 class TestGClock:
     def test_counter_gives_extra_chances(self):
@@ -421,9 +431,14 @@ class TestRewritesMatchReferenceSemantics:
         eviction rank.  The frequency buckets leave no residue — a
         readmitted page is the youngest count-1 page, full stop.  (No
         committed golden exercises the old quirk; every results/ file
-        reproduces byte-for-byte either way.)
+        reproduces byte-for-byte either way.)  CLOCK and GCLOCK had the
+        same kind of residue: ``forget`` left the page's slot on the
+        ring until the hand reached it, so a page readmitted before
+        then held two slots and was evicted from the stale one first.
         """
-        for policy, __ in self._pairs():
+        policies = [policy for policy, __ in self._pairs()]
+        policies += [ClockPolicy(), GClockPolicy()]
+        for policy in policies:
             for page in range(n):
                 policy.on_admit(page)
             policy.forget(0)
