@@ -147,6 +147,15 @@ class PageMap:
         """Every page the object occupies."""
         return self._ranges[oid]
 
+    @property
+    def page_ranges(self) -> List[range]:
+        """Every object's page span, indexed by OID.
+
+        The map's own list, which :meth:`append_object` extends in place:
+        a holder of it sees inserted objects, but not a rebuilt map.
+        """
+        return self._ranges
+
     def objects_on(self, page: int) -> Sequence[int]:
         return self._page_objects[page]
 

@@ -80,9 +80,6 @@ class Architecture(ABC):
         self.io = io
         self.network = network
         self.prefetcher = prefetcher
-        #: bound page-directory lookup — one frame per object access
-        #: instead of two on the hottest lookup in the model
-        self._om_pages_of = object_manager.pages_of
         self._admit_prefetched = getattr(memory, "admit_prefetched", None)
         self._prefetch_enabled = (
             self._admit_prefetched is not None
@@ -155,7 +152,7 @@ class Architecture(ABC):
         """
         memory = self.memory
         prefetched = self._prefetched_unused
-        pages = iter(self._om_pages_of(oid))
+        pages = iter(self.object_manager.page_ranges[oid])
         for page in pages:
             outcome = memory.access(page, write)
             if outcome.hit:
@@ -251,7 +248,7 @@ class PageServer(Architecture):
         network = self.network
         free = network.infinite
         prefetched = self._prefetched_unused
-        pages = iter(self._om_pages_of(oid))
+        pages = iter(self.object_manager.page_ranges[oid])
         for page in pages:
             if client_cache is not None and client_cache.access(page, False).hit:
                 continue
@@ -398,7 +395,7 @@ class ClusterPageServer(ClusterArchitecture):
 
     def access_object_nowait(self, oid: int, write: bool):
         client_cache = self.client_cache
-        pages = iter(self._om_pages_of(oid))
+        pages = iter(self.object_manager.page_ranges[oid])
         for page in pages:
             if client_cache is not None and client_cache.access(page, False).hit:
                 continue
@@ -468,7 +465,7 @@ class ClusterObjectServer(ClusterArchitecture):
         if client_cache is not None and client_cache.access(oid, False).hit:
             return None
         cluster = self.cluster
-        pages = iter(self._om_pages_of(oid))
+        pages = iter(self.object_manager.page_ranges[oid])
         home = cluster.next_coordinator()
         request = self.network.transfer_nowait(self.config.message_bytes)
         if request is not None:

@@ -41,11 +41,13 @@ class ObjectManager:
         self.rebuilds = 0
 
     def _install(self, page_map: PageMap) -> None:
-        # pages_of/page_of run once per object access: bind the mapping's
-        # methods here (and again on rebuild) so the hot path skips two
-        # attribute hops per lookup.
         self._page_map = page_map
-        self._pages_of = page_map.pages_of
+        #: per-oid page spans of the installed map.  The architectures'
+        #: per-object faces index it directly (the hottest lookup in the
+        #: model, once per object access) and must read the attribute at
+        #: each access: :meth:`rebuild` replaces it, while an OCB insert
+        #: extends the same list in place.
+        self.page_ranges = page_map.page_ranges
         self._page_of = page_map.page_of
         # Swizzle-cascade cache: page -> pages referenced by its
         # objects.  Valid for one (page map, database graph) pair; the
@@ -59,11 +61,10 @@ class ObjectManager:
     def pages_of(self, oid: int) -> range:
         """Page span holding the object (one page for ordinary objects).
 
-        A plain delegate rather than the page map's bound method, so a
-        caller that binds it once still sees the map :meth:`rebuild`
-        installs.
+        The hot path indexes :attr:`page_ranges` itself; this reads the
+        same table.
         """
-        return self._pages_of(oid)
+        return self.page_ranges[oid]
 
     def page_of(self, oid: int) -> int:
         return self._page_of(oid)
@@ -118,10 +119,8 @@ class ObjectManager:
 
     def pages_holding(self, oids: Iterable[int]) -> List[int]:
         """Distinct pages (sorted) currently holding the given objects."""
-        page_map = self._page_map
-        pages = {
-            page for oid in oids for page in page_map.pages_of(oid)
-        }
+        page_ranges = self.page_ranges
+        pages = {page for oid in oids for page in page_ranges[oid]}
         return sorted(pages)
 
     def rebuild(self, page_map: PageMap) -> None:

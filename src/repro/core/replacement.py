@@ -13,16 +13,19 @@ interface used by the Buffering Manager:
   (invalidation after clustering reorganization).
 
 Policies keep their own bookkeeping; the Buffering Manager owns the
-actual frame table.  The recency family (LRU/MRU/FIFO) runs on an
-intrusive circular linked ring, LFU on O(1) frequency buckets — every
-operation constant-time; LRU-K keeps its lazy heap (O(log n) victim),
-and the CLOCK/GCLOCK hand sweeps are amortized O(1) per admission.
+actual frame table.  The recency family (LRU/MRU/FIFO) keeps residency
+order in one ``collections.OrderedDict`` — LRU's and MRU's ``on_hit`` is
+the dict's own ``move_to_end``, so a buffer hit costs no Python frame
+in the policy — and LFU runs on O(1) frequency buckets: every operation
+constant-time.  LRU-K keeps its lazy heap (O(log n) victim), and the
+CLOCK/GCLOCK hand sweeps are amortized O(1) per admission.
 """
 
 from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from typing import Callable, Dict, List
 
 from repro.despy.randomstream import RandomStream
@@ -32,9 +35,9 @@ class EmptyPolicyError(LookupError):
     """Raised when a victim is requested from a policy tracking no pages.
 
     Without this the strategies would leak their internals — LRU/MRU/FIFO
-    a ``StopIteration`` from ``next(iter(...))`` (which a generator-based
-    process turns into a baffling ``RuntimeError``), LFU/LRU-K a bare
-    ``IndexError`` from ``heappop``, CLOCK an ``IndexError`` mid-sweep.
+    a ``KeyError`` from ``OrderedDict.popitem``, LFU an endless bucket
+    scan, LRU-K a bare ``IndexError`` from ``heappop``, CLOCK an
+    ``IndexError`` mid-sweep.
     """
 
 
@@ -68,131 +71,63 @@ class ReplacementPolicy(ABC):
         return f"<{type(self).__name__}>"
 
 
-# Intrusive linked-list nodes are plain 3-slot lists [prev, next, page];
-# index constants keep the hot unlink/relink sequences readable.
-_PREV, _NEXT, _PAGE = 0, 1, 2
+class _RecencyPolicy(ReplacementPolicy):
+    """Residency order on a :class:`collections.OrderedDict`.
 
-
-class _LinkedOrderPolicy(ReplacementPolicy):
-    """Recency order as an intrusive circular doubly-linked list.
-
-    A sentinel node closes the ring: ``sentinel[_NEXT]`` is the coldest
-    (least recently ordered) page, ``sentinel[_PREV]`` the hottest.
-    Admissions append at the hot end; every operation is O(1) with no
-    rehashing-the-order churn — the dict only maps page -> node.
+    The first key is the coldest page, the last the hottest: admissions
+    append at the hot end and the victim pops from the cold end (the hot
+    end when ``_evict_hottest`` is set).  Every operation is one O(1)
+    call into the dict's C implementation.
     """
 
+    #: pop the victim from the hot end (MRU) instead of the cold end
+    _evict_hottest = False
+
     def __init__(self) -> None:
-        sentinel: List = []
-        sentinel += [sentinel, sentinel, None]
-        self._sentinel = sentinel
-        self._node: Dict[int, List] = {}
+        self._order: "OrderedDict[int, None]" = OrderedDict()
+        # on_hit runs once per buffer hit.  Unless a subclass overrides
+        # it (FIFO), each instance shadows it with the dict's own bound
+        # move_to_end, as RandomStream aliases its pass-throughs: the
+        # hook the Buffering Manager binds is then a C call, not a frame.
+        if type(self).on_hit is _RecencyPolicy.on_hit:
+            self.on_hit = self._order.move_to_end
 
     def on_admit(self, page: int) -> None:
-        sentinel = self._sentinel
-        hot = sentinel[_PREV]
-        node = [hot, sentinel, page]
-        hot[_NEXT] = node
-        sentinel[_PREV] = node
-        self._node[page] = node
+        self._order[page] = None
 
-    def _touch(self, page: int) -> None:
-        """Move a resident page to the hot end of the ring."""
-        node = self._node[page]
-        prev = node[_PREV]
-        nxt = node[_NEXT]
-        prev[_NEXT] = nxt
-        nxt[_PREV] = prev
-        sentinel = self._sentinel
-        hot = sentinel[_PREV]
-        node[_PREV] = hot
-        node[_NEXT] = sentinel
-        hot[_NEXT] = node
-        sentinel[_PREV] = node
+    def on_hit(self, page: int) -> None:
+        """Move a resident page to the hot end."""
+        self._order.move_to_end(page)
 
-    def _evict(self, node: List) -> int:
-        prev = node[_PREV]
-        nxt = node[_NEXT]
-        prev[_NEXT] = nxt
-        nxt[_PREV] = prev
-        page = node[_PAGE]
-        del self._node[page]
-        return page
+    def choose_victim(self) -> int:
+        if not self._order:
+            self._no_victim()
+        return self._order.popitem(last=self._evict_hottest)[0]
 
     def forget(self, page: int) -> None:
-        node = self._node.pop(page, None)
-        if node is not None:
-            prev = node[_PREV]
-            nxt = node[_NEXT]
-            prev[_NEXT] = nxt
-            nxt[_PREV] = prev
+        self._order.pop(page, None)
 
 
-class LRUPolicy(_LinkedOrderPolicy):
+class LRUPolicy(_RecencyPolicy):
     """Least Recently Used (Table 3's LRU-1 default)."""
 
     name = "LRU"
 
-    def on_hit(self, page: int) -> None:
-        # _touch, inlined: this runs once per buffer hit.
-        node = self._node[page]
-        prev = node[_PREV]
-        nxt = node[_NEXT]
-        prev[_NEXT] = nxt
-        nxt[_PREV] = prev
-        sentinel = self._sentinel
-        hot = sentinel[_PREV]
-        node[_PREV] = hot
-        node[_NEXT] = sentinel
-        hot[_NEXT] = node
-        sentinel[_PREV] = node
 
-    def choose_victim(self) -> int:
-        node = self._sentinel[_NEXT]
-        if node is self._sentinel:
-            self._no_victim()
-        return self._evict(node)
-
-
-class MRUPolicy(_LinkedOrderPolicy):
+class MRUPolicy(_RecencyPolicy):
     """Most Recently Used — evicts the hottest page (anti-LRU foil)."""
 
     name = "MRU"
-
-    def on_hit(self, page: int) -> None:
-        # _touch, inlined (see LRUPolicy.on_hit).
-        node = self._node[page]
-        prev = node[_PREV]
-        nxt = node[_NEXT]
-        prev[_NEXT] = nxt
-        nxt[_PREV] = prev
-        sentinel = self._sentinel
-        hot = sentinel[_PREV]
-        node[_PREV] = hot
-        node[_NEXT] = sentinel
-        hot[_NEXT] = node
-        sentinel[_PREV] = node
-
-    def choose_victim(self) -> int:
-        node = self._sentinel[_PREV]
-        if node is self._sentinel:
-            self._no_victim()
-        return self._evict(node)
+    _evict_hottest = True
 
 
-class FIFOPolicy(_LinkedOrderPolicy):
+class FIFOPolicy(_RecencyPolicy):
     """First In First Out — references do not refresh residency."""
 
     name = "FIFO"
 
     def on_hit(self, page: int) -> None:
         pass
-
-    def choose_victim(self) -> int:
-        node = self._sentinel[_NEXT]
-        if node is self._sentinel:
-            self._no_victim()
-        return self._evict(node)
 
 
 class RandomPolicy(ReplacementPolicy):

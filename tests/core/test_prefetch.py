@@ -22,10 +22,7 @@ class _PagePerObject:
     """Object directory stub: object ``i`` lives alone on page ``i``."""
 
     total_pages = 100
-
-    @staticmethod
-    def pages_of(oid):
-        return (oid,)
+    page_ranges = [range(oid, oid + 1) for oid in range(total_pages)]
 
 
 def _two_frame_server():

@@ -423,7 +423,7 @@ class TestRewritesMatchReferenceSemantics:
     def test_readmission_after_forget_is_fresh(self, n):
         """A forgotten page readmitted ranks as *newly admitted*.
 
-        For the ring policies this matches the old dict formulation.
+        For the recency policies this matches the old dict formulation.
         For LFU it is a deliberate semantic fix the rewrite makes: the
         lazy-heap formulation left a stale ``(count, seq)`` entry behind
         on ``forget``, so a page invalidated by a clustering
