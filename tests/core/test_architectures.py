@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.clustering import DSTCParameters
 from repro.core import (
     Centralized,
     ClusterConfig,
@@ -180,3 +181,64 @@ class TestOneRoundTrip:
             assert net.busy_ticks == request_ticks + net.transfer_ticks(response)
             assert server_reads == [request_ticks]
         assert sim.now == net.busy_ticks + disk_ticks
+
+
+class TestPageRangeTable:
+    """The per-object faces index ``object_manager.page_ranges`` at each
+    access: a reorganization installs a new table, and an OCB insert
+    extends the installed one in place."""
+
+    @staticmethod
+    def _page_server(**overrides) -> VOODBSimulation:
+        config = VOODBConfig(
+            sysclass=SystemClass.PAGE_SERVER,
+            buffsize=64,
+            netthru=math.inf,
+            ocb=SMALL_OCB,
+            **overrides.pop("config", {}),
+        )
+        return VOODBSimulation(config, seed=7, **overrides)
+
+    @staticmethod
+    def _server_reads(monkeypatch, model, oid):
+        """The pages the server buffer reads for one access of ``oid``."""
+        pages = []
+        access = BufferManager.access
+
+        def recording_access(buffer, page, write=False):
+            if buffer is model.memory:
+                pages.append(page)
+            return access(buffer, page, write)
+
+        monkeypatch.setattr(BufferManager, "access", recording_access)
+        step = model.architecture.access_object_nowait(oid, False)
+        if step is not None:
+            model.sim.process(step)
+            model.sim.run()
+        return pages
+
+    def test_moved_object_is_read_from_its_new_page(self, monkeypatch):
+        model = self._page_server(
+            config={"clustp": "dstc"},
+            clustering_kwargs={
+                "dstc_parameters": DSTCParameters(observation_period=25)
+            },
+        )
+        model.run_phase(50, stream_label="usage")
+        old = list(model.object_manager.page_ranges)
+        assert model.demand_clustering().reorganizations == 1
+        new = model.object_manager.page_ranges
+        moved = [oid for oid in range(len(old)) if new[oid] != old[oid]]
+        assert moved
+        for oid in moved[:5]:
+            assert self._server_reads(monkeypatch, model, oid) == list(new[oid])
+            monkeypatch.undo()
+
+    def test_inserted_object_is_read_from_its_appended_page(self, monkeypatch):
+        model = self._page_server(clone_database=True)
+        om = model.object_manager
+        last_page = om.total_pages - 1
+        oid = model.db.insert_object(0, [], [])
+        page = om.allocate(oid, model.config.usable_page_bytes)
+        assert page > last_page
+        assert self._server_reads(monkeypatch, model, oid) == [page]
