@@ -20,8 +20,10 @@ main?" and "is kernel flag X faster than flag Y?"::
 A ref may also be the path of another checkout, used as it is.
 
 ``--perfbench W`` compares the repository benchmark instead: each run
-is one ``perfbench/run.py --workload W --seconds 1`` in the side's own
-tree, and the side that runs first alternates from pair to pair.  The
+is one ``perfbench/run.py --workload W --seed N --seconds 1`` in the
+side's own tree (``--seed``, default 1, checks a claim on a seed it was
+not developed on), and the side that runs first alternates from pair to
+pair.  The
 report gives, for every end-to-end metric in ``BENCHMARK.json``, each
 side's median and quartiles, how many pairs side B won, the median
 ratio (above 1 when B is better) and a verdict against the metric's
@@ -234,13 +236,14 @@ def _align(rows: List[List[str]]) -> str:
 # ----------------------------------------------------------------------
 # Perfbench mode
 # ----------------------------------------------------------------------
-def _run_perfbench(side: Side, workload: str) -> dict:
+def _run_perfbench(side: Side, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in a side's tree: its JSON result."""
     env = os.environ.copy()
     env.update(side.env)
     cmd = [
         sys.executable, str(side.root / "perfbench" / "run.py"),
-        "--workload", workload, "--seconds", str(PERFBENCH_SECONDS),
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(PERFBENCH_SECONDS),
     ]
     proc = subprocess.run(
         cmd, cwd=side.root, env=env, capture_output=True, text=True
@@ -328,7 +331,12 @@ def format_perfbench(a: Side, b: Side, rows: List[dict]) -> str:
 
 
 def compare_perfbench(
-    side_a: Side, side_b: Side, workload: str, pairs: int, out: Optional[str]
+    side_a: Side,
+    side_b: Side,
+    workload: str,
+    pairs: int,
+    out: Optional[str],
+    seed: int = 1,
 ) -> int:
     """Interleave ``pairs`` perfbench runs per side, alternating which
     side goes first; exit 1 if any run is incorrect or fails."""
@@ -336,7 +344,7 @@ def compare_perfbench(
     runs: List[List[dict]] = [[], []]
     for pair in range(pairs):
         for index in (0, 1) if pair % 2 == 0 else (1, 0):
-            result = _run_perfbench(sides[index], workload)
+            result = _run_perfbench(sides[index], workload, seed)
             runs[index].append(result)
             print(
                 f"pair {pair + 1}/{pairs}: {sides[index].label}  "
@@ -348,7 +356,7 @@ def compare_perfbench(
     report = format_perfbench(side_a, side_b, rows)
     every = runs[0] + runs[1]
     bad = sum(not run["correct"] or run["failed"] > 0 for run in every)
-    print(f"\n{workload}, {pairs} pairs")
+    print(f"\n{workload}, seed {seed}, {pairs} pairs")
     print(report)
     print(
         f"\ncorrect: {len(every) - bad}/{len(every)} runs; failed "
@@ -357,6 +365,7 @@ def compare_perfbench(
     if out:
         payload = {
             "workload": workload,
+            "seed": seed,
             "pairs": pairs,
             "seconds": PERFBENCH_SECONDS,
             "sides": [
@@ -412,6 +421,10 @@ def main(argv=None) -> int:
         help="compare perfbench/run.py on one workload instead of the "
              "bench suite (needs --refs)",
     )
+    parser.add_argument(
+        "--seed", type=int, default=1,
+        help="--seed of every perfbench run (default 1)",
+    )
     parser.add_argument("--out", help="write the JSON report here")
     parser.add_argument(
         "-q", "--quiet", action="store_true", help="suppress per-run chatter"
@@ -440,7 +453,7 @@ def main(argv=None) -> int:
             side_b = _parse_env_side(args.envs[1])
         if args.perfbench:
             return compare_perfbench(
-                side_a, side_b, args.perfbench, args.pairs, args.out
+                side_a, side_b, args.perfbench, args.pairs, args.out, args.seed
             )
         for pair in range(args.pairs):
             for side in (side_a, side_b):

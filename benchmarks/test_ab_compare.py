@@ -1,7 +1,11 @@
 """Unit tests for the perfbench mode of the A/B tool (``ab_compare.py``)."""
 
+import json
+import subprocess
+
 import pytest
 
+import ab_compare
 from ab_compare import REPO_ROOT, Side, format_perfbench, perfbench_summary
 
 SPEC = [
@@ -74,3 +78,26 @@ def test_single_pair_is_its_own_quartiles():
     assert "A = base" in table and "B = new" in table
     assert "11 [11-11]" in table
     assert by_metric(rows)["wall_s"]["b_wins"] == 0  # a tie is no win
+
+
+def test_seed_reaches_every_run_and_the_report(monkeypatch, tmp_path):
+    commands = []
+    line = runs(
+        setup_s=[0.3], sim_txn_per_s=[900], wall_s=[1.5], peak_rss_mb=[28]
+    )[0]
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(ab_compare.subprocess, "run", fake_run)
+    out = tmp_path / "ab.json"
+    status = ab_compare.main([
+        "--perfbench", "paper-o2", "--refs", "WORKTREE", "WORKTREE",
+        "-n", "2", "--seed", "2", "--out", str(out),
+    ])
+    assert status == 0
+    assert len(commands) == 4
+    for cmd in commands:
+        assert cmd[cmd.index("--seed") + 1] == "2"
+    assert json.loads(out.read_text(encoding="utf-8"))["seed"] == 2
