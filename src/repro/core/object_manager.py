@@ -48,6 +48,8 @@ class ObjectManager:
         #: each access: :meth:`rebuild` replaces it, while an OCB insert
         #: extends the same list in place.
         self.page_ranges = page_map.page_ranges
+        # Bound here (and again on rebuild) so page_of skips two
+        # attribute hops per lookup.
         self._page_of = page_map.page_of
         # Swizzle-cascade cache: page -> pages referenced by its
         # objects.  Valid for one (page map, database graph) pair; the
