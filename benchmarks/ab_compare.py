@@ -23,11 +23,11 @@ A ref may also be the path of another checkout, used as it is.
 is one ``perfbench/run.py --workload W --seed N --seconds 1`` in the
 side's own tree (``--seed``, default 1, checks a claim on a seed it was
 not developed on), and the side that runs first alternates from pair to
-pair.  The
-report gives, for every end-to-end metric in ``BENCHMARK.json``, each
-side's median and quartiles, how many pairs side B won, the median
-ratio (above 1 when B is better) and a verdict against the metric's
-bound; every run's ``correct`` and ``failed`` are printed as it ends::
+pair.  The report gives, for every end-to-end metric in
+``BENCHMARK.json``, each side's median and quartiles, how many pairs
+side B won, the median ratio (above 1 when B is better) and a verdict
+against the metric's bound; every run's ``correct`` and ``failed`` are
+printed as it ends::
 
     python benchmarks/ab_compare.py --perfbench cluster-chaos \
         --refs HEAD~1 WORKTREE -n 10 --out ab_chaos.json
@@ -334,9 +334,9 @@ def compare_perfbench(
     side_a: Side,
     side_b: Side,
     workload: str,
+    seed: int,
     pairs: int,
     out: Optional[str],
-    seed: int = 1,
 ) -> int:
     """Interleave ``pairs`` perfbench runs per side, alternating which
     side goes first; exit 1 if any run is incorrect or fails."""
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
             side_b = _parse_env_side(args.envs[1])
         if args.perfbench:
             return compare_perfbench(
-                side_a, side_b, args.perfbench, args.pairs, args.out, args.seed
+                side_a, side_b, args.perfbench, args.seed, args.pairs, args.out
             )
         for pair in range(args.pairs):
             for side in (side_a, side_b):

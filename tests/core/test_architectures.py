@@ -189,15 +189,15 @@ class TestPageRangeTable:
     extends the installed one in place."""
 
     @staticmethod
-    def _page_server(**overrides) -> VOODBSimulation:
+    def _page_server(clustp="none", **model_kwargs) -> VOODBSimulation:
         config = VOODBConfig(
             sysclass=SystemClass.PAGE_SERVER,
             buffsize=64,
             netthru=math.inf,
+            clustp=clustp,
             ocb=SMALL_OCB,
-            **overrides.pop("config", {}),
         )
-        return VOODBSimulation(config, seed=7, **overrides)
+        return VOODBSimulation(config, seed=7, **model_kwargs)
 
     @staticmethod
     def _server_reads(monkeypatch, model, oid):
@@ -219,7 +219,7 @@ class TestPageRangeTable:
 
     def test_moved_object_is_read_from_its_new_page(self, monkeypatch):
         model = self._page_server(
-            config={"clustp": "dstc"},
+            "dstc",
             clustering_kwargs={
                 "dstc_parameters": DSTCParameters(observation_period=25)
             },
