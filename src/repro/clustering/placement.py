@@ -202,42 +202,6 @@ def optimized_sequential_placement(db: Database, usable_page_bytes: int) -> Page
     return PageMap.build(order, sizes, usable_page_bytes, group_starts)
 
 
-def clustered_placement(
-    db: Database,
-    usable_page_bytes: int,
-    clusters: Sequence[Sequence[int]],
-    previous_order: Sequence[int],
-) -> PageMap:
-    """Rebuild placement with ``clusters`` packed first, page-aligned.
-
-    Used by clustering policies at reorganization time: each cluster is
-    laid out contiguously starting on a fresh page; every object not in a
-    cluster keeps its relative order from ``previous_order``.
-    """
-    sizes = [db.size(oid) for oid in range(len(db))]
-    clustered: set[int] = set()
-    order: List[int] = []
-    group_starts: List[int] = []
-    for cluster in clusters:
-        if not cluster:
-            continue
-        group_starts.append(cluster[0])
-        for oid in cluster:
-            if oid in clustered:
-                raise ValueError(f"object {oid} appears in two clusters")
-            clustered.add(oid)
-            order.append(oid)
-    remaining = [oid for oid in previous_order if oid not in clustered]
-    if remaining:
-        group_starts.append(remaining[0])
-    order.extend(remaining)
-    if len(order) != len(db):
-        raise ValueError(
-            f"placement order covers {len(order)} of {len(db)} objects"
-        )
-    return PageMap.build(order, sizes, usable_page_bytes, group_starts)
-
-
 def relocation_placement(
     db: Database,
     usable_page_bytes: int,

@@ -150,14 +150,6 @@ class ClusteringManager:
         self.on_reorganized()
 
     # ------------------------------------------------------------------
-    def current_order(self) -> List[int]:
-        """Objects in current on-disk order (input to the next placement)."""
-        page_map = self.object_manager.page_map
-        order: List[int] = []
-        for page in range(page_map.total_pages):
-            order.extend(page_map.objects_on(page))
-        return order
-
     @property
     def installed_clusters(self) -> List[List[int]]:
         return self._installed_clusters

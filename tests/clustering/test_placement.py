@@ -5,7 +5,6 @@ import pytest
 from repro.despy import RandomStream
 from repro.clustering.placement import (
     PageMap,
-    clustered_placement,
     make_placement,
     optimized_sequential_placement,
     relocation_placement,
@@ -102,31 +101,6 @@ class TestInitialPlacements:
         dense = sequential_placement(db, 4096)
         sparse = sequential_placement(db, 2560)  # O2's 1.6 overhead
         assert sparse.total_pages > dense.total_pages
-
-
-class TestClusteredPlacement:
-    def test_clusters_first_and_aligned(self, db):
-        base = sequential_placement(db, 4096)
-        order = [
-            oid
-            for page in range(base.total_pages)
-            for oid in base.objects_on(page)
-        ]
-        clusters = [[5, 6, 7], [100, 101]]
-        page_map = clustered_placement(db, 4096, clusters, order)
-        assert page_map.page_of(5) == 0
-        assert list(page_map.objects_on(0))[:3] == [5, 6, 7]
-        assert page_map.page_of(100) > page_map.page_of(5)
-
-    def test_rejects_duplicate_cluster_membership(self, db):
-        base = sequential_placement(db, 4096)
-        order = list(range(len(db)))
-        with pytest.raises(ValueError, match="two clusters"):
-            clustered_placement(db, 4096, [[1, 2], [2, 3]], order)
-
-    def test_rejects_incomplete_order(self, db):
-        with pytest.raises(ValueError, match="covers"):
-            clustered_placement(db, 4096, [[1, 2]], [3, 4, 5])
 
 
 class TestRelocationPlacement:
