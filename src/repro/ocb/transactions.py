@@ -296,13 +296,33 @@ class TransactionGenerator:
     def hierarchy_only(
         self, count: int, ref_type: int, depth: int
     ) -> Iterator[Transaction]:
-        """The §4.4 DSTC workload: pure depth-``depth`` hierarchy traversals."""
+        """The §4.4 DSTC workload: pure depth-``depth`` hierarchy traversals.
+
+        §4.4 draws its roots from a small hot region, so a phase traces
+        the same roots many times.  At PWRITE = 0 a repeated root yields
+        the transaction drawn for it earlier in this call: its trace is a
+        pure function of the root and the object graph, and nothing in it
+        is random.  The graph cannot change while this call is drawn:
+        every user of a phase draws from ``hierarchy_only``, which never
+        inserts or deletes, a phase drains before the next one starts,
+        and churn (OCB inserts and deletes) runs in phases of its own.
+        Every root is still drawn, so the stream is consumed as without
+        the memo; at PWRITE > 0 each draw is fresh.  A memo kept beyond
+        one call would need ``db.mutations`` in its key.
+        """
+        pwrite = self.config.pwrite
+        memo: dict[int, Transaction] = {}
         for __ in range(count):
             root = self.next_root()
-            oids = HierarchyTraversal.trace(self.db, root, depth, ref_type)
             self.generated += 1
-            yield Transaction(
-                kind=HierarchyTraversal.kind,
-                root=root,
-                accesses=_with_writes(oids, self.config.pwrite, self.rng),
-            )
+            txn = memo.get(root)
+            if txn is None:
+                oids = HierarchyTraversal.trace(self.db, root, depth, ref_type)
+                txn = Transaction(
+                    kind=HierarchyTraversal.kind,
+                    root=root,
+                    accesses=_with_writes(oids, pwrite, self.rng),
+                )
+                if pwrite <= 0.0:
+                    memo[root] = txn
+            yield txn

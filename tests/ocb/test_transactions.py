@@ -13,6 +13,7 @@ from repro.ocb import (
     StochasticTraversal,
     TransactionGenerator,
 )
+from repro.ocb.transactions import _with_writes
 
 
 def build(config: OCBConfig, seed: int = 1) -> Database:
@@ -172,6 +173,29 @@ class TestTransactionGenerator:
         txns = list(gen.hierarchy_only(100, ref_type=0, depth=3))
         assert len(txns) == 100
         assert all(t.kind == "hierarchy" for t in txns)
+        # A hot root region repeats roots, so a phase reuses its draws;
+        # the reference draws every transaction afresh.
+        for pwrite in (0.0, 0.3):
+            config = db.config.with_changes(pwrite=pwrite, root_region=20)
+            shared = TransactionGenerator(db, config, RandomStream(6, "wl"))
+            drawn = list(shared.hierarchy_only(100, ref_type=0, depth=3))
+            reference = TransactionGenerator(db, config, RandomStream(6, "wl"))
+            expected = []
+            for __ in range(100):
+                root = reference.next_root()
+                oids = HierarchyTraversal.trace(db, root, 3, 0)
+                accesses = _with_writes(oids, pwrite, reference.rng)
+                expected.append(("hierarchy", root, accesses))
+            assert [(t.kind, t.root, t.accesses) for t in drawn] == expected
+            assert shared.generated == len(expected)
+            assert shared.next_root() == reference.next_root()
+            assert shared.rng.random() == reference.rng.random()
+            first_draw = {}
+            for txn in drawn:
+                first_draw.setdefault(txn.root, txn)
+            assert len(first_draw) < len(drawn)
+            if pwrite == 0.0:
+                assert all(txn is first_draw[txn.root] for txn in drawn)
 
     def test_generated_counter(self, db):
         gen = TransactionGenerator(db, db.config, RandomStream(7, "wl"))
