@@ -23,25 +23,27 @@ from repro.ocb.database import Database
 
 
 class PageMap:
-    """An immutable assignment of every object to its page(s)."""
+    """Every object's page span, and every page's objects.
+
+    Two lists: ``_ranges[oid]`` is the object's page span and
+    ``_page_objects[page]`` the objects living on the page (an object
+    spanning several pages is listed on its first page only).  The map
+    is fixed once built, except that :meth:`append_object` extends both
+    lists in place for OCB inserts; a reorganization builds a new map
+    (:func:`relocation_placement`) instead of changing this one.
+    """
 
     def __init__(
         self,
-        first_page: List[int],
-        span: List[int],
+        ranges: List[range],
         page_objects: List[List[int]],
     ) -> None:
-        self._first_page = first_page
-        self._span = span
-        self._page_objects = page_objects
         #: per-oid page ranges, materialized once — ``pages_of`` is the
         #: single hottest lookup in the model (one call per object
         #: access), and rebuilding the range object each time costs more
         #: than this map's whole construction
-        self._ranges: List[range] = [
-            range(first, first + width)
-            for first, width in zip(first_page, span)
-        ]
+        self._ranges = ranges
+        self._page_objects = page_objects
         #: (page, used bytes) of the current insert-append page, if any
         self._append_cursor: tuple[int, int] | None = None
 
@@ -60,9 +62,7 @@ class PageMap:
         start on a fresh page (cluster starts, class-extent starts) so
         groups never straddle a shared page boundary.
         """
-        total = len(sizes)
-        first_page = [0] * total
-        span = [1] * total
+        ranges = [range(0, 1)] * len(sizes)
         page_objects: List[List[int]] = []
         aligned = set(page_aligned_groups or ())
         current: List[int] = []
@@ -83,21 +83,21 @@ class PageMap:
                 if current:
                     close_page()
                 pages_needed = -(-size // usable_page_bytes)
-                first_page[oid] = len(page_objects)
-                span[oid] = pages_needed
+                first = len(page_objects)
+                ranges[oid] = range(first, first + pages_needed)
                 page_objects.append([oid])
                 for __ in range(pages_needed - 1):
                     page_objects.append([])
                 continue
             if used + size > usable_page_bytes:
                 close_page()
-            first_page[oid] = len(page_objects)
-            span[oid] = 1
+            page = len(page_objects)
+            ranges[oid] = range(page, page + 1)
             current.append(oid)
             used += size
         if current:
             close_page()
-        return cls(first_page, span, page_objects)
+        return cls(ranges, page_objects)
 
     def append_object(self, oid: int, size: int, usable_page_bytes: int) -> int:
         """Place a newly created object (OCB insert) at the extent's end.
@@ -107,9 +107,9 @@ class PageMap:
         first page of the new object.  ``oid`` must be the next unmapped
         OID (inserts allocate OIDs densely).
         """
-        if oid != len(self._first_page):
+        if oid != len(self._ranges):
             raise ValueError(
-                f"append_object expects oid {len(self._first_page)}, got {oid}"
+                f"append_object expects oid {len(self._ranges)}, got {oid}"
             )
         if size > usable_page_bytes:
             pages_needed = -(-size // usable_page_bytes)
@@ -117,8 +117,6 @@ class PageMap:
             self._page_objects.append([oid])
             for __ in range(pages_needed - 1):
                 self._page_objects.append([])
-            self._first_page.append(first)
-            self._span.append(pages_needed)
             self._ranges.append(range(first, first + pages_needed))
             self._append_cursor = None
             return first
@@ -131,8 +129,6 @@ class PageMap:
         page, used = self._append_cursor
         self._page_objects[page].append(oid)
         self._append_cursor = (page, used + size)
-        self._first_page.append(page)
-        self._span.append(1)
         self._ranges.append(range(page, page + 1))
         return page
 
@@ -141,7 +137,7 @@ class PageMap:
     # ------------------------------------------------------------------
     def page_of(self, oid: int) -> int:
         """First page of the object (its only page for small objects)."""
-        return self._first_page[oid]
+        return self._ranges[oid].start
 
     def pages_of(self, oid: int) -> range:
         """Every page the object occupies."""
@@ -164,7 +160,7 @@ class PageMap:
         return len(self._page_objects)
 
     def __len__(self) -> int:
-        return len(self._first_page)
+        return len(self._ranges)
 
     def occupancy(self) -> float:
         """Mean objects per non-empty page."""
@@ -218,6 +214,13 @@ def relocation_placement(
     of moved objects (stale images) and the fresh cluster pages are
     affected.  Freed hole space is not reclaimed, matching the
     storage-growth behaviour of relocation-based reorganizers.
+
+    The new map starts as shallow copies of ``current``'s range and page
+    lists.  Only the pages the moved objects leave get new, re-filtered
+    object lists, and only the moved objects get new ranges; every other
+    page's list is shared with ``current`` and never mutated, so
+    ``current`` (for static workloads, the cached initial placement every
+    replication starts from) stays as it was.
     """
     moved: set[int] = set()
     for cluster in clusters:
@@ -226,12 +229,10 @@ def relocation_placement(
                 raise ValueError(f"object {oid} appears in two clusters")
             moved.add(oid)
 
-    first_page = [current.page_of(oid) for oid in range(len(db))]
-    span = [len(current.pages_of(oid)) for oid in range(len(db))]
-    page_objects: List[List[int]] = [
-        [oid for oid in current.objects_on(page) if oid not in moved]
-        for page in range(current.total_pages)
-    ]
+    ranges = current._ranges.copy()
+    page_objects = current._page_objects.copy()
+    for page in {page for oid in moved for page in ranges[oid]}:
+        page_objects[page] = [oid for oid in page_objects[page] if oid not in moved]
 
     current_page: List[int] = []
     used = 0
@@ -250,21 +251,20 @@ def relocation_placement(
             if size > usable_page_bytes:
                 close_page()
                 pages_needed = -(-size // usable_page_bytes)
-                first_page[oid] = len(page_objects)
-                span[oid] = pages_needed
+                first = len(page_objects)
+                ranges[oid] = range(first, first + pages_needed)
                 page_objects.append([oid])
                 for __ in range(pages_needed - 1):
                     page_objects.append([])
                 continue
             if used + size > usable_page_bytes:
                 close_page()
-                current_page = []
-            first_page[oid] = len(page_objects)
-            span[oid] = 1
+            page = len(page_objects)
+            ranges[oid] = range(page, page + 1)
             current_page.append(oid)
             used += size
     close_page()
-    return PageMap(first_page, span, page_objects)
+    return PageMap(ranges, page_objects)
 
 
 #: Table 3 INITPL registry.

@@ -61,6 +61,16 @@ def test_placements_are_bijections(nc, no, seed, usable):
         assert seen == list(range(no))
 
 
+def map_contents(page_map):
+    """Everything a page map answers, copied out of its lists."""
+    return (
+        len(page_map),
+        page_map.total_pages,
+        [list(page_map.objects_on(page)) for page in range(page_map.total_pages)],
+        [page_map.pages_of(oid) for oid in range(len(page_map))],
+    )
+
+
 @given(
     no=st.integers(min_value=20, max_value=150),
     seed=st.integers(min_value=0, max_value=5),
@@ -70,6 +80,7 @@ def test_placements_are_bijections(nc, no, seed, usable):
 def test_relocation_preserves_partition_and_unmoved_pages(no, seed, cluster_seed):
     db = build_db(4, no, seed)
     base = optimized_sequential_placement(db, 4096)
+    base_contents = map_contents(base)
     rng = RandomStream(cluster_seed, "clusters")
     members = rng.sample(range(no), min(10, no))
     clusters = [members[:5], members[5:]] if len(members) > 5 else [members]
@@ -85,8 +96,17 @@ def test_relocation_preserves_partition_and_unmoved_pages(no, seed, cluster_seed
     for oid in range(no):
         if oid not in moved:
             assert new_map.page_of(oid) == base.page_of(oid)
+            assert new_map.pages_of(oid) == base.pages_of(oid)
         else:
             assert new_map.page_of(oid) >= base.total_pages
+    # The new map shares the untouched pages' object lists with its
+    # source (for static workloads, the cached initial placement every
+    # replication starts from): neither the relocation nor an insert
+    # into the new map may write through to it.
+    assert map_contents(base) == base_contents
+    new_map.append_object(no, 100, 4096)
+    new_map.append_object(no + 1, 9000, 4096)
+    assert map_contents(base) == base_contents
 
 
 @given(
