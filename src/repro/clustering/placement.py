@@ -27,10 +27,11 @@ class PageMap:
 
     Two lists: ``_ranges[oid]`` is the object's page span and
     ``_page_objects[page]`` the objects living on the page (an object
-    spanning several pages is listed on its first page only).  The map
-    is fixed once built, except that :meth:`append_object` extends both
-    lists in place for OCB inserts; a reorganization builds a new map
-    (:func:`relocation_placement`) instead of changing this one.
+    spanning several pages is listed on its first page only).  Only
+    :meth:`append_object` changes a built map: it extends both lists and
+    fills the append page it opened itself.  A reorganization builds a
+    new map (:func:`relocation_placement`) that shares the untouched
+    page lists, so no other page list may ever be mutated.
     """
 
     def __init__(
@@ -215,12 +216,11 @@ def relocation_placement(
     affected.  Freed hole space is not reclaimed, matching the
     storage-growth behaviour of relocation-based reorganizers.
 
-    The new map starts as shallow copies of ``current``'s range and page
-    lists.  Only the pages the moved objects leave get new, re-filtered
-    object lists, and only the moved objects get new ranges; every other
-    page's list is shared with ``current`` and never mutated, so
-    ``current`` (for static workloads, the cached initial placement every
-    replication starts from) stays as it was.
+    The new map copies ``current``'s two lists, re-filters only the
+    pages the moved objects leave and writes ranges only for the moved
+    objects.  Every other page list is shared with ``current``, which
+    is never mutated: for static workloads it is the cached initial
+    placement every replication starts from.
     """
     moved: set[int] = set()
     for cluster in clusters:

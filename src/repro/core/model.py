@@ -106,9 +106,10 @@ def clear_database_cache() -> None:
 #: cache).  An initial placement is a pure function of the (unmutated)
 #: cached base and those two knobs, and replications never write to it
 #: on static workloads (dynamic workloads clone the base and take the
-#: uncached path; clustering installs a *new* map, leaving the shared
-#: one untouched) — so sweeps skip rebuilding the page map, and the VM
-#: model's pointer-swizzle cascades, per replication.
+#: uncached path; clustering installs a *new* map that shares the cached
+#: map's untouched page lists but never writes to them) — so sweeps skip
+#: rebuilding the page map, and the VM model's pointer-swizzle cascades,
+#: per replication.
 _PLACEMENT_CACHE: Dict[tuple, tuple] = {}
 
 

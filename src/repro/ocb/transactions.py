@@ -298,17 +298,15 @@ class TransactionGenerator:
     ) -> Iterator[Transaction]:
         """The §4.4 DSTC workload: pure depth-``depth`` hierarchy traversals.
 
-        §4.4 draws its roots from a small hot region, so a phase traces
-        the same roots many times.  At PWRITE = 0 a repeated root yields
-        the transaction drawn for it earlier in this call: its trace is a
-        pure function of the root and the object graph, and nothing in it
-        is random.  The graph cannot change while this call is drawn:
-        every user of a phase draws from ``hierarchy_only``, which never
-        inserts or deletes, a phase drains before the next one starts,
-        and churn (OCB inserts and deletes) runs in phases of its own.
-        Every root is still drawn, so the stream is consumed as without
-        the memo; at PWRITE > 0 each draw is fresh.  A memo kept beyond
-        one call would need ``db.mutations`` in its key.
+        At PWRITE = 0 a repeated root (§4.4's roots come from a small hot
+        region) yields the transaction drawn for it earlier in this call:
+        the trace is a pure function of the root and the object graph,
+        and the graph cannot change during the call, since every user of
+        a phase draws from here, a phase drains before the next one
+        starts and churn (OCB inserts and deletes) runs in phases of its
+        own.  Every root is still drawn, so the stream is consumed as
+        before.  A memo kept beyond one call would need ``db.mutations``
+        in its key.
         """
         pwrite = self.config.pwrite
         memo: dict[int, Transaction] = {}
