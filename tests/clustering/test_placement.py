@@ -25,6 +25,15 @@ def db():
 
 
 class TestPageMapBuild:
+    def test_reads_its_two_lists(self):
+        # Object 1 spans pages 1-2 and is listed on its first page only.
+        page_map = PageMap([range(0, 1), range(1, 3), range(0, 1)], [[0, 2], [1], []])
+        assert len(page_map) == 3
+        assert page_map.total_pages == 3
+        assert [page_map.page_of(oid) for oid in range(3)] == [0, 1, 0]
+        assert page_map.pages_of(1) == range(1, 3)
+        assert [list(page_map.objects_on(p)) for p in range(3)] == [[0, 2], [1], []]
+
     def test_every_object_mapped_once(self):
         page_map = PageMap.build([2, 0, 1], [100, 200, 300], 1000)
         seen = []
@@ -135,6 +144,38 @@ class TestRelocationPlacement:
         after = list(new_map.objects_on(victim_page))
         assert 10 not in after
         assert set(after) <= set(before)
+
+    def test_moved_large_object_spans_fresh_pages(self, db):
+        usable = 200  # smaller than the largest objects (250 bytes)
+        base = optimized_sequential_placement(db, usable)
+        big = next(oid for oid in range(len(db)) if len(base.pages_of(oid)) > 1)
+        small = next(oid for oid in range(len(db)) if db.size(oid) <= usable)
+        new_map = relocation_placement(db, usable, [[big, small]], base)
+        span = new_map.pages_of(big)
+        fresh = base.total_pages
+        assert span == range(fresh, fresh + len(base.pages_of(big)))
+        assert new_map.page_of(big) == span.start
+        assert list(new_map.objects_on(span.start)) == [big]
+        assert big not in new_map.objects_on(base.page_of(big))
+        assert new_map.page_of(small) == span.stop
+
+    def test_relocating_a_relocated_map(self, db):
+        # DSTC reorganizes repeatedly: a later relocation starts from an
+        # earlier one's map and may move objects off its fresh pages.
+        def contents(page_map):
+            return [list(page_map.objects_on(p)) for p in range(page_map.total_pages)]
+
+        base = optimized_sequential_placement(db, 4096)
+        first = relocation_placement(db, 4096, [[10, 11, 12]], base)
+        before = contents(first)
+        second = relocation_placement(db, 4096, [[11, 40]], first)
+        assert contents(first) == before
+        assert second.page_of(11) >= first.total_pages
+        assert 11 not in second.objects_on(first.page_of(11))
+        for oid in (10, 12):
+            assert second.page_of(oid) == first.page_of(oid)
+        seen = sorted(oid for page in contents(second) for oid in page)
+        assert seen == list(range(len(db)))
 
     def test_rejects_duplicates(self, db):
         base = sequential_placement(db, 4096)

@@ -197,6 +197,24 @@ class TestTransactionGenerator:
             if pwrite == 0.0:
                 assert all(txn is first_draw[txn.root] for txn in drawn)
 
+    def test_hierarchy_only_shares_draws_within_one_call_only(self, db):
+        # Churn between two hierarchy phases changes the graph; the next
+        # phase traces the new graph instead of reusing the last one's draws.
+        graph = db.clone()
+        config = db.config.with_changes(root_region=20)
+        gen = TransactionGenerator(graph, config, RandomStream(6, "wl"))
+        before = {t.root: t for t in gen.hierarchy_only(100, ref_type=0, depth=3)}
+        root, victim = next(
+            (t.root, t.objects[-1]) for t in before.values() if len(t.objects) > 1
+        )
+        graph.delete_object(victim)
+        after = list(gen.hierarchy_only(100, ref_type=0, depth=3))
+        assert root in {t.root for t in after}
+        for txn in after:
+            assert txn is not before.get(txn.root)
+            assert list(txn.objects) == HierarchyTraversal.trace(graph, txn.root, 3, 0)
+            assert victim not in txn.objects
+
     def test_generated_counter(self, db):
         gen = TransactionGenerator(db, db.config, RandomStream(7, "wl"))
         list(gen.transactions(13))
