@@ -1,4 +1,4 @@
-"""Model-equivalence digests: 32 pinned configs, one hex digest each.
+"""Model-equivalence digests: 34 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -23,9 +23,11 @@ per-node failures, object-server forwarding), the single-server
 miss paths behind client caches and prefetching, both cluster system
 classes behind a client cache on free and throttled networks, and
 anti-entropy sweeps that yield on a throttled interconnect while
-partitions or crashes move versions underneath them, and automatic
+partitions or crashes move versions underneath them, automatic
 DSTC reorganizations that rebuild the page map while other users'
-transactions are in flight.
+transactions are in flight, and the rarest fault-layer paths: the
+coordinator fetch's retry ladder and abandoned wait, the applier's
+negative ack, and a throttled sync fan-out skipping a crashed replica.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 32 pinned (name -> config) equivalence points."""
+    """The 34 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
@@ -101,6 +103,13 @@ def pinned_configs() -> dict:
         ),
     )
     retry = RetryConfig(timeout_ms=15.0, max_retries=2, backoff_base_ms=5.0)
+    partitions = FaultConfig(
+        partition_mtbf_ms=1500.0,
+        partition_heal_ms=400.0,
+        partition_groups=((0,), (1, 2)),
+        election_delay_ms=25.0,
+        repair_interval_ms=100.0,
+    )
 
     return {
         "default": base,
@@ -169,19 +178,28 @@ def pinned_configs() -> dict:
         "cluster-object-cache-free-net": cluster_objects.with_changes(netthru=math.inf),
         "cluster-object-cache-1mbps": cluster_objects,
         "cluster-partition-repair": repaired.with_changes(
-            faults=FaultConfig(
-                partition_mtbf_ms=1500.0,
-                partition_heal_ms=400.0,
-                partition_groups=((0,), (1, 2)),
-                election_delay_ms=25.0,
-                repair_interval_ms=100.0,
-            ),
-            retry=retry,
+            faults=partitions, retry=retry
         ),
         "cluster-crash-repair": repaired.with_changes(
             failures=FailureConfig(crash_mtbf_ms=2000.0, recovery_time_ms=300.0),
             faults=FaultConfig(election_delay_ms=25.0, repair_interval_ms=250.0),
             retry=retry,
+        ),
+        # The only point whose coordinator fetches cross a partition:
+        # their retry ladder, the abandoned fetch's wait for the heal,
+        # and the applier's negative ack to a W=2 writer.
+        "cluster-object-partitions-w2": repaired.with_changes(
+            sysclass=SystemClass.OBJECT_SERVER,
+            cluster=cluster(25.0),
+            replication=ReplicationConfig(
+                mode="async", write_quorum=2, apply_delay_ms=2.0
+            ),
+            faults=partitions,
+            retry=retry,
+        ),
+        # A throttled sync fan-out that skips a crashed replica.
+        "cluster-sync-r2-failures-25mbps": shared.with_changes(
+            cluster=cluster(25.0), failures=node_failures
         ),
     }
 
@@ -209,13 +227,13 @@ def run_digests(seed: int = 1) -> dict:
         digests[name] = digest_config(
             config, seed=seed, clustering_kwargs=CLUSTERING_KWARGS.get(name)
         )
-        print(f"{name:>29}  {digests[name]}")
+        print(f"{name:>31}  {digests[name]}")
     return digests
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 32 pinned model-equivalence configs."
+        description="Hex-digest the 34 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")
