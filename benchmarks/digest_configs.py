@@ -1,4 +1,4 @@
-"""Model-equivalence digests: 34 pinned configs, one hex digest each.
+"""Model-equivalence digests: 35 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -27,7 +27,8 @@ partitions or crashes move versions underneath them, automatic
 DSTC reorganizations that rebuild the page map while other users'
 transactions are in flight, and the rarest fault-layer paths: the
 coordinator fetch's retry ladder and abandoned wait, the applier's
-negative ack, and a throttled sync fan-out skipping a crashed replica.
+negative ack, a throttled sync fan-out skipping a crashed replica, and
+the monotonic-reads floor and its primary fallback.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 34 pinned (name -> config) equivalence points."""
+    """The 35 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
@@ -201,6 +202,14 @@ def pinned_configs() -> dict:
         "cluster-sync-r2-failures-25mbps": shared.with_changes(
             cluster=cluster(25.0), failures=node_failures
         ),
+        # Reads that meet the monotonic floor and fall back to the
+        # primary while replicas lag and crash.
+        "cluster-monotonic-reads-crashes": repaired.with_changes(
+            replication=ReplicationConfig(
+                mode="async", apply_delay_ms=20.0, monotonic_reads=True
+            ),
+            failures=FailureConfig(crash_mtbf_ms=1000.0, recovery_time_ms=300.0),
+        ),
     }
 
 
@@ -233,7 +242,7 @@ def run_digests(seed: int = 1) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 34 pinned model-equivalence configs."
+        description="Hex-digest the 35 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")

@@ -15,6 +15,7 @@ driving full replications, not a toy model.
 """
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,24 @@ class TestQuorumIntersection:
         assert NON_INTERSECTING, "3-server space has non-intersecting pairs"
         model = run_model(async_config(3, 1, 1, apply_delay_ms=5.0), seed=2)
         assert model.cluster.stale_reads > 0
+
+    @given(
+        triple=st.sampled_from(NON_INTERSECTING),
+        seed=st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_read_your_writes_closes_the_window(self, triple, seed):
+        """A read the routed replica cannot serve at the page's latest
+        write falls back to the primary, so the window the test above
+        observes stays shut even when R + W <= N."""
+        n, r, w = triple
+        config = async_config(n, r, w, apply_delay_ms=5.0)
+        config = config.with_changes(
+            replication=replace(config.replication, read_your_writes=True)
+        )
+        model = run_model(config, seed)
+        assert model.cluster.replica_applies > 0, "async applies must happen"
+        assert model.cluster.stale_reads == 0
 
 
 class TestMonotoneAcks:
