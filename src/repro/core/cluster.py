@@ -110,6 +110,14 @@ fault kinds and the recovery machinery on top:
   versions with reachable peers and back-fills stale copies over the
   interconnect, and quorum reads **read-repair** divergent replicas
   they observe.
+
+Each fault-layer rule is written once: a hazard draw is a
+:class:`~repro.core.failures.HazardClock` probe (the cluster's
+partition clock, each node's gray clock); whether a peer answers is
+:meth:`Cluster._next_responsive`; a shipped page image enters a
+replica's buffer only through :meth:`Cluster._install` and its version
+only through :meth:`Cluster._apply`; and the timed remainder of a page
+service is :meth:`Cluster._timed_tail`.
 """
 
 from __future__ import annotations
@@ -123,7 +131,12 @@ from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
 from repro.despy.timebase import ms_to_ticks
 from repro.core.buffering import BufferManager
-from repro.core.failures import FailureInjector, NoFailures, RetryPolicy
+from repro.core.failures import (
+    FailureInjector,
+    HazardClock,
+    NoFailures,
+    RetryPolicy,
+)
 from repro.core.io_subsystem import IOSubsystem
 from repro.core.locks import LockManager
 from repro.core.network import Network
@@ -251,10 +264,8 @@ class ClusterNode:
         # --- fault-layer state (FaultConfig); inert unless wired on.
         #: tick until which this node is gray (degraded mode; 0 = crisp).
         self.gray_until = 0
-        #: thinning marker of this node's gray-hazard exposure.
-        self.gray_last = 0
-        #: this node's gray-hazard stream (``gray-{i}`` when enabled).
-        self.gray_stream = None
+        #: this node's gray-episode hazard (``gray-{i}`` stream when on).
+        self.gray = HazardClock(0, None)
         #: this node's retry-jitter stream (``retry-{i}`` when enabled).
         self.retry_stream = None
 
@@ -474,16 +485,16 @@ class Cluster:
         # no elected primaries, no repair cadence.
         fault = config.faults
         self.retry_policy = RetryPolicy(config.retry)
-        self._partition_mtbf = ms_to_ticks(fault.partition_mtbf_ms)
+        self._partitions = HazardClock(
+            ms_to_ticks(fault.partition_mtbf_ms),
+            sim.stream("partitions") if self.faults_on else None,
+        )
         self._partition_heal = ms_to_ticks(fault.partition_heal_ms)
-        self._gray_mtbf = ms_to_ticks(fault.gray_mtbf_ms)
         self._gray_heal = ms_to_ticks(fault.gray_heal_ms)
         #: the extra share of each disk operation a gray node pays.
         self._gray_scale = fault.gray_slowdown - 1.0
         self._election_delay = ms_to_ticks(fault.election_delay_ms)
         self._repair_interval = ms_to_ticks(fault.repair_interval_ms)
-        self._partition_stream = None
-        self._partition_last = 0
         #: tick until which the current partition holds (0 = whole).
         self._partition_until = 0
         self._group_of = self._resolve_group_of(fault, topology.servers)
@@ -508,9 +519,9 @@ class Cluster:
             and int(base_ship * fault.gray_slowdown) >= self.retry_policy.timeout
         )
         if self.faults_on:
-            self._partition_stream = sim.stream("partitions")
+            gray_mtbf = ms_to_ticks(fault.gray_mtbf_ms)
             for node in self.nodes:
-                node.gray_stream = sim.stream(f"gray-{node.index}")
+                node.gray = HazardClock(gray_mtbf, sim.stream(f"gray-{node.index}"))
                 node.retry_stream = sim.stream(f"retry-{node.index}")
         if config.failures.enabled:
             for node in self.nodes:
@@ -601,23 +612,15 @@ class Cluster:
             return True
         return self._group_of.get(src) == self._group_of.get(dst)
 
-    def _responsive_at(self, src: int, dst: int, when: int) -> bool:
-        """Would ``dst`` answer ``src`` within one timeout at ``when``?
-
-        A peer is unresponsive while crashed, partitioned away, or (when
-        its slowed ship time exceeds the timeout) gray.
-        """
-        node = self.nodes[dst]
-        if node.down_until > when or self.nodes[src].down_until > when:
-            return False
-        if not self._reachable_at(src, dst, when):
-            return False
-        if self._gray_timeout_prone and node.gray_until > when:
-            return False
-        return True
-
     def _next_responsive(self, src: int, dst: int, when: int) -> int:
-        """Earliest tick >= ``when`` at which ``dst`` answers ``src``."""
+        """Earliest tick >= ``when`` at which ``dst`` answers ``src``.
+
+        The one outage rule: a peer does not answer within one timeout
+        while either end is crashed, while a partition cuts their link,
+        or (when its slowed ship time exceeds the timeout) while it is
+        gray.  It answers at ``when`` exactly when the result is
+        ``when``.
+        """
         node = self.nodes[dst]
         resume = when
         if node.down_until > resume:
@@ -635,26 +638,18 @@ class Cluster:
     def _fault_probe(self) -> None:
         """Advance the global fault state at one observation instant.
 
-        Same thinning-on-observation discipline as the hazard injector:
-        partitions are drawn from elapsed exposure on the dedicated
-        ``partitions`` stream (outage time is not exposure — the marker
-        jumps past the heal), and the anti-entropy cadence fires a
-        repair sweep when its interval has elapsed.  No standing timer
-        events, so workload phases still drain naturally.
+        Partitions are drawn on the cluster's :class:`HazardClock`
+        (outage time is not exposure — the clock skips past the heal),
+        and the anti-entropy cadence fires a repair sweep when its
+        interval has elapsed.  No standing timer events, so workload
+        phases still drain naturally.
         """
         now = self.sim.now
-        if self._partition_mtbf and now > self._partition_until:
-            last = self._partition_last
-            if now > last:
-                self._partition_last = now
-            elapsed = now - last
-            if elapsed > 0:
-                probability = 1.0 - math.exp(-elapsed / self._partition_mtbf)
-                if self._partition_stream.bernoulli(probability):
-                    self.partitions += 1
-                    self._partition_until = now + self._partition_heal
-                    self.partition_ticks += self._partition_heal
-                    self._partition_last = self._partition_until
+        if self._partitions.fires(now):
+            self.partitions += 1
+            self._partition_until = now + self._partition_heal
+            self.partition_ticks += self._partition_heal
+            self._partitions.skip_to(self._partition_until)
         if (
             self._repair_interval
             and now - self._repair_last >= self._repair_interval
@@ -663,23 +658,12 @@ class Cluster:
             self.sim.process(self._repair_sweep(), name="anti-entropy")
 
     def _gray_probe(self, node: ClusterNode) -> None:
-        """Per-node gray-hazard probe (thinning on its own stream)."""
-        if not self._gray_mtbf:
-            return
+        """Per-node gray-hazard probe; exposure resumes at the heal."""
         now = self.sim.now
-        if now <= node.gray_until:
-            return  # already degraded; exposure resumes at the heal
-        last = node.gray_last
-        if now > last:
-            node.gray_last = now
-        elapsed = now - last
-        if elapsed <= 0:
-            return
-        probability = 1.0 - math.exp(-elapsed / self._gray_mtbf)
-        if node.gray_stream.bernoulli(probability):
+        if node.gray.fires(now):
             self.gray_episodes += 1
             node.gray_until = now + self._gray_heal
-            node.gray_last = node.gray_until
+            node.gray.skip_to(node.gray_until)
 
     def _retry_outcome(self, src: int, dst: int, rng, start: int):
         """Project the timeout/retry/backoff ladder for src -> dst.
@@ -691,12 +675,10 @@ class Cluster:
         to be, and the whole ladder is a pure function of the seed
         (jitter comes from the initiating node's retry stream).
         """
-        if self._responsive_at(src, dst, start):
-            return True, 0
         policy = self.retry_policy
         penalty = 0
         attempt = 0
-        while True:
+        while self._next_responsive(src, dst, start + penalty) > start + penalty:
             penalty += policy.timeout
             self.remote_timeouts += 1
             if attempt >= policy.max_retries:
@@ -704,8 +686,7 @@ class Cluster:
             penalty += policy.backoff_ticks(attempt, rng)
             self.remote_retries += 1
             attempt += 1
-            if self._responsive_at(src, dst, start + penalty):
-                return True, penalty
+        return True, penalty
 
     # -- Primary re-election -------------------------------------------
     def _leader_impaired(
@@ -962,9 +943,9 @@ class Cluster:
                 yield from step
             if version > node.applied.get(page, 0):
                 self._apply(node, page, version)
-                outcome = node.memory.access(page, True)
-                if not outcome.hit and outcome.writeback_pages:
-                    yield from node.io.write_back(outcome.writeback_pages)
+                write_back = self._install(node, page)
+                if write_back is not None:
+                    yield from write_back
 
     def _resume(self, resume: int, page: int, write: bool, home):
         """Wait until tick ``resume``, then serve the access afresh."""
@@ -1059,9 +1040,9 @@ class Cluster:
                 continue
             self.replica_writes += 1
             self.interconnect.transfer_nowait(self._page_bytes)
-            outcome = peer.memory.access(page, True)
-            if not outcome.hit and outcome.writeback_pages:
-                steps.append(peer.io.write_back(outcome.writeback_pages))
+            write_back = self._install(peer, page)
+            if write_back is not None:
+                steps.append(write_back)
         return _join(steps)
 
     def _timed_propagate(self, step, page: int, followers: Tuple[int, ...]):
@@ -1074,9 +1055,9 @@ class Cluster:
                 continue
             self.replica_writes += 1
             yield from interconnect.transfer_nowait(self._page_bytes)
-            outcome = peer.memory.access(page, True)
-            if not outcome.hit and outcome.writeback_pages:
-                yield from peer.io.write_back(outcome.writeback_pages)
+            write_back = self._install(peer, page)
+            if write_back is not None:
+                yield from write_back
 
     def _assemble(
         self,
@@ -1095,17 +1076,14 @@ class Cluster:
         scale = self._gray_scale if degraded else 0.0
         interconnect = self.interconnect
         if interconnect.infinite:
+            # Free messages cross at call time: the tail only holds.
             if forwarded:
                 interconnect.transfer_nowait(self._message_bytes)
                 interconnect.transfer_nowait(self._page_bytes)
             for _ in range(probes):
                 interconnect.transfer_nowait(self._message_bytes)
-            outcome = node.memory.access(page, write)
-            miss = None if outcome.hit else node.io.serve_miss(outcome, scale)
-            if delay == 0:
-                return miss
-            return self._hold_then(delay, miss)
-        if forwarded:
+            probes = 0
+        elif forwarded:
             # The owner touches its buffer once the request has crossed.
             return self._timed_tail(delay, probes, None, (node, page, write, scale))
         outcome = node.memory.access(page, write)
@@ -1114,14 +1092,9 @@ class Cluster:
             return miss
         return self._timed_tail(delay, probes, miss, None)
 
-    @staticmethod
-    def _hold_then(delay: int, miss):
-        yield Hold(delay)
-        if miss is not None:
-            yield from miss
-
     def _timed_tail(self, delay: int, probes: int, miss, forwarded):
-        """The throttled-interconnect remainder of one page service.
+        """The timed remainder of one page service: ``delay`` ticks, then
+        the ``probes`` messages and the miss.
 
         ``forwarded`` is ``None``, or the ``(node, page, write, scale)``
         buffer access of a forwarded request, made once its request
@@ -1166,6 +1139,7 @@ class Cluster:
                 yield WaitFor(gate)
                 continue
             page, version, enqueued, ack = queue.popleft()
+            ok = True
             if self.faults_on:
                 # The ship honours the retry contract against the
                 # page's current primary: an abandoned ship negative-
@@ -1181,33 +1155,41 @@ class Cluster:
                 )
                 if cost:
                     yield Hold(cost)
-                if not ok:
-                    if ack is not None:
-                        ack[0] -= 1
-                        if ack[0] <= 0:
-                            ack[1].open()
-                    continue
-                if node.gray_until > sim.now and self._gray_ship_extra:
+                if ok and node.gray_until > sim.now and self._gray_ship_extra:
                     yield Hold(self._gray_ship_extra)
-            step = interconnect.transfer_nowait(self._page_bytes)
-            if step is not None:
-                yield from step
-            if delay:
-                yield Hold(delay)
-            down = node.down_until - sim.now
-            if down > 0:
-                yield Hold(down)
-            if version > applied.get(page, 0):
-                self._apply(node, page, version)
-                outcome = node.memory.access(page, True)
-                if not outcome.hit and outcome.writeback_pages:
-                    yield from node.io.write_back(outcome.writeback_pages)
-            self.replica_applies += 1
-            self.replica_lag_ticks += sim.now - enqueued
+            if ok:
+                step = interconnect.transfer_nowait(self._page_bytes)
+                if step is not None:
+                    yield from step
+                if delay:
+                    yield Hold(delay)
+                down = node.down_until - sim.now
+                if down > 0:
+                    yield Hold(down)
+                if version > applied.get(page, 0):
+                    self._apply(node, page, version)
+                    write_back = self._install(node, page)
+                    if write_back is not None:
+                        yield from write_back
+                self.replica_applies += 1
+                self.replica_lag_ticks += sim.now - enqueued
             if ack is not None:
                 ack[0] -= 1
                 if ack[0] <= 0:
                     ack[1].open()
+
+    def _install(self, node: ClusterNode, page: int):
+        """Install a shipped image of ``page`` in ``node``'s buffer.
+
+        The one replica install: read-repair, both sync fan-outs, the
+        applier and the repair sweep touch the buffer with a write (no
+        disk read) here.  Returns the evicted victim's write-back step,
+        or ``None``.
+        """
+        outcome = node.memory.access(page, True)
+        if not outcome.hit and outcome.writeback_pages:
+            return node.io.write_back(outcome.writeback_pages)
+        return None
 
     # -- Anti-entropy repair -------------------------------------------
     def _apply(self, node: ClusterNode, page: int, version: int) -> None:
@@ -1296,9 +1278,9 @@ class Cluster:
                     yield from step
                 if node.applied.get(page, 0) <= best:
                     self._apply(node, page, best)
-                    outcome = node.memory.access(page, True)
-                    if not outcome.hit and outcome.writeback_pages:
-                        step = node.io.write_back(outcome.writeback_pages)
+                    write_back = self._install(node, page)
+                    if write_back is not None:
+                        step = write_back
                         yield from step
                     self.repair_pages += 1
                 if step is not None:

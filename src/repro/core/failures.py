@@ -22,30 +22,31 @@ transient faults are probed per disk operation
 (:meth:`FailureInjector.crash_check` — a warm-cache system that never
 touches the disk still crashes).  Faults falling in an unobserved
 window are folded into the next probe, which is when they would first
-be noticed anyway.
+be noticed anyway.  :class:`HazardClock` is that draw, the only one:
+every hazard of this module and of the cluster holds one clock.
 
 Both hazards are disabled by default — the paper's validation
 experiments ran on healthy systems; the failure ablation bench and
 `examples` turn them on.
 
-PR 10 grows this module into the full fault-model subsystem: beyond
-the fail-stop hazards above, :class:`FaultConfig` describes *network
+The module also describes the cluster's fault model: beyond the
+fail-stop hazards above, :class:`FaultConfig` describes *network
 partitions* (interconnect link cuts between node groups, with heal
 times) and *gray failures* (a degraded mode multiplying a node's
 disk/interconnect service times instead of killing it), plus the
 election delay and anti-entropy repair cadence of the recovery
 machinery, and :class:`RetryConfig` the timeout/retry/backoff contract
-every remote operation honours.  The cluster samples these on the same
-thinning-on-observation-instants discipline, from per-node /
-per-link seeded streams (``partitions``, ``gray-{i}``, ``retry-{i}``),
-so every fault history is a pure function of the master seed.
+every remote operation honours.  The cluster samples partitions and
+gray episodes on :class:`HazardClock` too, from seeded streams
+(``partitions``, ``gray-{i}``; retry jitter from ``retry-{i}``), so
+every fault history is a pure function of the master seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.despy.randomstream import RandomStream
 from repro.despy.timebase import ms_to_ticks
@@ -236,6 +237,45 @@ class FaultConfig:
         )
 
 
+class HazardClock:
+    """One Poisson hazard, sampled by thinning on observation instants.
+
+    The single hazard draw of the fault layer: transient I/O faults and
+    crashes (:class:`FailureInjector`), partitions and per-node gray
+    episodes (the cluster) each hold one clock.  ``mtbf_ticks`` of 0
+    disables the hazard, and its stream is then never drawn from.
+    """
+
+    __slots__ = ("mtbf", "stream", "last")
+
+    def __init__(self, mtbf_ticks: int, stream: Optional[RandomStream]) -> None:
+        self.mtbf = mtbf_ticks
+        self.stream = stream
+        #: the exposure marker: time up to it has been observed.
+        self.last = 0
+
+    def fires(self, now: int) -> bool:
+        """Did >= 1 event land since the last probe?
+
+        Multiple events in one window fold into one (a controller
+        retries once; a second crash during recovery is absorbed by
+        it).  The marker never moves back, so a probe at or before it
+        (inside an outage the owner skipped, or a second probe at one
+        tick) sees no exposure and draws nothing.
+        """
+        last = self.last
+        if not self.mtbf or now <= last:
+            return False
+        self.last = now
+        return self.stream.bernoulli(1.0 - math.exp(-(now - last) / self.mtbf))
+
+    def skip_to(self, tick: int) -> None:
+        """Move the marker past an outage: time up to ``tick`` (recovery,
+        a partition or gray episode being healed) is not exposure."""
+        if tick > self.last:
+            self.last = tick
+
+
 class RetryPolicy:
     """:class:`RetryConfig` converted to ticks once, with the backoff
     ladder drawn deterministically from a caller-supplied stream."""
@@ -282,15 +322,12 @@ class FailureInjector:
         self.sim = sim
         self.config = config
         self.memory = memory
-        self._rng: RandomStream = sim.stream(stream_label)
-        # Hazard parameters converted to ticks once; the per-operation
-        # probes then stay in pure integer arithmetic.
-        self._transient_mtbf = ms_to_ticks(config.transient_mtbf_ms)
+        rng: RandomStream = sim.stream(stream_label)
+        # Both hazards draw from the one stream, in probe order.
+        self._transient = HazardClock(ms_to_ticks(config.transient_mtbf_ms), rng)
+        self._crash = HazardClock(ms_to_ticks(config.crash_mtbf_ms), rng)
         self._transient_penalty = ms_to_ticks(config.transient_penalty_ms)
-        self._crash_mtbf = ms_to_ticks(config.crash_mtbf_ms)
         self._recovery_time = ms_to_ticks(config.recovery_time_ms)
-        self._last_transient_check = 0
-        self._last_crash_check = 0
         # Counters
         self.transient_faults = 0
         self.crashes = 0
@@ -299,11 +336,7 @@ class FailureInjector:
     def io_penalty(self) -> int:
         """Extra service ticks the next disk operation owes to transient
         faults (benign hazards live at the I/O level)."""
-        if self._transient_mtbf <= 0:
-            return 0
-        if self._draws_fault(
-            self.sim.now, "_last_transient_check", self._transient_mtbf
-        ):
+        if self._transient.fires(self.sim.now):
             self.transient_faults += 1
             return self._transient_penalty
         return 0
@@ -317,42 +350,19 @@ class FailureInjector:
         last check, the buffer is emptied here and the returned recovery
         downtime (ticks) must be held by the caller.
         """
-        if self._crash_mtbf <= 0:
+        if not self._crash.fires(self.sim.now):
             return 0
-        if self._draws_fault(
-            self.sim.now, "_last_crash_check", self._crash_mtbf
-        ):
-            self.crashes += 1
-            self.memory.invalidate_all()
-            self.downtime_ticks += self._recovery_time
-            # Recovery downtime is not hazard exposure: push both hazard
-            # clocks past the window, so the next probe measures elapsed
-            # *up* time only and a second crash cannot be drawn from time
-            # the system spent recovering.
-            resume = self.sim.now + self._recovery_time
-            self._last_crash_check = resume
-            if self._last_transient_check < resume:
-                self._last_transient_check = resume
-            return self._recovery_time
-        return 0
-
-    def _draws_fault(self, now: int, marker: str, mtbf: int) -> bool:
-        """Poisson thinning: did >= 1 fault land since the last check?
-
-        Multiple faults in one window fold into one (a controller retries
-        once; a second crash during recovery is absorbed by it).  The
-        marker never moves backwards: probes landing inside a recovery
-        window (concurrent transactions run while one holds the
-        recovery) see non-positive exposure and draw nothing.
-        """
-        last = getattr(self, marker)
-        if now > last:
-            setattr(self, marker, now)
-        elapsed = now - last
-        if elapsed <= 0:
-            return False
-        probability = 1.0 - math.exp(-elapsed / mtbf)
-        return self._rng.bernoulli(probability)
+        self.crashes += 1
+        self.memory.invalidate_all()
+        self.downtime_ticks += self._recovery_time
+        # Recovery downtime is not hazard exposure: push both hazard
+        # clocks past the window, so the next probe measures elapsed
+        # *up* time only and a second crash cannot be drawn from time
+        # the system spent recovering.
+        resume = self.sim.now + self._recovery_time
+        self._crash.skip_to(resume)
+        self._transient.skip_to(resume)
+        return self._recovery_time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,5 +1,7 @@
 """Unit and integration tests for the §5 failure-injection module."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -9,7 +11,8 @@ from repro.core import (
     VOODBSimulation,
     run_replication,
 )
-from repro.core.failures import NoFailures
+from repro.core.failures import HazardClock, NoFailures
+from repro.despy.randomstream import RandomStream
 from repro.ocb import OCBConfig
 
 SMALL = OCBConfig(nc=5, no=300, hotn=80)
@@ -45,6 +48,69 @@ class TestFailureConfig:
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):
             FailureConfig(**{field: value})
+
+
+class _RecordingStream:
+    """A stream stub that records the probability of every draw."""
+
+    def __init__(self, outcome: bool = False) -> None:
+        self.outcome = outcome
+        self.draws = []
+
+    def bernoulli(self, p: float) -> bool:
+        self.draws.append(p)
+        return self.outcome
+
+
+class TestHazardClock:
+    def test_zero_mtbf_never_fires_or_draws(self):
+        stream = _RecordingStream(outcome=True)
+        clock = HazardClock(0, stream)
+        assert not any(clock.fires(now) for now in (1, 500, 10**9))
+        assert stream.draws == []
+
+    def test_two_probes_at_one_tick_draw_once(self):
+        stream = _RecordingStream()
+        clock = HazardClock(1_000, stream)
+        assert not clock.fires(250)
+        assert not clock.fires(250)
+        assert stream.draws == [pytest.approx(1.0 - math.exp(-0.25))]
+
+    def test_probe_at_or_before_the_marker_draws_nothing(self):
+        stream = _RecordingStream()
+        clock = HazardClock(1_000, stream)
+        clock.fires(0)  # the initial marker: no exposure yet
+        clock.fires(800)
+        clock.fires(300)  # behind the marker, which stays put
+        assert len(stream.draws) == 1
+        clock.fires(900)
+        assert stream.draws[1] == pytest.approx(1.0 - math.exp(-0.1))
+
+    def test_skip_to_hides_the_outage(self):
+        stream = _RecordingStream(outcome=True)
+        clock = HazardClock(1_000, stream)
+        clock.skip_to(5_000)
+        clock.skip_to(2_000)  # the marker never moves back
+        assert not any(clock.fires(now) for now in (1, 2_500, 5_000))
+        assert stream.draws == []
+        assert clock.fires(5_100)
+        assert stream.draws == [pytest.approx(1.0 - math.exp(-0.1))]
+
+    def test_draws_match_the_thinning_formula(self):
+        mtbf = 1_000
+        clock = HazardClock(mtbf, RandomStream(7, "hazard"))
+        twin = RandomStream(7, "hazard")
+        last = 0
+        fired = []
+        for now in (0, 120, 120, 900, 450, 2_500, 2_501, 9_000, 9_400):
+            expected = False
+            if now > last:
+                p = 1.0 - math.exp(-(now - last) / mtbf)
+                expected = twin.random() < p
+                last = now
+            assert clock.fires(now) is expected, now
+            fired.append(expected)
+        assert True in fired and False in fired
 
 
 class TestNullInjector:
