@@ -28,7 +28,7 @@ particularity in Texas."
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.clustering.base import ClusteringPolicy
 from repro.clustering.placement import relocation_placement
@@ -61,7 +61,6 @@ class ClusteringManager:
         self.policy = policy
         policy.attach(db)
         self.report = ClusteringReport(policy=policy.name)
-        self._installed_clusters: List[List[int]] = []
         #: called at the end of every reorganization, automatic or
         #: demanded; the model wires the architecture's
         #: ``notify_reorganized`` here.
@@ -145,14 +144,8 @@ class ClusteringManager:
         self.report.clusters = len(clusters)
         self.report.clustered_objects = len(moved)
         self.report.moved_objects += len(moved)
-        self._installed_clusters = clusters
         self.policy.notify_reorganized(clusters)
         self.on_reorganized()
-
-    # ------------------------------------------------------------------
-    @property
-    def installed_clusters(self) -> List[List[int]]:
-        return self._installed_clusters
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -137,9 +137,6 @@ def format_replication(scenario, result: SweepResult) -> List[str]:
             continue
         rep = config.replication
         metrics = set(analyzer.metrics())
-        if "replica_lag_ms" not in metrics:
-            lines.append(f"  {x}: n/a (no replication metrics)")
-            continue
         lag = analyzer.mean("replica_lag_ms")
         applies = analyzer.mean("replica_applies")
         stale = analyzer.mean("stale_reads")
@@ -249,10 +246,6 @@ def format_faults(scenario, result: SweepResult) -> List[str]:
         scenario.points, faults_per_point, result.analyzers
     ):
         if not active:
-            continue
-        metrics = set(analyzer.metrics())
-        if "partitions" not in metrics:
-            lines.append(f"  {x}: n/a (no fault metrics)")
             continue
         for pairs, indent in ((_FAULT_LINE_ONE, f"  {x}: "), (
             _FAULT_LINE_TWO,

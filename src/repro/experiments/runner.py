@@ -20,7 +20,6 @@ import os
 from typing import Callable, Dict, Optional
 
 from repro.despy.stats import ConfidenceInterval, ReplicationAnalyzer
-from repro.core.model import VOODBSimulation
 from repro.core.parameters import VOODBConfig
 
 #: Fallback replication count when ``VOODB_REPLICATIONS`` is unset.
@@ -110,17 +109,3 @@ class ExperimentRunner:
         )
         return pilot_n + additional
 
-
-def run_model_phases(
-    config: VOODBConfig,
-    seed: int,
-    phase_plan: Callable[[VOODBSimulation], Dict[str, float]],
-    clustering_kwargs: Optional[dict] = None,
-) -> Dict[str, float]:
-    """Helper for multi-phase protocols (the §4.4 DSTC experiment).
-
-    Builds the model and hands it to ``phase_plan``, which drives phases
-    and returns the metric dictionary for this replication.
-    """
-    model = VOODBSimulation(config, seed=seed, clustering_kwargs=clustering_kwargs)
-    return phase_plan(model)
