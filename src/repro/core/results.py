@@ -450,8 +450,6 @@ class SimulationResults:
     phase: PhaseResults
     clustering: ClusteringReport
     seed: int = 0
-    #: Results of extra phases keyed by the name given to ``run_phase``.
-    extra_phases: Dict[str, PhaseResults] = field(default_factory=dict)
     #: Kernel perf counters of the whole replication (event-list fast
     #: paths; see :mod:`repro.despy.events`).  Flattened as ``kernel_*``
     #: metrics so the ``voodb scenario run --json`` output can report
@@ -474,8 +472,6 @@ class SimulationResults:
     def to_metrics(self) -> Dict[str, float]:
         metrics = self.phase.to_metrics()
         metrics.update(self.clustering.to_metrics())
-        for name, phase in self.extra_phases.items():
-            metrics.update(phase.to_metrics(prefix=f"{name}_"))
         for name, value in self.kernel.items():
             metrics[f"kernel_{name}"] = float(value)
         return metrics

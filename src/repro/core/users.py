@@ -28,9 +28,9 @@ the model surfaces that as
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
-from repro.despy.arrivals import aggregated_interarrivals, probe_rescaled_rate
+from repro.despy.arrivals import poisson_interarrivals, probe_rescaled_rate
 from repro.despy.process import Hold, Process
 from repro.despy.randomstream import RandomStream
 from repro.despy.timebase import ms_to_ticks
@@ -232,7 +232,13 @@ class Users:
         )
         return [
             self.sim.process(
-                self._arrival_source(transactions, gaps, stream_label),
+                self._arrival_source(
+                    transactions,
+                    gaps,
+                    self.tm.execute_with_envelope,
+                    "txn",
+                    stream_label,
+                ),
                 name=f"arrivals/{stream_label}",
             )
         ]
@@ -241,17 +247,15 @@ class Users:
         self,
         transactions,
         gaps: Iterator[int],
+        submit: Callable[[Transaction], Iterator],
+        prefix: str,
         stream_label: str,
     ):
+        """Hold each gap, then start ``submit(txn)`` as its own process."""
         for index, txn in enumerate(transactions):
             yield Hold(next(gaps))
             self.transactions_submitted += 1
-            self.sim.process(
-                self._submission(txn), name=f"txn-{index}/{stream_label}"
-            )
-
-    def _submission(self, txn: Transaction):
-        yield from self.tm.execute_with_envelope(txn)
+            self.sim.process(submit(txn), name=f"{prefix}-{index}/{stream_label}")
 
     # ------------------------------------------------------------------
     # Aggregated hybrid: calibrated open stream + probe cohort
@@ -273,7 +277,10 @@ class Users:
         of λ = N/(Z+R), see :mod:`repro.core.aggregation`); the
         aggregate source emits Poisson arrivals at the probe-rescaled
         share of it so the cohort's own closed-loop load keeps the total
-        offered rate at λ.
+        offered rate at λ.  Poisson gaps are what justifies collapsing
+        the population in the first place: a superposition of many
+        independent, sparse per-user renewal processes converges to a
+        Poisson stream (Palm–Khintchine).
 
         The phase's transactions are split so every probe user gets at
         least one (at 10⁶ users a proportional share would starve the
@@ -331,7 +338,7 @@ class Users:
                 hierarchy_type,
                 hierarchy_depth,
             )
-            gaps = aggregated_interarrivals(
+            gaps = poisson_interarrivals(
                 RandomStream(
                     self.sim.seed, f"{stream_label}/aggregate-arrivals"
                 ),
@@ -339,7 +346,13 @@ class Users:
             )
             processes.append(
                 self.sim.process(
-                    self._aggregate_source(transactions, gaps, stream_label),
+                    self._arrival_source(
+                        transactions,
+                        gaps,
+                        self._aggregate_submission,
+                        "agg-txn",
+                        stream_label,
+                    ),
                     name=f"aggregate/{stream_label}",
                 )
             )
@@ -376,20 +389,6 @@ class Users:
                 )
             )
         return processes
-
-    def _aggregate_source(
-        self,
-        transactions,
-        gaps: Iterator[int],
-        stream_label: str,
-    ):
-        for index, txn in enumerate(transactions):
-            yield Hold(next(gaps))
-            self.transactions_submitted += 1
-            self.sim.process(
-                self._aggregate_submission(txn),
-                name=f"agg-txn-{index}/{stream_label}",
-            )
 
     def _aggregate_submission(self, txn: Transaction):
         yield from self.tm.execute_with_envelope(txn)

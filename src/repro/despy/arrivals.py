@@ -14,11 +14,13 @@ processes as plain interarrival-time generators over a
 * :func:`mmpp_interarrivals` — a Markov-modulated Poisson process that
   cycles through states of different rates with exponentially
   distributed dwell times; two states (calm/burst) give the classic
-  bursty-traffic source;
-* :func:`aggregated_interarrivals` — the flow-aggregation source: a
-  large closed population collapsed to Poisson gaps at the calibrated
-  interactive-law rate (:func:`closed_equivalent_rate_tps`), rescaled
-  by :func:`probe_rescaled_rate` for the probe cohort's own load.
+  bursty-traffic source.
+
+The flow-aggregation tier draws its gaps from
+:func:`poisson_interarrivals` too: a large closed population collapses
+to Poisson gaps at the calibrated interactive-law rate
+(:func:`closed_equivalent_rate_tps`), rescaled by
+:func:`probe_rescaled_rate` for the probe cohort's own load.
 
 All generators are infinite and consume *only* the stream they are
 given, so an arrival sequence is a pure function of ``(seed, stream
@@ -121,21 +123,6 @@ def probe_rescaled_rate(
             f"of {population}"
         )
     return rate_tps * (population - probe_cohort) / population
-
-
-def aggregated_interarrivals(
-    stream: RandomStream, rate_per_s: float
-) -> Iterator[int]:
-    """The aggregated source: Poisson gaps at the calibrated rate.
-
-    A superposition of many independent, sparse per-user renewal
-    processes converges to a Poisson stream (Palm–Khintchine), which is
-    what justifies collapsing the population in the first place — so the
-    aggregate tier draws exponential gaps at the calibrated rate, on its
-    own dedicated stream, through the same block-drawn fast path as
-    :func:`poisson_interarrivals`.
-    """
-    return poisson_interarrivals(stream, rate_per_s)
 
 
 def mmpp_interarrivals(

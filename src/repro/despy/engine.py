@@ -15,9 +15,10 @@ Time base
 ---------
 The clock and every delay are **integer ticks** (1 tick = 2⁻²⁰ ms; see
 :mod:`repro.despy.timebase`).  Convert milliseconds at the call site
-with :func:`~repro.despy.timebase.ms_to_ticks`; fractional float delays
-raise — they are unit bugs, not near-misses.  Integral floats (including
-the ``float('inf')`` horizon sentinel, which saturates) are coerced.
+with :func:`~repro.despy.timebase.ms_to_ticks`; fractional delays (a
+float, ``Fraction`` or ``Decimal``) raise — they are unit bugs, not
+near-misses.  Integral values (including the ``float('inf')`` horizon
+sentinel, which saturates) are coerced.
 :attr:`Simulation.now_ms` reports the clock in milliseconds for display.
 
 Fast paths
@@ -33,12 +34,17 @@ per-event cost changes.  The counters :attr:`Simulation.events_wheel_pushed`,
 :attr:`Simulation.events_heap_pushed`, :attr:`Simulation.events_fast_dispatched`
 and :attr:`Simulation.events_pooled_reused` report how much traffic each
 tier carried and how many Event allocations the free-list pool saved.
+
+:meth:`Simulation.run` is the only dispatch loop.  At every dispatch it
+also refreshes the event list's cached ``quiet`` flag — the one copy of
+the merged-continuation test that lets the process layer keep stepping
+a process in place (see :meth:`repro.despy.process.Process._step`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Any, Callable, Generator, Union
 
 from repro.despy.errors import SchedulingError
 from repro.despy.events import Event, EventList
@@ -55,8 +61,8 @@ def _coerce_horizon(until: Union[int, float]) -> Union[int, float]:
     """Normalize a ``run(until=...)`` horizon to ticks.
 
     ``float('inf')`` passes through (an infinite horizon compares fine
-    against integer ticks); integral floats become ints; fractional
-    floats are unit bugs and raise.
+    against integer ticks); integral values become ints; fractional
+    ones are unit bugs and raise.
     """
     if isinstance(until, float):
         if math.isinf(until):
@@ -67,7 +73,7 @@ def _coerce_horizon(until: Union[int, float]) -> Union[int, float]:
                 "convert milliseconds with ms_to_ticks()"
             )
         return int(until)
-    return until
+    return coerce_ticks(until)
 
 
 class Simulation:
@@ -79,32 +85,20 @@ class Simulation:
         Root seed for this replication.  Named random streams derived via
         :meth:`stream` are independent of one another but fully determined
         by this seed, so a replication can always be replayed.
-    trace:
-        Optional callable invoked as ``trace(time, message)`` for kernel
-        tracing; mainly useful in tests and debugging.  Tracing forces the
-        engine onto a slower generic loop; leave it ``None`` for runs
-        that matter.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace: Optional[Callable[[int, str], None]] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         #: current simulated time in integer ticks
         self.now: int = 0
         self.seed = seed
         self._events = EventList()
-        self._running = False
-        self._trace = trace
         self._streams: dict[str, RandomStream] = {}
         self._processes_started = 0
         self._events_executed = 0
-        #: active hold-warp horizon (ticks).  While the untraced run
-        #: loop executes, this is the run's ``until`` (or the largest
+        #: active hold-warp horizon (ticks).  While the run loop
+        #: executes, this is the run's ``until`` (or the largest
         #: warpable tick under an infinite horizon); -1 disables the
-        #: warp lane (outside run(), under trace, after stop()).  See
-        #: Process._step.
+        #: warp lane (outside run(), after stop()).  See Process._step.
         self._warp_until = -1
 
     @property
@@ -208,9 +202,6 @@ class Simulation:
         """
         if until.__class__ is not int:
             until = _coerce_horizon(until)
-        if self._trace is not None:
-            return self._run_traced(until)
-        self._running = True
         events = self._events
         immediate = events._immediate
         popleft = immediate.popleft
@@ -267,7 +258,6 @@ class Simulation:
                             events._due_idx += 1
                             events._timed -= 1
                             executed += 1
-                            self._events_executed = executed
                             head.handler(*head.args)
                             if head.pooled:
                                 head.handler = None
@@ -296,9 +286,6 @@ class Simulation:
                         if event.cancelled:
                             continue
                         executed += 1
-                        # Kept live (not only synced in the finally) so
-                        # mid-run introspection matches the traced loop.
-                        self._events_executed = executed
                         fast += 1
                         events.quiet = False if immediate else tie_free
                         event.handler(*event.args)
@@ -319,11 +306,14 @@ class Simulation:
                 events._timed -= 1
                 events.now_hint = now = self.now = time
                 executed += 1
-                self._events_executed = executed
-                # Refresh the cached merged-continuation test for the
-                # new tick (the immediate queue is empty here; see
-                # EventList._compute_quiet for the due-head/fallback
-                # reasoning).
+                # Refresh the cached merged-continuation test, the
+                # predicate's only full copy: no immediate is queued
+                # here, so ``quiet`` iff no timed event ties this tick
+                # at priority <= 0.  The live due head is the earliest
+                # timed event, which makes the test exact; with the due
+                # list drained, the bucket-index checks against the
+                # wheel and the overflow heap are exact unless the
+                # clock out-ran the due bucket, and then err to False.
                 due = events._due
                 idx = events._due_idx
                 if idx < len(due):
@@ -345,39 +335,8 @@ class Simulation:
         finally:
             self._events_executed = executed
             events.fast_dispatched += fast
-            self._running = False
             self._warp_until = -1
         if until.__class__ is int and until > now:
-            self.now = until
-        return self.now
-
-    def _run_traced(self, until: Union[int, float]) -> int:
-        """Generic loop used only when a trace callback is installed."""
-        self._running = True
-        events = self._events
-        pool_append = events._pool.append
-        try:
-            while True:
-                next_time = events.peek_time()
-                if next_time is None:
-                    break
-                if next_time > until:
-                    if until > self.now:
-                        self.now = until
-                    return self.now
-                event = events.pop()
-                events.now_hint = self.now = event.time
-                events.quiet = events._compute_quiet(event.time)
-                self._events_executed += 1
-                name = getattr(event.handler, "__qualname__", "?")
-                self._trace(self.now, f"execute {name}")
-                event.handler(*event.args)
-                if event.pooled:
-                    event.handler = None
-                    pool_append(event)
-        finally:
-            self._running = False
-        if until.__class__ is int and until > self.now:
             self.now = until
         return self.now
 

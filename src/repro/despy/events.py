@@ -55,9 +55,8 @@ from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
-from repro.despy.errors import SchedulingError
 from repro.despy.timebase import TICK_HORIZON, TICKS_PER_MS
 
 #: Timed events further ahead than this many bucket widths go to the
@@ -209,13 +208,15 @@ class EventList:
         #: cached merged-continuation test: True iff the currently
         #: executing handler's process is provably the next dispatch
         #: (immediate queue empty, no timed event tying the current tick
-        #: at priority <= 0).  The engine computes it exactly at each
-        #: dispatch (see :meth:`_compute_quiet`); the two push paths
-        #: that can create a tie clear it.  It may go conservatively
-        #: stale-False (a cancel can silently clear a tie) — that skips
-        #: a merge, never permits a wrong one.  One attribute load
-        #: replaces the full test on the hottest kernel sites
-        #: (``Process._step``, the inline grant/release fast paths).
+        #: at priority <= 0).  The engine computes it at each dispatch
+        #: (see the refresh in :meth:`Simulation.run
+        #: <repro.despy.engine.Simulation.run>`); the two push paths
+        #: that can create a tie clear it, and the warp lane sets it on
+        #: an empty list.  It may go conservatively stale-False (a
+        #: cancel can silently clear a tie) — that skips a merge, never
+        #: permits a wrong one.  One attribute load replaces the full
+        #: test on the hottest kernel sites (``Process._step``, the
+        #: inline grant/release fast paths).
         self.quiet = False
         #: continuations the process layer ran synchronously because the
         #: process was provably the next dispatch anyway (perf counter).
@@ -308,7 +309,7 @@ class EventList:
                     # Singleton lane: nothing else is queued (not even a
                     # cancelled-but-unpruned event), so this event *is*
                     # the due list — no bucket, no bucket-index heap
-                    # push, and no _advance() on the pop side.
+                    # push, and no _advance() on the dispatch side.
                     self._due = [event]
                     self._due_idx = 0
                     self._due_bucket = bucket
@@ -355,32 +356,6 @@ class EventList:
         self.quiet = False
         self._immediate.append(event)
         return event
-
-    def _compute_quiet(self, now: int) -> bool:
-        """The merged-continuation test, evaluated exactly.
-
-        True iff the immediate queue is empty and no pending timed event
-        ties tick ``now`` at priority <= 0.  The due head (always the
-        earliest pending timed event while the due list is live) makes
-        the test exact; with the due list drained it falls back to
-        bucket-index checks against the wheel and overflow heap — exact
-        whenever the clock has not out-run the due bucket, conservative
-        in the rare horizon-jump states.
-        """
-        if self._immediate:
-            return False
-        if self._timed:
-            due = self._due
-            idx = self._due_idx
-            if idx < len(due):
-                head = due[idx]
-                return head.priority > 0 or head.time != now
-            bucket_heap = self._bucket_heap
-            heap = self._heap
-            return not (
-                bucket_heap and now >> self._shift >= bucket_heap[0]
-            ) and not (heap and heap[0][0] == now and heap[0][1] <= 0)
-        return True
 
     # ------------------------------------------------------------------
     # Wheel mechanics
@@ -492,80 +467,6 @@ class EventList:
             self._due_idx = idx
             self._timed = timed
             # Every event in the batch was cancelled: take the next bucket.
-
-    # The merged-continuation predicate — "no immediate event queued and
-    # no timed event ties the current tick at priority <= 0" — is
-    # evaluated in two places, both of which write the cached ``quiet``
-    # flag: :meth:`_compute_quiet` (the traced loop) and the refresh
-    # inlined in Simulation.run (the immediate drain's ``tie_free`` and
-    # the due-head/fallback test at each timed dispatch), where a call
-    # frame would be measurable.  Elsewhere the flag is only read
-    # (Process._step, the Resource inline grant/release helpers), cleared
-    # by the pushes that can create a tie, or set by the warp lane, whose
-    # empty event list passes the test trivially.  When changing the test
-    # (e.g. the conservative bucket-horizon compare), update both copies.
-
-    # ------------------------------------------------------------------
-    # Generic pop side (tests and the traced loop; the engine inlines)
-    # ------------------------------------------------------------------
-    def _timed_head(self) -> Optional[Event]:
-        """Next live timed event (pruning cancelled), or ``None``."""
-        due = self._due
-        idx = self._due_idx
-        if idx < len(due):
-            event = due[idx]
-            if not event.cancelled:
-                return event
-            return self._advance()
-        if self._bucket_heap or self._heap:
-            return self._advance()
-        return None
-
-    def _head(self) -> Optional[Event]:
-        """The next live event (pruning cancelled heads), or ``None``.
-
-        The event stays queued; pair with :meth:`pop` to consume it.
-        """
-        immediate = self._immediate
-        while immediate and immediate[0].cancelled:
-            immediate.popleft()
-        timed = self._timed_head()
-        if immediate:
-            first = immediate[0]
-            if timed is not None and (
-                (timed.time, timed.priority, timed.seq)
-                < (first.time, first.priority, first.seq)
-            ):
-                return timed
-            return first
-        return timed
-
-    def pop(self) -> Event:
-        """Remove and return the next live event in key order.
-
-        Cancelled events are lazily discarded here, which keeps
-        :meth:`Event.cancel` O(1).  When no live event remains —
-        the list is empty or every queued event has been cancelled —
-        a :class:`~repro.despy.errors.SchedulingError` is raised; that
-        makes exhaustion explicit instead of leaking a bare
-        ``IndexError``.
-        """
-        event = self._head()
-        if event is None:
-            raise SchedulingError("event list exhausted: no live events remain")
-        immediate = self._immediate
-        if immediate and event is immediate[0]:
-            immediate.popleft()
-            self.fast_dispatched += 1
-        else:
-            self._due_idx += 1
-            self._timed -= 1
-        return event
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live event, or ``None`` if the list is empty."""
-        event = self._head()
-        return None if event is None else event.time
 
     def clear(self) -> None:
         self._immediate.clear()

@@ -10,13 +10,17 @@ command objects:
 ``yield Request(resource, priority=0)``
     queue for one capacity unit of a resource, resuming once granted;
 ``yield Release(resource)``
-    give the unit back (also available as a plain method call,
-    ``resource.release(process)``, from non-process code);
+    give the unit back;
 ``yield WaitFor(gate)``
     block until :meth:`repro.despy.resource.Gate.open` is called.
 
 A process may also ``return`` at any point; the kernel then runs its
 completion callbacks (see :meth:`Process.on_complete`).
+
+Hot model generators may skip the ``Request``/``Release`` yields with
+:meth:`~repro.despy.resource.Resource.try_acquire_inline` and
+:meth:`~repro.despy.resource.Resource.release_inline`; the two commands
+run those same methods, so both spellings grant and release alike.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class Hold:
     """Command: advance this process by ``duration`` integer ticks.
 
     Durations are ticks (see :mod:`repro.despy.timebase`); fractional
-    floats raise at construction — convert milliseconds at the call
+    durations raise at construction — convert milliseconds at the call
     site with :func:`~repro.despy.timebase.ms_to_ticks`.
     """
 
@@ -132,7 +136,7 @@ class Process:
 
         This is the kernel's innermost call: it runs once per event of
         every process, so the command dispatch uses exact-type checks
-        (none of the commands are subclassed) and routes continuations
+        (a subclassed command is unsupported) and routes continuations
         straight onto the event list's tiers, skipping the generic
         ``schedule`` wrapper where validation adds nothing.
 
@@ -151,9 +155,9 @@ class Process:
         The test itself is the event list's cached ``quiet`` flag — one
         attribute load.  The engine computes it exactly at every
         dispatch (reading the wheel's due head, with conservative
-        bucket-index fallbacks; see ``EventList._compute_quiet``) and
-        the push paths that can create a tick tie clear it, so the flag
-        always equals the full test, erring only on the conservative
+        bucket-index fallbacks; see the refresh in ``Simulation.run``)
+        and the push paths that can create a tick tie clear it, so the
+        flag always equals the full test, erring only on the conservative
         side (skip the merge, park on the immediate queue) — the
         engine's merge loop then re-establishes the exact order.
         """
@@ -204,25 +208,15 @@ class Process:
                 return
             if cls is Request:
                 resource = command.resource
-                if (
-                    events.quiet
-                    and resource._in_use < resource.capacity
-                    and not resource._queue
-                ):
-                    resource._grant_now()
-                    events.merged_continuations += 1
+                if resource.try_acquire_inline():
                     send_value = None
                     continue
                 resource._enqueue(self, command.priority)
                 return
             if cls is Release:
-                # release() may wake a waiter via push_immediate, which
-                # clears the quiet flag — the merge test below then
-                # parks this process behind the woken one, exactly the
-                # Release command's documented order.
-                command.resource.release(self)
-                if events.quiet:
-                    events.merged_continuations += 1
+                # A release that wakes a waiter parks this process
+                # behind the woken one (release_inline returns False).
+                if command.resource.release_inline():
                     send_value = None
                     continue
                 events.push_immediate(sim.now, self._step, _STEP_ARGS, True)
@@ -230,25 +224,10 @@ class Process:
             if cls is WaitFor:
                 command.gate._wait(self)
                 return
-            # Generic fallback: subclassed commands keep the documented
-            # (queue-routed) semantics.
-            if isinstance(command, Hold):
-                sim.schedule(
-                    command.duration, self._step, None, priority=command.priority
-                )
-            elif isinstance(command, Request):
-                command.resource._enqueue(self, command.priority)
-            elif isinstance(command, Release):
-                command.resource.release(self)
-                sim.wake(self._step, None)
-            elif isinstance(command, WaitFor):
-                command.gate._wait(self)
-            else:
-                raise SchedulingError(
-                    f"process {self.name!r} yielded unsupported command "
-                    f"{command!r}; expected Hold/Request/Release/WaitFor"
-                )
-            return
+            raise SchedulingError(
+                f"process {self.name!r} yielded unsupported command "
+                f"{command!r}; expected Hold/Request/Release/WaitFor"
+            )
 
     def _finish(self) -> None:
         self._done = True

@@ -196,23 +196,13 @@ class RandomStream:
     # the returned list index-wise instead of paying a method call (and
     # the wrapper frames underneath it) per variate.
 
-    def exponential_block(self, mean: float, count: int) -> List[float]:
-        """``count`` draws equivalent to ``exponential(mean)`` each.
-
-        Replicates ``random.Random.expovariate`` exactly: one uniform
-        draw per variate, transformed with the same float operations.
-        """
-        if mean <= 0:
-            raise ValueError(f"exponential mean must be > 0, got {mean}")
-        lambd = 1.0 / mean
-        rnd = self._rng.random
-        return [-_log(1.0 - rnd()) / lambd for __ in range(count)]
-
     def exponential_ticks_block(self, mean_ms: float, count: int) -> List[int]:
         """``count`` draws equivalent to ``exponential_ticks(mean_ms)`` each.
 
-        Same underlying draws as :meth:`exponential_block`, converted at
-        the draw site with the canonical ms→tick rounding.
+        Replicates ``random.Random.expovariate`` exactly — one uniform
+        draw per variate, transformed with the same float operations —
+        then converts at the draw site with the canonical ms→tick
+        rounding.
         """
         if mean_ms <= 0:
             raise ValueError(f"exponential mean must be > 0, got {mean_ms}")
@@ -220,12 +210,6 @@ class RandomStream:
         rnd = self._rng.random
         convert = ms_to_ticks
         return [convert(-_log(1.0 - rnd()) / lambd) for __ in range(count)]
-
-    def uniform_block(self, low: float, high: float, count: int) -> List[float]:
-        """``count`` draws equivalent to ``uniform(low, high)`` each."""
-        span = high - low
-        rnd = self._rng.random
-        return [low + span * rnd() for __ in range(count)]
 
     def randint_block(self, low: int, high: int, count: int) -> List[int]:
         """``count`` draws equivalent to ``randint(low, high)`` each."""
@@ -257,10 +241,6 @@ class RandomStream:
         top = cdf[-1]
         right = bisect.bisect_right
         return [right(cdf, rnd() * top) for __ in range(count)]
-
-    def spawn(self, name: str) -> "RandomStream":
-        """Create a child stream seeded from this stream's identity."""
-        return RandomStream(derive_seed(self.root_seed, self.name), name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RandomStream {self.name!r} root={self.root_seed}>"

@@ -5,21 +5,20 @@ memory, disk controller, the database scheduler); Table 2 maps each to a
 ``RESOURCE STATION`` in QNAP2 and an ``instance of class Resource`` in
 DESP-C++.  This module is that class.
 
-A :class:`Resource` offers two faces:
-
-* the *process* face — ``yield Request(res)`` / ``yield Release(res)``
-  from process generators;
-* the *plain* face — :meth:`Resource.try_acquire` / :meth:`Resource.release`
-  for immediate, non-blocking use from event handlers.
-
-Both update the same time-weighted statistics, which is how resource
-utilization and queue lengths are reported at the end of a replication.
+Process generators take a unit with ``yield Request(res)`` and give it
+back with ``yield Release(res)``.  Hot model generators skip those
+yields' round trip through the command pump with
+:meth:`Resource.try_acquire_inline` and :meth:`Resource.release_inline`,
+which the two commands themselves run, so there is one grant rule and
+one release rule.  The two rules update the time-weighted statistics
+that report resource utilization and queue lengths at the end of a
+replication.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.despy.errors import ResourceError
 from repro.despy.monitor import OnlineStats, TimeWeightedStats
@@ -50,7 +49,7 @@ class Resource:
         self.total_served = 0
 
     # ------------------------------------------------------------------
-    # Plain (non-blocking) face
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def available(self) -> int:
@@ -65,31 +64,33 @@ class Resource:
     def queued(self) -> int:
         return len(self._queue)
 
-    def try_acquire(self) -> bool:
-        """Take one unit immediately if available; never queues."""
-        self.total_requests += 1
-        if self._in_use < self.capacity:
-            self._take()
-            self.wait_times.record(0.0)
-            return True
-        return False
+    # ------------------------------------------------------------------
+    # Grant and release (the Request/Release commands run these too)
+    # ------------------------------------------------------------------
+    # The grant/release accounting below inlines the two collectors'
+    # ``record`` bodies (the time-weighted busy integral and Welford's
+    # zero-wait update).  Every simulated I/O passes through these
+    # methods, and the method-call overhead of three ``record`` calls
+    # per grant cycle is measurable; the statement sequence — including
+    # each float operation — is exactly what the ``record`` calls
+    # perform, so the statistics stay bit-identical.
 
     def release_inline(self) -> bool:
         """Release a unit; True iff the caller may keep running inline.
 
-        The exact sequence of ``yield Release(self)``: the release (with
-        its statistics and waiter wake-up) happens immediately; the
-        return value is the merged-continuation test.  On False the
-        caller must ``yield PARK`` (a shared ``Hold(0)``) — the process
-        layer then parks it on the immediate queue exactly as the
-        Release command's non-merged branch would have.
+        The one release rule, which ``yield Release(self)`` runs too:
+        the release (with its statistics and waiter wake-up) happens
+        immediately; the return value is the merged-continuation test.
+        On False the caller must ``yield PARK`` (a shared ``Hold(0)``)
+        — the process layer then parks it on the immediate queue
+        exactly as the Release command does.  Releasing an idle
+        resource raises :class:`~repro.despy.errors.ResourceError`.
 
         The release bookkeeping is spelled out inline (every simulated
         I/O and network transfer ends here); the uncontended no-waiter
         exit never leaves this frame.  The merge test is the event
-        list's cached ``quiet`` flag — the same one Process._step reads
-        (see the merged-continuation note beside
-        ``EventList._compute_quiet`` in repro.despy.events).
+        list's cached ``quiet`` flag — the same one Process._step reads,
+        refreshed by ``Simulation.run`` at every dispatch.
         """
         in_use = self._in_use
         if in_use <= 0:
@@ -122,8 +123,8 @@ class Resource:
     def try_acquire_inline(self) -> bool:
         """Grant a unit inline iff ``yield Request(self)`` would merge.
 
-        The exact merged-continuation test and accounting the process
-        layer performs for an uncontended ``Request`` — offered to hot
+        The merged-continuation test and accounting of an uncontended
+        grant, which ``yield Request(self)`` runs first — offered to hot
         model generators so they can skip the Request yield's round trip
         through the command pump entirely.  Returns False (booking
         nothing) whenever the grant is contended or this caller is not
@@ -162,17 +163,6 @@ class Resource:
             return True
         return False
 
-    # ------------------------------------------------------------------
-    # Process face (used by the Request/Release commands)
-    # ------------------------------------------------------------------
-    # The grant/release accounting below inlines the two collectors'
-    # ``record`` bodies (the time-weighted busy integral and Welford's
-    # zero-wait update).  Every simulated I/O passes through these
-    # methods, and the method-call overhead of three ``record`` calls
-    # per grant cycle is measurable; the statement sequence — including
-    # each float operation — is exactly what the ``record`` calls
-    # perform, so the statistics stay bit-identical.
-
     def _book_grant(self) -> None:
         """Uncontended-grant accounting: take a unit, record zero wait."""
         in_use = self._in_use + 1
@@ -196,16 +186,6 @@ class Resource:
         if waits.maximum < 0.0:
             waits.maximum = 0.0
 
-    def _grant_now(self) -> None:
-        """Book an uncontended grant whose process continues in place.
-
-        Same accounting as the grant branch of :meth:`_enqueue`, minus
-        the wake-up: the caller (``Process._step``) has proven it may
-        keep stepping the process synchronously.
-        """
-        self.total_requests += 1
-        self._book_grant()
-
     def _enqueue(self, process: "Process", priority: int) -> None:
         self.total_requests += 1
         if self._in_use < self.capacity and not self._queue:
@@ -220,27 +200,6 @@ class Resource:
         )
         self._queue_seq += 1
         self.queue_length.record(len(self._queue))
-
-    def release(self, process: Optional["Process"] = None) -> None:
-        """Return one capacity unit, waking the next queued process."""
-        in_use = self._in_use
-        if in_use <= 0:
-            raise ResourceError(f"release of idle resource {self.name!r}")
-        in_use -= 1
-        self._in_use = in_use
-        busy = self.busy_units
-        now = self.sim.now
-        if now != busy._last_time:
-            busy._area += busy._last_value * (now - busy._last_time)
-            busy._last_time = now
-        busy._last_value = in_use
-        if self._queue:
-            __, __, waiter, enqueue_time = heapq.heappop(self._queue)
-            self.queue_length.record(len(self._queue))
-            self._take()
-            self.wait_times.record(self.sim.now - enqueue_time)
-            sim = self.sim
-            sim._events.push_immediate(sim.now, waiter._step, _STEP_ARGS, True)
 
     def _take(self) -> None:
         self._in_use += 1

@@ -87,22 +87,23 @@ def ticks_to_ms(ticks: int) -> float:
 def coerce_ticks(value) -> int:
     """Coerce a delay/duration to an integer tick count, loudly.
 
-    The kernel's scheduling API takes ticks.  Integral floats (and the
-    ``float('inf')`` sentinel, which saturates to the horizon) are
-    coerced for convenience; a *fractional* float is a unit bug — some
-    call site passed milliseconds where ticks were expected — and
-    raises with a pointer to :func:`ms_to_ticks` instead of silently
-    truncating the schedule.
+    The kernel's scheduling API takes ticks.  Integral values of any
+    numeric type (and the ``float('inf')`` sentinel, which saturates to
+    the horizon) are coerced for convenience; a *fractional* one — a
+    float, ``Fraction`` or ``Decimal`` — is a unit bug (some call site
+    passed milliseconds where ticks were expected) and raises with a
+    pointer to :func:`ms_to_ticks` instead of silently truncating the
+    schedule.
     """
     if isinstance(value, float):
         if value != value or value == float("-inf"):
             raise SchedulingError(f"delay must be >= 0, got {value!r}")
         if value >= _HORIZON_SCALED:
             return TICK_HORIZON
-        if value != int(value):
-            raise SchedulingError(
-                f"simulated time is integer ticks, got fractional {value!r}; "
-                "convert milliseconds with ms_to_ticks()"
-            )
-        return int(value)
-    return int(value)
+    ticks = int(value)
+    if ticks != value:
+        raise SchedulingError(
+            f"simulated time is integer ticks, got fractional {value!r}; "
+            "convert milliseconds with ms_to_ticks()"
+        )
+    return ticks

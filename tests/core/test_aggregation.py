@@ -28,8 +28,8 @@ from repro.core.aggregation import (
 from repro.core.model import run_replication
 from repro.core.parameters import AggregationConfig, ArrivalConfig, VOODBConfig
 from repro.despy.arrivals import (
-    aggregated_interarrivals,
     closed_equivalent_rate_tps,
+    poisson_interarrivals,
     probe_rescaled_rate,
 )
 from repro.despy.randomstream import RandomStream
@@ -375,11 +375,11 @@ class TestStreamIsolation:
         # cohort size: the aggregate stream never sees the probes.
         population = 100
         rate = 40.0 * population / (population - probe_cohort)
-        resized = aggregated_interarrivals(
+        resized = poisson_interarrivals(
             RandomStream(seed, "hot/aggregate-arrivals"),
             probe_rescaled_rate(rate, population, probe_cohort),
         )
-        baseline = aggregated_interarrivals(
+        baseline = poisson_interarrivals(
             RandomStream(seed, "hot/aggregate-arrivals"), 40.0
         )
         for _ in range(256):

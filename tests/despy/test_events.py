@@ -1,8 +1,10 @@
-"""Unit tests for the event list: ordering, cancellation, determinism."""
+"""Event-list tests: ordering, cancellation and tier ties.
 
-import pytest
+The ordering tests drive :meth:`Simulation.run`, the one dispatch loop,
+so they check the order production replications see.
+"""
 
-from repro.despy.errors import SchedulingError
+from repro.despy import Simulation
 from repro.despy.events import Event, EventList
 
 
@@ -10,28 +12,40 @@ def _noop():
     pass
 
 
+def _recorder():
+    """A dispatch log and a factory of handlers appending to it."""
+    order = []
+
+    def tag(label):
+        return lambda: order.append(label)
+
+    return order, tag
+
+
 class TestEventOrdering:
-    def test_pop_returns_events_in_time_order(self):
-        events = EventList()
-        events.push(3, 0, _noop)
-        events.push(1, 0, _noop)
-        events.push(2, 0, _noop)
-        times = [events.pop().time for _ in range(3)]
-        assert times == [1, 2, 3]
+    def test_run_dispatches_in_time_order(self):
+        sim = Simulation()
+        seen = []
+        for delay in (3, 1, 2):
+            sim.schedule(delay, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [1, 2, 3]
 
     def test_priority_breaks_time_ties(self):
-        events = EventList()
-        low = events.push(1, 5, _noop)
-        high = events.push(1, -5, _noop)
-        assert events.pop() is high
-        assert events.pop() is low
+        sim = Simulation()
+        order, tag = _recorder()
+        sim.schedule(1, tag("low"), priority=5)
+        sim.schedule(1, tag("high"), priority=-5)
+        sim.run()
+        assert order == ["high", "low"]
 
     def test_insertion_order_breaks_full_ties(self):
-        events = EventList()
-        first = events.push(1, 0, _noop)
-        second = events.push(1, 0, _noop)
-        third = events.push(1, 0, _noop)
-        assert [events.pop() for _ in range(3)] == [first, second, third]
+        sim = Simulation()
+        order, tag = _recorder()
+        for label in ("first", "second", "third"):
+            sim.schedule(1, tag(label))
+        sim.run()
+        assert order == ["first", "second", "third"]
 
     def test_event_comparison_is_total(self):
         a = Event(1, 0, 0, _noop, ())
@@ -41,30 +55,39 @@ class TestEventOrdering:
 
 
 class TestCancellation:
-    def test_cancelled_events_are_skipped_by_pop(self):
-        events = EventList()
-        doomed = events.push(1, 0, _noop)
-        survivor = events.push(2, 0, _noop)
+    def test_cancelled_events_are_skipped(self):
+        sim = Simulation()
+        order, tag = _recorder()
+        doomed = sim.schedule(1, tag("doomed"))
+        sim.schedule(2, tag("survivor"))
         doomed.cancel()
-        assert events.pop() is survivor
+        sim.run()
+        assert order == ["survivor"]
+        assert sim.now == 2
 
-    def test_peek_time_skips_cancelled_head(self):
-        events = EventList()
-        doomed = events.push(1, 0, _noop)
-        events.push(5, 0, _noop)
+    def test_run_until_skips_cancelled_head(self):
+        sim = Simulation()
+        order, tag = _recorder()
+        doomed = sim.schedule(1, tag("doomed"))
+        sim.schedule(5, tag("survivor"))
         doomed.cancel()
-        assert events.peek_time() == 5
+        assert sim.run(until=4) == 4
+        assert order == []
+        assert sim.run(until=5) == 5
+        assert order == ["survivor"]
 
-    def test_peek_time_empty_returns_none(self):
-        assert EventList().peek_time() is None
+    def test_run_until_on_empty_list_advances_clock(self):
+        sim = Simulation()
+        assert sim.run(until=7) == 7
+        assert sim.events_executed == 0
 
     def test_len_counts_cancelled_until_discarded(self):
-        events = EventList()
-        doomed = events.push(1, 0, _noop)
-        doomed.cancel()
-        assert len(events) == 1
-        assert events.peek_time() is None
-        assert len(events) == 0
+        sim = Simulation()
+        sim.schedule(1, _noop).cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.pending_events == 0
+        assert sim.events_executed == 0
 
 
 class TestEventListBasics:
@@ -86,63 +109,86 @@ class TestEventListBasics:
         assert event.handler is _noop
         assert event.args == (1, 2)
 
-    def test_pop_empty_raises_scheduling_error(self):
-        with pytest.raises(SchedulingError, match="exhausted"):
-            EventList().pop()
+    def test_run_drains_every_tier_of_cancelled_events(self):
+        """Cancelled immediate, wheel and overflow-heap events are all
+        discarded, and the drained list takes fresh work on its clock."""
+        sim = Simulation()
+        order, tag = _recorder()
+        sim.wake(tag("immediate")).cancel()
+        sim.schedule(1, tag("wheel")).cancel()
+        sim.schedule(float("inf"), tag("overflow")).cancel()
+        assert sim.events_heap_pushed == 1
+        assert sim.run() == 0
+        assert sim.pending_events == 0
+        sim.schedule(3, tag("fresh"))
+        sim.run()
+        assert order == ["fresh"]
+        assert sim.now == 3
 
-    def test_pop_with_only_cancelled_events_raises_scheduling_error(self):
-        """Exhaustion is explicit even when the heap is physically
-        non-empty: lazily-discarded cancelled events don't count."""
-        events = EventList()
-        events.push(1, 0, _noop).cancel()
-        events.push(2, 0, _noop).cancel()
-        with pytest.raises(SchedulingError, match="no live events"):
-            events.pop()
+    def test_run_drains_only_cancelled_timed_events(self):
+        sim = Simulation()
+        order, tag = _recorder()
+        sim.schedule(1, tag("a")).cancel()
+        sim.schedule(2, tag("b")).cancel()
+        assert sim.run() == 0
+        assert order == []
+        assert sim.pending_events == 0
+        assert sim.events_executed == 0
 
-    def test_pop_with_only_cancelled_immediates_raises_scheduling_error(self):
-        events = EventList()
-        events.push_immediate(0, _noop).cancel()
-        with pytest.raises(SchedulingError):
-            events.pop()
+    def test_run_drains_only_cancelled_immediates(self):
+        sim = Simulation()
+        order, tag = _recorder()
+        sim.wake(tag("a")).cancel()
+        assert sim.run() == 0
+        assert order == []
+        assert sim.pending_events == 0
+        assert sim.events_fast_dispatched == 0
 
 
 class TestImmediateQueue:
     """The zero-delay fast path must preserve (time, priority, seq) order."""
 
-    def test_immediate_pops_before_later_heap_time(self):
-        events = EventList()
-        later = events.push(1, 0, _noop)
-        imm = events.push_immediate(0, _noop)
-        assert events.pop() is imm
-        assert events.pop() is later
+    def test_immediate_runs_before_later_timed_event(self):
+        sim = Simulation()
+        order, tag = _recorder()
+        sim.schedule(1, tag("later"))
+        sim.wake(tag("imm"))
+        sim.run()
+        assert order == ["imm", "later"]
 
-    def test_earlier_heap_seq_beats_immediate_at_same_time(self):
-        events = EventList()
-        heap_first = events.push(0, 0, _noop)  # smaller seq, same key tier
-        imm = events.push_immediate(0, _noop)
-        assert events.pop() is heap_first
-        assert events.pop() is imm
+    def test_earlier_timed_seq_beats_immediate_at_same_time(self):
+        sim = Simulation()
+        order, tag = _recorder()
+        # Timed tier, current tick, smaller seq than the immediate.
+        sim._events.push(sim.now, 0, tag("timed"))
+        sim.wake(tag("imm"))
+        sim.run()
+        assert order == ["timed", "imm"]
 
-    def test_negative_priority_heap_event_beats_immediate(self):
-        events = EventList()
-        imm = events.push_immediate(0, _noop)
-        urgent = events.push(0, -1, _noop)
-        assert events.pop() is urgent
-        assert events.pop() is imm
+    def test_negative_priority_timed_event_beats_immediate(self):
+        sim = Simulation()
+        order, tag = _recorder()
+        sim.wake(tag("imm"))
+        sim.schedule(0, tag("urgent"), priority=-1)
+        sim.run()
+        assert order == ["urgent", "imm"]
 
     def test_immediates_fifo_among_themselves(self):
-        events = EventList()
-        first = events.push_immediate(0, _noop)
-        second = events.push_immediate(0, _noop)
-        assert events.pop() is first
-        assert events.pop() is second
+        sim = Simulation()
+        order, tag = _recorder()
+        sim.wake(tag("first"))
+        sim.wake(tag("second"))
+        sim.run()
+        assert order == ["first", "second"]
 
     def test_cancelled_immediate_is_skipped(self):
-        events = EventList()
-        doomed = events.push_immediate(0, _noop)
-        survivor = events.push_immediate(0, _noop)
+        sim = Simulation()
+        order, tag = _recorder()
+        doomed = sim.wake(tag("doomed"))
+        sim.wake(tag("survivor"))
         doomed.cancel()
-        assert events.pop() is survivor
+        sim.run()
+        assert order == ["survivor"]
 
     def test_len_and_clear_cover_both_tiers(self):
         events = EventList()
@@ -153,18 +199,23 @@ class TestImmediateQueue:
         assert len(events) == 0
         assert not events
 
-    def test_peek_time_sees_immediate_head(self):
-        events = EventList()
-        events.push(5, 0, _noop)
-        events.push_immediate(2, _noop)
-        assert events.peek_time() == 2
+    def test_run_until_dispatches_immediate_before_timed_head(self):
+        sim = Simulation()
+        seen = []
+        sim.schedule(5, lambda: seen.append(("timed", sim.now)))
+        sim.run(until=2)
+        sim.wake(lambda: seen.append(("imm", sim.now)))
+        assert sim.run(until=4) == 4
+        assert seen == [("imm", 2)]
+        assert sim.pending_events == 1
 
     def test_counters_track_tiers(self):
-        events = EventList()
-        events.push(1, 0, _noop)
-        events.push_immediate(0, _noop)
-        assert events.wheel_pushed == 1
-        assert events.heap_pushed == 0
-        assert events.fast_scheduled == 1
-        events.pop()  # the immediate
-        assert events.fast_dispatched == 1
+        sim = Simulation()
+        sim.schedule(1, _noop)
+        sim.wake(_noop)
+        assert sim.events_wheel_pushed == 1
+        assert sim.events_heap_pushed == 0
+        assert sim._events.fast_scheduled == 1
+        sim.run()
+        assert sim.events_fast_dispatched == 1
+        assert sim.events_executed == 2

@@ -184,6 +184,52 @@ class TestRequestRelease:
         times = [t for _, t in finished]
         assert times == [1.0, 1.0, 2.0, 2.0]
 
+    def test_request_merges_through_try_acquire_inline(self):
+        """The Request command runs the inline grant rule first: granted
+        in place on a quiet list, refused (and queued) when busy."""
+        sim = Simulation()
+        res = Resource(sim, "r")
+        grants = []
+        grant = res.try_acquire_inline
+
+        def spy():
+            granted = grant()
+            grants.append(granted)
+            return granted
+
+        res.try_acquire_inline = spy
+
+        def job():
+            yield Request(res)
+            yield Hold(5)
+            yield Release(res)
+
+        sim.process(job())
+        sim.process(job(), delay=1)
+        sim.run(until=2)
+        assert grants == [True, False]
+        assert sim.events_merged_continuations == 1
+        assert res.queued == 1
+        sim.run()
+        assert res.wait_times.maximum == 4
+
+    def test_release_merges_in_place_on_a_quiet_list(self):
+        sim = Simulation()
+        res = Resource(sim, "r")
+        seen = []
+
+        def job():
+            yield Request(res)
+            before = sim.events_merged_continuations
+            yield Release(res)
+            seen.append((sim.events_merged_continuations - before, res.available))
+
+        sim.process(job())
+        sim.run()
+        assert seen == [(1, 1)]
+        # Only the process start went through the immediate queue.
+        assert sim.events_fast_dispatched == 1
+
 
 class TestWaitFor:
     def test_waiters_released_when_gate_opens(self):

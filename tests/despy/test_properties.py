@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.despy import Simulation
-from repro.despy.events import EventList
 from repro.despy.monitor import OnlineStats
 from repro.despy.stats import confidence_interval
 from repro.despy.validation import (
@@ -16,10 +15,6 @@ from repro.despy.validation import (
     parallel_mmc_mean_response_time,
     parallel_mmc_utilizations,
 )
-
-
-def _noop():
-    pass
 
 
 @given(
@@ -32,12 +27,13 @@ def _noop():
         max_size=200,
     )
 )
-def test_event_list_pops_in_nondecreasing_time_order(entries):
-    events = EventList()
+def test_run_dispatches_in_nondecreasing_time_order(entries):
+    sim = Simulation()
+    times = []
     for time, priority in entries:
-        events.push(time, priority, _noop)
-    popped = [events.pop() for _ in range(len(entries))]
-    times = [e.time for e in popped]
+        sim.schedule(time, lambda: times.append(sim.now), priority=priority)
+    sim.run()
+    assert len(times) == len(entries)
     assert times == sorted(times)
 
 
@@ -51,17 +47,20 @@ def test_event_list_pops_in_nondecreasing_time_order(entries):
         max_size=100,
     )
 )
-def test_event_list_matches_reference_heap(entries):
-    """The event list is observationally a stable (time, priority) heap."""
-    events = EventList()
+def test_run_order_matches_reference_heap(entries):
+    """The run loop is observationally a stable (time, priority) heap."""
+    sim = Simulation()
     reference = []
+    dispatched = []
+
+    def record(priority, seq):
+        dispatched.append((sim.now, priority, seq))
+
     for seq, (time, priority) in enumerate(entries):
-        events.push(time, priority, _noop)
+        sim.schedule(time, record, priority, seq, priority=priority)
         heapq.heappush(reference, (time, priority, seq))
-    for _ in range(len(entries)):
-        event = events.pop()
-        time, priority, seq = heapq.heappop(reference)
-        assert (event.time, event.priority, event.seq) == (time, priority, seq)
+    sim.run()
+    assert dispatched == [heapq.heappop(reference) for _ in entries]
 
 
 @given(

@@ -24,17 +24,6 @@ class TestSeeding:
         assert derive_seed(1, "a") == derive_seed(1, "a")
         assert derive_seed(1, "a") != derive_seed(2, "a")
 
-    def test_spawn_children_independent(self):
-        parent = RandomStream(42, "p")
-        a = parent.spawn("child1")
-        b = parent.spawn("child2")
-        assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
-
-    def test_spawn_reproducible(self):
-        a = RandomStream(42, "p").spawn("c")
-        b = RandomStream(42, "p").spawn("c")
-        assert a.random() == b.random()
-
 
 class TestDistributions:
     def test_uniform_bounds(self):
@@ -192,19 +181,12 @@ class TestScalarFastPaths:
 class TestBatchedDraws:
     """Every *_block consumes exactly the draws of its scalar calls."""
 
-    def test_exponential_block_replays_scalar(self):
-        batched = RandomStream(11, "svc")
-        scalar = RandomStream(11, "svc")
-        assert batched.exponential_block(3.5, 257) == [
-            scalar.exponential(3.5) for _ in range(257)
-        ]
-        assert batched._rng.getstate() == scalar._rng.getstate()
-
-    def test_uniform_block_replays_scalar(self):
-        batched = RandomStream(12, "u")
-        scalar = RandomStream(12, "u")
-        assert batched.uniform_block(-2.0, 9.5, 100) == [
-            scalar.uniform(-2.0, 9.5) for _ in range(100)
+    def test_exponential_ticks_block_replays_scalar(self):
+        # The Poisson arrival sources draw through this block.
+        batched = RandomStream(11, "arrivals")
+        scalar = RandomStream(11, "arrivals")
+        assert batched.exponential_ticks_block(3.5, 257) == [
+            scalar.exponential_ticks(3.5) for _ in range(257)
         ]
         assert batched._rng.getstate() == scalar._rng.getstate()
 
@@ -234,31 +216,40 @@ class TestBatchedDraws:
         # scalar draws interleaved between the blocks of each stream.
         a1 = RandomStream(seed, "alpha")
         b1 = RandomStream(seed, "beta")
+        c1 = RandomStream(seed, "gamma")
         mixed: list = []
-        mixed += a1.exponential_block(2.0, 16)
+        mixed += a1.exponential_ticks_block(2.0, 16)
         mixed += b1.randint_block(0, 9, 16)
-        mixed.append(a1.exponential(2.0))
+        mixed += c1.zipf_block(50, 0.86, 16)
+        mixed.append(a1.exponential_ticks(2.0))
         mixed.append(b1.randint(0, 9))
-        mixed += a1.exponential_block(2.0, 8)
+        mixed.append(c1.zipf_index(50, 0.86))
+        mixed += a1.exponential_ticks_block(2.0, 8)
         mixed += b1.randint_block(0, 9, 8)
+        mixed += c1.zipf_block(50, 0.86, 8)
         # Scalar side: the same logical consumption, one call at a time.
         a2 = RandomStream(seed, "alpha")
         b2 = RandomStream(seed, "beta")
+        c2 = RandomStream(seed, "gamma")
         expected: list = []
-        expected += [a2.exponential(2.0) for _ in range(16)]
+        expected += [a2.exponential_ticks(2.0) for _ in range(16)]
         expected += [b2.randint(0, 9) for _ in range(16)]
-        expected.append(a2.exponential(2.0))
+        expected += [c2.zipf_index(50, 0.86) for _ in range(16)]
+        expected.append(a2.exponential_ticks(2.0))
         expected.append(b2.randint(0, 9))
-        expected += [a2.exponential(2.0) for _ in range(8)]
+        expected.append(c2.zipf_index(50, 0.86))
+        expected += [a2.exponential_ticks(2.0) for _ in range(8)]
         expected += [b2.randint(0, 9) for _ in range(8)]
+        expected += [c2.zipf_index(50, 0.86) for _ in range(8)]
         assert mixed == expected
         assert a1._rng.getstate() == a2._rng.getstate()
         assert b1._rng.getstate() == b2._rng.getstate()
+        assert c1._rng.getstate() == c2._rng.getstate()
 
     def test_block_error_cases(self):
         stream = RandomStream(0, "err")
         with pytest.raises(ValueError):
-            stream.exponential_block(0.0, 4)
+            stream.exponential_ticks_block(0.0, 4)
         with pytest.raises(ValueError):
             stream.randint_block(5, 4, 4)
         with pytest.raises(ValueError):

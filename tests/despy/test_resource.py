@@ -1,4 +1,4 @@
-"""Unit tests for Resource statistics and the non-blocking face."""
+"""Unit tests for Resource grants, releases and statistics."""
 
 import pytest
 
@@ -7,27 +7,52 @@ from repro.despy.errors import ResourceError
 from repro.despy.resource import Gate, Resource
 
 
-class TestPlainFace:
-    def test_try_acquire_succeeds_when_free(self):
+class TestInlineFace:
+    """The grant and release rules, called inline from a process."""
+
+    def test_try_acquire_inline_grants_until_capacity(self):
         sim = Simulation()
         res = Resource(sim, "r", capacity=2)
-        assert res.try_acquire()
-        assert res.try_acquire()
-        assert not res.try_acquire()
-        assert res.in_use == 2
+        grants = []
 
-    def test_release_restores_capacity(self):
+        def job():
+            grants.extend(res.try_acquire_inline() for _ in range(3))
+            yield Hold(0)
+
+        sim.process(job())
+        sim.run()
+        assert grants == [True, True, False]
+        assert res.in_use == 2
+        # A refused inline grant books nothing; the caller falls back
+        # to ``yield Request``, which counts the request.
+        assert res.total_requests == 2
+
+    def test_release_inline_restores_capacity(self):
         sim = Simulation()
         res = Resource(sim, "r")
-        res.try_acquire()
-        res.release()
+        merged = []
+
+        def job():
+            yield Request(res)
+            merged.append(res.release_inline())
+
+        sim.process(job())
+        sim.run()
+        assert merged == [True]
         assert res.available == 1
 
     def test_release_idle_resource_raises(self):
         sim = Simulation()
         res = Resource(sim, "r")
         with pytest.raises(ResourceError):
-            res.release()
+            res.release_inline()
+
+        def job():
+            yield Release(res)
+
+        sim.process(job())
+        with pytest.raises(ResourceError, match="idle resource"):
+            sim.run()
 
     def test_zero_capacity_rejected(self):
         sim = Simulation()
@@ -155,10 +180,20 @@ class TestContentionStatistics:
     def test_served_counter_equals_grants_not_requests(self):
         sim = Simulation()
         res = Resource(sim, "r")
-        res.try_acquire()
-        assert not res.try_acquire()  # refused, still a request
+
+        def job():
+            yield Request(res)
+            yield Hold(5)
+            yield Release(res)
+
+        sim.process(job())
+        sim.process(job())
+        sim.run(until=1)
+        # The second request waits in the queue: a request, not a grant.
         assert res.total_requests == 2
         assert res.total_served == 1
+        sim.run()
+        assert res.total_served == 2
 
     def test_wait_time_recorded_at_grant_not_release(self):
         sim = Simulation()
