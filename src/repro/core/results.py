@@ -325,7 +325,7 @@ class PhaseResults:
         """
         return steady_state_estimate(self.response_times_ms, confidence=confidence)
 
-    def to_metrics(self, prefix: str = "") -> Dict[str, float]:
+    def to_metrics(self) -> Dict[str, float]:
         """Flatten to a metric dict for the ReplicationAnalyzer.
 
         Every counter row marked ``metric`` goes in under its own name
@@ -340,66 +340,48 @@ class PhaseResults:
             FAULTS: cluster and self.fault_layer,
         }
         metrics = {
-            f"{prefix}{row.name}": float(getattr(self, row.name))
+            row.name: float(getattr(self, row.name))
             for row in COUNTERS
             if row.metadata["metric"] and open_gates[row.metadata["gate"]]
         }
-        metrics[f"{prefix}total_ios"] = float(self.total_ios)
-        metrics[f"{prefix}swap_ios"] = float(self.swap_ios)
-        metrics[f"{prefix}hit_rate"] = self.hit_rate
-        metrics[f"{prefix}mean_response_time_ms"] = self.mean_response_time_ms
-        metrics[f"{prefix}throughput_tps"] = self.throughput_tps
+        metrics["total_ios"] = float(self.total_ios)
+        metrics["swap_ios"] = float(self.swap_ios)
+        metrics["hit_rate"] = self.hit_rate
+        metrics["mean_response_time_ms"] = self.mean_response_time_ms
+        metrics["throughput_tps"] = self.throughput_tps
         if self.aggregated:
-            metrics[f"{prefix}aggregation_population"] = float(
-                self.aggregation_population
-            )
-            metrics[f"{prefix}aggregate_transactions"] = float(
-                self.aggregate_transactions
-            )
-            metrics[f"{prefix}probe_transactions"] = float(
-                self.probe_transactions
-            )
-            metrics[f"{prefix}calibrated_rate_tps"] = self.calibrated_rate_tps
-            metrics[f"{prefix}calibration_iterations"] = float(
-                self.calibration_iterations
-            )
-            metrics[f"{prefix}calibration_converged"] = float(
-                self.calibration_converged
-            )
+            metrics["aggregation_population"] = float(self.aggregation_population)
+            metrics["aggregate_transactions"] = float(self.aggregate_transactions)
+            metrics["probe_transactions"] = float(self.probe_transactions)
+            metrics["calibrated_rate_tps"] = self.calibrated_rate_tps
+            metrics["calibration_iterations"] = float(self.calibration_iterations)
+            metrics["calibration_converged"] = float(self.calibration_converged)
             if self.probe_response_times_ms:
-                metrics[f"{prefix}probe_mean_response_time_ms"] = (
+                metrics["probe_mean_response_time_ms"] = (
                     self.probe_mean_response_time_ms
                 )
-                metrics[f"{prefix}probe_p95_response_time_ms"] = (
+                metrics["probe_p95_response_time_ms"] = (
                     self.probe_response_percentile(0.95)
                 )
         if self.has_steady_state:
             steady = self.steady_state()
-            metrics[f"{prefix}steady_response_time_ms"] = steady.point
-            metrics[f"{prefix}steady_response_ci_ms"] = steady.half_width
-            metrics[f"{prefix}steady_truncated"] = float(steady.truncated)
-            metrics[f"{prefix}steady_batches"] = float(steady.batches)
+            metrics["steady_response_time_ms"] = steady.point
+            metrics["steady_response_ci_ms"] = steady.half_width
+            metrics["steady_truncated"] = float(steady.truncated)
+            metrics["steady_batches"] = float(steady.batches)
         if cluster:
-            metrics[f"{prefix}cluster_servers"] = float(len(self.server_ios))
-            metrics[f"{prefix}cluster_imbalance"] = self.cluster_imbalance
-            metrics[f"{prefix}cluster_max_utilization"] = (
-                self.cluster_max_utilization
-            )
-            metrics[f"{prefix}replica_lag_ms"] = self.replica_lag_ms
+            metrics["cluster_servers"] = float(len(self.server_ios))
+            metrics["cluster_imbalance"] = self.cluster_imbalance
+            metrics["cluster_max_utilization"] = self.cluster_max_utilization
+            metrics["replica_lag_ms"] = self.replica_lag_ms
             if audited:
-                metrics[f"{prefix}stale_reads_per_1000_reads"] = (
-                    self.stale_reads_per_1000_reads
-                )
+                metrics["stale_reads_per_1000_reads"] = self.stale_reads_per_1000_reads
             for index, peak in enumerate(self.apply_queue_peak):
-                metrics[f"{prefix}server{index}_apply_queue_peak"] = float(peak)
+                metrics[f"server{index}_apply_queue_peak"] = float(peak)
             for index, ios in enumerate(self.server_ios):
-                metrics[f"{prefix}server{index}_total_ios"] = float(ios)
-                metrics[f"{prefix}server{index}_accesses"] = float(
-                    self.server_accesses[index]
-                )
-                metrics[f"{prefix}server{index}_utilization"] = (
-                    self.server_utilization(index)
-                )
+                metrics[f"server{index}_total_ios"] = float(ios)
+                metrics[f"server{index}_accesses"] = float(self.server_accesses[index])
+                metrics[f"server{index}_utilization"] = self.server_utilization(index)
         return metrics
 
 
@@ -433,13 +415,13 @@ class ClusteringReport:
             return 0.0
         return self.clustered_objects / self.clusters
 
-    def to_metrics(self, prefix: str = "clustering_") -> Dict[str, float]:
+    def to_metrics(self) -> Dict[str, float]:
         return {
-            f"{prefix}reorganizations": float(self.reorganizations),
-            f"{prefix}overhead_ios": float(self.overhead_ios),
-            f"{prefix}clusters": float(self.clusters),
-            f"{prefix}objects_per_cluster": self.mean_objects_per_cluster,
-            f"{prefix}moved_objects": float(self.moved_objects),
+            "clustering_reorganizations": float(self.reorganizations),
+            "clustering_overhead_ios": float(self.overhead_ios),
+            "clustering_clusters": float(self.clusters),
+            "clustering_objects_per_cluster": self.mean_objects_per_cluster,
+            "clustering_moved_objects": float(self.moved_objects),
         }
 
 
