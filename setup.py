@@ -20,7 +20,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     # The built-in scenario catalog ships as data: declarative YAML
-    # files loaded at import time by repro.scenarios.builtin.
+    # files repro.scenarios.builtin parses on each scenario's first
+    # lookup.
     package_data={"repro.scenarios": ["library/*.yaml"]},
     python_requires=">=3.10",
     install_requires=["PyYAML"],

@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="transactions per replication (default 1000, the Table 5 "
-        "value; for scenarios: scale every point down to this many)",
+        "value; for scenarios: set every point's HOTN to this, up or down, "
+        "and cap its COLDN warm-up at it)",
     )
     parser.add_argument(
         "--cache-dir",

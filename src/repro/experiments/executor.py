@@ -24,9 +24,7 @@ The worker count comes from the ``--jobs`` CLI flag or the
 from __future__ import annotations
 
 import inspect
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -212,6 +210,10 @@ class ParallelExecutor(Executor):
         if len(indexed_jobs) == 1 or self.jobs == 1:
             # Not worth a pool; also keeps single-job sweeps debuggable.
             return SerialExecutor._execute(self, indexed_jobs)
+        # The pool modules are imported here, not with this module: a
+        # serial run (the default) starts no pool and skips their import.
+        import multiprocessing
+
         ocbs = tuple({job.config.ocb for _, job in indexed_jobs})
         # On fork platforms, build the bases in the parent first: every
         # worker then inherits them copy-on-write and the initializer's
@@ -235,7 +237,9 @@ class ParallelExecutor(Executor):
         warm: Tuple,
         workers: int,
     ) -> Iterable[Tuple[int, Dict[str, float]]]:
-        with _PoolExecutor(
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(warm,)
         ) as pool:
             # pool.map yields results in submission order, so streaming

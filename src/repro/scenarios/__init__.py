@@ -8,8 +8,9 @@ figures.
 
 Scenarios are *data*: the built-in catalog is a set of committed
 ``.yaml`` files under ``scenarios/library/`` in the schema of
-:mod:`repro.scenarios.schema`, loaded and registered on import by
-:mod:`repro.scenarios.builtin`; ``voodb scenario run path/to/file.yaml``
+:mod:`repro.scenarios.schema`.  :mod:`repro.scenarios.builtin` registers
+their names on import and parses each file on its first lookup, so a
+run parses only the files it names; ``voodb scenario run path/to/file.yaml``
 runs any file in the same format with no registry edit.  ``python -m
 repro scenario list|describe|run|validate`` is the command-line face,
 and each built-in's report is pinned byte-for-byte under

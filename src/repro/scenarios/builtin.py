@@ -5,9 +5,11 @@ Every built-in scenario is a ``.yaml`` file under
 :mod:`repro.scenarios.schema` — the same format ``voodb scenario run
 path/to/file.yaml`` accepts, so adding a study to the catalog is a data
 change: drop a file in ``library/`` and list it in :data:`MANIFEST`.
-The files are the source of truth; this module only loads and registers
-them, which keeps the schema honest (a scenario the file format cannot
-express cannot hide in the catalog).
+The files are the source of truth; this module only registers their
+names on import and loads each file on its scenario's first lookup
+(:func:`load_builtin`), which keeps the schema honest (a scenario the
+file format cannot express cannot hide in the catalog) and keeps a run
+from parsing the files it never names.
 
 Twenty-six ready-made studies over the O2 instantiation, spanning the
 axes the ROADMAP's "as many scenarios as you can imagine" asks for: the
@@ -39,8 +41,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Tuple
 
-from repro.scenarios.catalog import Scenario, register_scenario
+from repro.scenarios.catalog import Scenario, reserve_scenarios
 from repro.scenarios.loader import load_scenario_file
+from repro.scenarios.schema import ScenarioSchemaError
 
 #: Directory holding the committed built-in scenario files.
 LIBRARY_DIR = Path(__file__).resolve().parent / "library"
@@ -77,18 +80,21 @@ MANIFEST: Tuple[str, ...] = (
 )
 
 
-def _load_catalog() -> Tuple[Scenario, ...]:
-    loaded = []
-    for name in MANIFEST:
-        path = LIBRARY_DIR / f"{name}.yaml"
-        scenario = load_scenario_file(path)
-        if scenario.name != name:
-            raise ValueError(
-                f"scenario file {path} declares name {scenario.name!r}, "
-                f"expected {name!r} (file name and scenario name must match)"
-            )
-        loaded.append(register_scenario(scenario))
-    return tuple(loaded)
+def load_builtin(name: str) -> Scenario:
+    """Parse and compile ``library/<name>.yaml``.
+
+    Raises :class:`ScenarioSchemaError`, naming the file, when it does
+    not fit the schema or its ``name:`` is not ``name``.
+    """
+    path = LIBRARY_DIR / f"{name}.yaml"
+    scenario = load_scenario_file(path)
+    if scenario.name != name:
+        raise ScenarioSchemaError(
+            str(path),
+            f"declares name {scenario.name!r}, expected {name!r} "
+            "(file name and scenario name must match)",
+        )
+    return scenario
 
 
-BUILTIN_SCENARIOS: Tuple[Scenario, ...] = _load_catalog()
+reserve_scenarios(MANIFEST, load_builtin)

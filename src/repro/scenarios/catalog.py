@@ -15,7 +15,8 @@ executors and replication cache as the paper's figures, and the same
 statistics fall out.
 
 The registry maps scenario names to definitions; the built-in catalog
-lives in :mod:`repro.scenarios.builtin` and registers itself on import.
+lives in :mod:`repro.scenarios.builtin`, which registers its names on
+import and parses each file on that scenario's first lookup.
 ``python -m repro scenario list|describe|run`` is the command-line face.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
 from repro.core.parameters import VOODBConfig
 from repro.experiments.executor import Executor
@@ -117,9 +118,12 @@ class Scenario:
         )
 
     def scaled(self, hotn: int) -> "Scenario":
-        """A copy with every point's workload shrunk to ``hotn``
-        transactions (cold runs shrink proportionally) — the knob the
-        round-trip tests use to stay fast."""
+        """A copy whose every point runs ``hotn`` measured transactions.
+
+        HOTN is set, not only lowered: the round-trip tests drop it to
+        stay fast and perfbench raises ``paper-baseline``'s to 5000.  A
+        point's COLDN warm-up is capped at ``hotn`` (zero stays zero).
+        """
         if hotn < 1:
             raise ValueError(f"hotn must be >= 1, got {hotn}")
         points = []
@@ -135,15 +139,30 @@ class Scenario:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Scenario] = {}
+#: Name -> scenario, in catalog order.  A name taken by
+#: :func:`reserve_scenarios` maps to its loader until its first lookup.
+_REGISTRY: Dict[str, Union[Scenario, Callable[[str], Scenario]]] = {}
+
+
+def _claim(name: str) -> None:
+    if name in _REGISTRY:
+        raise ValueError(f"scenario {name!r} is already registered")
 
 
 def register_scenario(scenario: Scenario) -> Scenario:
     """Add a scenario to the catalog (name collisions are errors)."""
-    if scenario.name in _REGISTRY:
-        raise ValueError(f"scenario {scenario.name!r} is already registered")
+    _claim(scenario.name)
     _REGISTRY[scenario.name] = scenario
     return scenario
+
+
+def reserve_scenarios(names: Iterable[str], load: Callable[[str], Scenario]) -> None:
+    """Register ``names`` now and build each one's scenario with
+    ``load(name)`` on its first lookup (how the built-in catalog defers
+    parsing its files until a run asks for one)."""
+    for name in names:
+        _claim(name)
+        _REGISTRY[name] = load
 
 
 def scenario_names() -> Tuple[str, ...]:
@@ -152,19 +171,23 @@ def scenario_names() -> Tuple[str, ...]:
 
 
 def all_scenarios() -> Tuple[Scenario, ...]:
-    """All registered scenarios, in catalog order."""
-    return tuple(_REGISTRY.values())
+    """All registered scenarios, in catalog order (loads every reserved
+    one not looked up yet)."""
+    return tuple(get_scenario(name) for name in scenario_names())
 
 
 def get_scenario(name: str) -> Scenario:
-    """Look a scenario up by name."""
+    """Look a scenario up by name, loading a reserved one on first lookup."""
     try:
-        return _REGISTRY[name]
+        entry = _REGISTRY[name]
     except KeyError:
         known = ", ".join(scenario_names()) or "<none>"
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; known scenarios: {known}"
         ) from None
+    if not isinstance(entry, Scenario):
+        entry = _REGISTRY[name] = entry(name)
+    return entry
 
 
 def run_scenario(

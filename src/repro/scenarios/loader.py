@@ -14,14 +14,15 @@ file format cannot express a scenario, the catalog breaks loudly.
 ``dump_scenario`` writes the canonical minimal-diff form
 (:func:`repro.scenarios.schema.scenario_to_dict`) as YAML with stable
 key order, so dump -> load -> dump is byte-stable.
+
+``yaml`` is imported by the first parse or dump, not with this module:
+a run of a figure, a table or the DSTC protocol reads no scenario file.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Any, Mapping, Union
-
-import yaml
 
 from repro.scenarios.catalog import Scenario
 from repro.scenarios.schema import (
@@ -35,6 +36,8 @@ SCENARIO_SUFFIXES = (".yaml", ".yml", ".toml")
 
 
 def _parse_yaml(text: str, source: str) -> Mapping:
+    import yaml
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -109,6 +112,8 @@ def looks_like_scenario_path(name: str) -> bool:
 
 def dump_scenario(scenario: Scenario) -> str:
     """The canonical YAML text of a scenario (stable under round trips)."""
+    import yaml
+
     return yaml.safe_dump(
         _plain(scenario_to_dict(scenario)),
         sort_keys=False,

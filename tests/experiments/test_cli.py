@@ -14,10 +14,17 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 class TestStartup:
     def test_cli_import_loads_no_scipy_or_numpy(self):
-        """A module-level heavy import would add ~1 s to every CLI run."""
+        """Importing the CLI loads nothing a default run may not need.
+
+        scipy or numpy would add ~1 s to every run.  ``yaml`` is for
+        parsing scenario files, which happens on a scenario's first
+        lookup, and ``multiprocessing``/``concurrent`` are for the
+        process pool, which only a parallel executor starts.
+        """
+        unused = ("scipy", "numpy", "yaml", "multiprocessing", "concurrent")
         probe = (
             "import sys, repro.__main__; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy'))))"
+            f"print(sorted(m for m in sys.modules if m.startswith({unused!r})))"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],

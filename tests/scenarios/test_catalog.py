@@ -6,6 +6,12 @@ layer — the guarantees behind the committed ``results/scenario_*.txt``
 goldens.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.parameters import VOODBConfig
@@ -28,6 +34,7 @@ from repro.scenarios import (
 )
 
 ALL = all_scenarios()
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def small(scenario: Scenario) -> Scenario:
@@ -86,6 +93,63 @@ class TestRegistry:
             "partition-storm",
             "gray-failure-drag",
             "anti-entropy-catchup",
+        }
+
+
+class TestLazyRegistry:
+    """The built-ins are registered by name and parsed on first lookup.
+
+    Checked in a fresh interpreter: in this one, ``ALL`` has loaded
+    every file already.
+    """
+
+    PROBE = """
+import json, sys
+from repro.core.parameters import VOODBConfig
+from repro.scenarios import (
+    Scenario, all_scenarios, get_scenario, load_scenario_file,
+    register_scenario, scenario_names,
+)
+from repro.scenarios.builtin import LIBRARY_DIR, MANIFEST
+
+seen = {"names": list(scenario_names()), "yaml_after_names": "yaml" in sys.modules}
+try:
+    register_scenario(
+        Scenario(name="open-poisson", title="t", description="d",
+                 points=(("x", VOODBConfig()),))
+    )
+except ValueError as exc:
+    seen["register_error"] = str(exc)
+seen["yaml_after_register"] = "yaml" in sys.modules
+first = get_scenario("paper-baseline")
+seen["lookup_cached"] = get_scenario("paper-baseline") is first
+loaded = all_scenarios()
+seen["all_keeps_loaded"] = loaded[0] is first
+seen["all_equals_files"] = loaded == tuple(
+    load_scenario_file(LIBRARY_DIR / f"{name}.yaml") for name in MANIFEST
+)
+print(json.dumps(seen))
+"""
+
+    def test_fresh_process_parses_on_first_lookup(self):
+        from repro.scenarios.builtin import MANIFEST
+
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "names": list(MANIFEST),
+            "yaml_after_names": False,
+            "register_error": "scenario 'open-poisson' is already registered",
+            "yaml_after_register": False,
+            "lookup_cached": True,
+            "all_keeps_loaded": True,
+            "all_equals_files": True,
         }
 
 

@@ -1,12 +1,18 @@
 """Tests for the ``python -m repro scenario`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.scenarios import scenario_names
 from repro.scenarios.builtin import LIBRARY_DIR
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestParser:
@@ -153,6 +159,33 @@ class TestScenarioFiles:
         assert main(["scenario", "validate", *paths]) == 0
         out = capsys.readouterr().out
         assert out.count(": ok") == len(paths)
+
+    def test_mismatched_library_file_exits_2(self, tmp_path):
+        """A built-in whose file declares another ``name:`` is a schema
+        error naming the file when it is looked up, on every lookup."""
+        text = (LIBRARY_DIR / "open-bursty.yaml").read_text(encoding="utf-8")
+        self._write(tmp_path, text, name="open-poisson.yaml")
+        probe = (
+            "import pathlib, sys; from repro.scenarios import builtin; "
+            "builtin.LIBRARY_DIR = pathlib.Path(sys.argv[1]); "
+            "from repro.__main__ import main; "
+            "print([main(['scenario', command, 'open-poisson']) "
+            "for command in ('describe', 'run')])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[2, 2]"
+        error = (
+            f"error: {tmp_path / 'open-poisson.yaml'}: declares name "
+            "'open-bursty', expected 'open-poisson'"
+        )
+        assert done.stderr.count(error) == 2, done.stderr
 
     def test_validate_rejects_bad_file(self, tmp_path, capsys):
         path = self._write(tmp_path, "format: wrong\nname: x\n")
