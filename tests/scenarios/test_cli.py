@@ -68,8 +68,6 @@ class TestExecution:
     def test_run_matches_committed_golden(self, capsys):
         """``scenario run`` with the pinned protocol reproduces the
         golden byte-for-byte (modulo the trailing newline publish adds)."""
-        from pathlib import Path
-
         golden = (
             Path(__file__).resolve().parents[2]
             / "results"
