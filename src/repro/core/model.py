@@ -60,6 +60,7 @@ from repro.core.results import (
     CLUSTER,
     COUNTERS,
     FAULTS,
+    KERNEL_COUNTERS,
     MS,
     ClusteringReport,
     PhaseResults,
@@ -376,13 +377,9 @@ class VOODBSimulation:
         if ocb.coldn > 0:
             self.run_phase(ocb.coldn, stream_label="cold")
         phase = self.run_phase(ocb.hotn, stream_label="hot")
-        sim = self.sim
         kernel = {
-            "events_wheel_pushed": float(sim.events_wheel_pushed),
-            "events_pooled_reused": float(sim.events_pooled_reused),
-            "ticks_overflowed": float(sim.events_ticks_overflowed),
-            "wheel_recalibrations": float(sim.events_wheel_recalibrations),
-            "holds_warped": float(sim.events_holds_warped),
+            name: float(getattr(self.sim, counter))
+            for name, counter in KERNEL_COUNTERS
         }
         return SimulationResults(
             phase=phase,

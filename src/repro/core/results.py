@@ -389,6 +389,17 @@ class PhaseResults:
 #: :func:`_counter`, in declaration order.
 COUNTERS = tuple(row for row in fields(PhaseResults) if "source" in row.metadata)
 
+#: The kernel perf counters of a replication, in report order: each
+#: ``kernel`` key with the :class:`~repro.despy.engine.Simulation`
+#: property it reads.
+KERNEL_COUNTERS = (
+    ("events_wheel_pushed", "events_wheel_pushed"),
+    ("events_pooled_reused", "events_pooled_reused"),
+    ("ticks_overflowed", "events_ticks_overflowed"),
+    ("wheel_recalibrations", "events_wheel_recalibrations"),
+    ("holds_warped", "events_holds_warped"),
+)
+
 
 @dataclass
 class ClusteringReport:
@@ -433,9 +444,9 @@ class SimulationResults:
     clustering: ClusteringReport
     seed: int = 0
     #: Kernel perf counters of the whole replication (event-list fast
-    #: paths; see :mod:`repro.despy.events`).  Flattened as ``kernel_*``
-    #: metrics so the ``voodb scenario run --json`` output can report
-    #: where the events of a scenario went.
+    #: paths, :data:`KERNEL_COUNTERS`; see :mod:`repro.despy.events`).
+    #: Flattened as ``kernel_*`` metrics so the ``voodb scenario run
+    #: --json`` output can report where the events of a scenario went.
     kernel: Dict[str, float] = field(default_factory=dict)
 
     # Convenience pass-throughs for the headline metrics -----------------

@@ -20,7 +20,8 @@ completion callbacks (see :meth:`Process.on_complete`).
 Hot model generators may skip the ``Request``/``Release`` yields with
 :meth:`~repro.despy.resource.Resource.try_acquire_inline` and
 :meth:`~repro.despy.resource.Resource.release_inline`; the two commands
-run those same methods, so both spellings grant and release alike.
+book the same grant and run the same release, so both spellings grant
+and release alike.
 """
 
 from __future__ import annotations
@@ -207,11 +208,9 @@ class Process:
                     events.push(time, priority, self._step, _STEP_ARGS, True)
                 return
             if cls is Request:
-                resource = command.resource
-                if resource.try_acquire_inline():
+                if command.resource._request(self, command.priority):
                     send_value = None
                     continue
-                resource._enqueue(self, command.priority)
                 return
             if cls is Release:
                 # A release that wakes a waiter parks this process

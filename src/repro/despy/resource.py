@@ -8,8 +8,10 @@ DESP-C++.  This module is that class.
 Process generators take a unit with ``yield Request(res)`` and give it
 back with ``yield Release(res)``.  Hot model generators skip those
 yields' round trip through the command pump with
-:meth:`Resource.try_acquire_inline` and :meth:`Resource.release_inline`,
-which the two commands themselves run, so there is one grant rule and
+:meth:`Resource.try_acquire_inline` and :meth:`Resource.release_inline`.
+The ``Release`` command runs :meth:`Resource.release_inline` itself, and
+the ``Request`` command books an uncontended grant as
+:meth:`Resource.try_acquire_inline` does, so there is one grant rule and
 one release rule.  The two rules update the time-weighted statistics
 that report resource utilization and queue lengths at the end of a
 replication.
@@ -124,12 +126,13 @@ class Resource:
         """Grant a unit inline iff ``yield Request(self)`` would merge.
 
         The merged-continuation test and accounting of an uncontended
-        grant, which ``yield Request(self)`` runs first — offered to hot
-        model generators so they can skip the Request yield's round trip
-        through the command pump entirely.  Returns False (booking
-        nothing) whenever the grant is contended or this caller is not
-        provably the next dispatch; the caller then falls back to
-        ``yield Request(self)``, which re-evaluates the same state.
+        grant, as ``yield Request(self)`` books it (:meth:`_request`) —
+        offered to hot model generators so they can skip the Request
+        yield's round trip through the command pump entirely.  Returns
+        False (booking nothing) whenever the grant is contended or this
+        caller is not provably the next dispatch; the caller then falls
+        back to ``yield Request(self)``, which queues the request or
+        parks the granted process on the immediate queue.
 
         The merge test and the grant accounting (:meth:`_book_grant`)
         are spelled out inline for the same reason as
@@ -186,20 +189,30 @@ class Resource:
         if waits.maximum < 0.0:
             waits.maximum = 0.0
 
-    def _enqueue(self, process: "Process", priority: int) -> None:
+    def _request(self, process: "Process", priority: int) -> bool:
+        """Run ``yield Request(self)``; True iff the caller keeps stepping.
+
+        An uncontended grant is booked at once and merges in place when
+        the event list is ``quiet``, as :meth:`try_acquire_inline` does;
+        otherwise the process goes to the immediate-dispatch queue.  A
+        contended request joins the priority/FIFO queue.
+        """
         self.total_requests += 1
         if self._in_use < self.capacity and not self._queue:
-            # Uncontended grant (the common case): take the unit and hand
-            # the process straight to the immediate-dispatch queue.
             self._book_grant()
             sim = self.sim
-            sim._events.push_immediate(sim.now, process._step, _STEP_ARGS, True)
-            return
+            events = sim._events
+            if events.quiet:
+                events.merged_continuations += 1
+                return True
+            events.push_immediate(sim.now, process._step, _STEP_ARGS, True)
+            return False
         heapq.heappush(
             self._queue, (priority, self._queue_seq, process, self.sim.now)
         )
         self._queue_seq += 1
         self.queue_length.record(len(self._queue))
+        return False
 
     def _take(self) -> None:
         self._in_use += 1

@@ -15,23 +15,12 @@ scenarios package.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.results import KERNEL_COUNTERS
 from repro.experiments.figures import ExperimentSeries
 from repro.experiments.specs import SweepResult
 from repro.experiments.tables import TABLE_7_REFERENCE, DSTCExperimentResult
-
-
-#: Kernel perf counters surfaced in the ``scenario run --json`` payload
-#: (recorded per replication by ``VOODBSimulation.run``; see
-#: :mod:`repro.despy.events` for what each one measures).
-_KERNEL_COUNTERS = (
-    "events_wheel_pushed",
-    "events_pooled_reused",
-    "ticks_overflowed",
-    "wheel_recalibrations",
-    "holds_warped",
-)
 
 
 def _format_row(columns: List[str], widths: List[int]) -> str:
@@ -79,345 +68,58 @@ def _metric_value(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _cluster_servers_per_point(scenario) -> List[int]:
-    """Server count of every point (0 = no cluster layer at that point)."""
-    return [config.cluster.servers for _x, config in scenario.points]
-
-
-def format_cluster_detail(scenario, result: SweepResult) -> List[str]:
-    """Per-server utilization/throughput rows for cluster scenarios.
-
-    One line per point: each server's mean disk utilization with its
-    share of the point's service operations — how a hot shard or a
-    clean scale-out actually reads in the golden report.
-    """
-    servers_per_point = _cluster_servers_per_point(scenario)
-    if not any(servers_per_point):
-        return []
-    lines = ["", "per-server disk utilization (share of accesses):"]
-    for (x, _config), servers, analyzer in zip(
-        scenario.points, servers_per_point, result.analyzers
-    ):
-        if not servers:
-            continue
-        accesses = [
-            analyzer.mean(f"server{i}_accesses") for i in range(servers)
-        ]
-        total_accesses = sum(accesses) or 1.0
-        cells = [
-            f"s{i} {_metric_value(analyzer.mean(f'server{i}_utilization'))}"
-            f" ({accesses[i] / total_accesses:.1%})"
-            for i in range(servers)
-        ]
-        lines.append(f"  {x}: " + "  ".join(cells))
-    return lines
-
-
-def _replication_async_per_point(scenario) -> List[bool]:
-    """Whether each point runs async replication (consistency spectrum)."""
-    return [config.replication.is_async for _x, config in scenario.points]
-
-
-def format_replication(scenario, result: SweepResult) -> List[str]:
-    """The async-replication block of a consistency-spectrum report.
-
-    One line per async point: its quorum pair, the mean replication lag
-    over how many replica applies, the stale reads the staleness window
-    let through, and the deepest any node's apply queue got.
-    """
-    async_per_point = _replication_async_per_point(scenario)
-    if not any(async_per_point):
-        return []
-    lines = ["", "async replication (apply queues, lag, staleness):"]
-    for (x, config), is_async, analyzer in zip(
-        scenario.points, async_per_point, result.analyzers
-    ):
-        if not is_async:
-            lines.append(f"  {x}: sync")
-            continue
-        rep = config.replication
-        metrics = set(analyzer.metrics())
-        lag = analyzer.mean("replica_lag_ms")
-        applies = analyzer.mean("replica_applies")
-        stale = analyzer.mean("stale_reads")
-        stale_cell = f"stale reads {_metric_value(stale)}"
-        if "stale_reads_per_1000_reads" in metrics:
-            # The rate next to the raw counter: comparable across
-            # workload sizes (per 1000 served page reads).
-            rate = analyzer.mean("stale_reads_per_1000_reads")
-            stale_cell += f" ({_metric_value(rate)}/1k reads)"
-        peak = max(
-            (
-                analyzer.mean(f"server{i}_apply_queue_peak")
-                for i in range(config.cluster.servers)
-                if f"server{i}_apply_queue_peak" in metrics
-            ),
-            default=0.0,
-        )
-        lines.append(
-            f"  {x}: R{rep.read_quorum}/W{rep.write_quorum}, "
-            f"lag {_metric_value(lag)} ms over "
-            f"{_metric_value(applies)} applies, "
-            f"{stale_cell}, "
-            f"peak queue {_metric_value(peak)}"
-        )
-    return lines
-
-
-def _failover_per_point(scenario) -> List[bool]:
-    """Whether each point composes per-node hazards with a cluster."""
-    return [
-        config.cluster.enabled and config.failures.enabled
-        for _x, config in scenario.points
-    ]
-
-
-def format_failover(scenario, result: SweepResult) -> List[str]:
-    """The failover block of a hazards-on-cluster report.
-
-    One line per hazard point: crash count and downtime, transient
-    faults, and how the cluster routed around the outages (reads that
-    failed over to a live replica; writes that queued behind a down
-    primary's recovery).
-    """
-    failover_per_point = _failover_per_point(scenario)
-    if not any(failover_per_point):
-        return []
-    lines = ["", "failover (per-node hazards on the cluster):"]
-    for (x, _config), active, analyzer in zip(
-        scenario.points, failover_per_point, result.analyzers
-    ):
-        if not active:
-            continue
-        lines.append(
-            f"  {x}: crashes {_metric_value(analyzer.mean('crashes'))} "
-            f"(downtime {_metric_value(analyzer.mean('downtime_ms'))} ms), "
-            f"transient faults "
-            f"{_metric_value(analyzer.mean('transient_faults'))}, "
-            f"read failovers "
-            f"{_metric_value(analyzer.mean('read_failovers'))}, "
-            f"write recovery waits "
-            f"{_metric_value(analyzer.mean('write_recovery_waits'))}"
-        )
-    return lines
-
-
-def _faults_per_point(scenario) -> List[bool]:
-    """Whether each point runs the fault-tolerance layer."""
-    return [
-        config.cluster.enabled and config.faults.enabled
-        for _x, config in scenario.points
-    ]
-
-
-#: The fault-layer counters the degradation block reports, in order:
-#: ``(metric, label)`` pairs grouped into the two report lines.
-_FAULT_LINE_ONE = (
-    ("partitions", "partitions"),
-    ("partition_ms", "partition ms"),
-    ("gray_episodes", "gray episodes"),
-    ("degraded_reads", "degraded reads"),
-)
-_FAULT_LINE_TWO = (
-    ("remote_timeouts", "timeouts"),
-    ("remote_retries", "retries"),
-    ("abandoned_reads", "abandoned"),
-    ("elections", "elections"),
-    ("promotions", "promotions"),
-    ("repair_pages", "repaired pages"),
-    ("read_repairs", "read repairs"),
+#: The fault-layer counters with their report labels: the text prints
+#: one line per row, the document one column per counter.
+_FAULT_LINES = (
+    (
+        ("partitions", "partitions"),
+        ("partition_ms", "partition ms"),
+        ("gray_episodes", "gray episodes"),
+        ("degraded_reads", "degraded reads"),
+    ),
+    (
+        ("remote_timeouts", "timeouts"),
+        ("remote_retries", "retries"),
+        ("abandoned_reads", "abandoned"),
+        ("elections", "elections"),
+        ("promotions", "promotions"),
+        ("repair_pages", "repaired pages"),
+        ("read_repairs", "read repairs"),
+    ),
 )
 
-
-def format_faults(scenario, result: SweepResult) -> List[str]:
-    """The degradation block of a fault-tolerance report.
-
-    Two lines per fault point: the fault pressure (partitions and
-    their total active time, gray episodes, degraded reads) and how
-    the recovery machinery absorbed it (the retry ladder's timeouts/
-    retries/abandons, elections and promotions, anti-entropy and
-    read-repair traffic).
-    """
-    faults_per_point = _faults_per_point(scenario)
-    if not any(faults_per_point):
-        return []
-    lines = ["", "fault tolerance (partitions, gray nodes, recovery):"]
-    for (x, _config), active, analyzer in zip(
-        scenario.points, faults_per_point, result.analyzers
-    ):
-        if not active:
-            continue
-        for pairs, indent in ((_FAULT_LINE_ONE, f"  {x}: "), (
-            _FAULT_LINE_TWO,
-            "     ",
-        )):
-            cells = [
-                f"{label} {_metric_value(analyzer.mean(metric))}"
-                for metric, label in pairs
-            ]
-            lines.append(indent + ", ".join(cells))
-    return lines
-
-
-#: Metric names the aggregated source tier flattens per replication
-#: (see :meth:`repro.core.results.PhaseResults.to_metrics`).
-_AGGREGATION_METRICS = (
-    "aggregation_population",
-    "calibrated_rate_tps",
-    "calibration_iterations",
-    "calibration_converged",
-    "aggregate_transactions",
-    "probe_transactions",
+#: The per-node hazard counters of the failover section.
+_FAILOVER_METRICS = (
+    "crashes",
+    "downtime_ms",
+    "transient_faults",
+    "read_failovers",
+    "write_recovery_waits",
 )
-
-
-def _scenario_is_aggregated(scenario) -> bool:
-    """Whether the scenario runs the flow-aggregated source tier."""
-    return scenario.arrival_mode == "aggregated"
-
-
-def _has_aggregation_metrics(analyzer) -> bool:
-    metrics = set(analyzer.metrics())
-    return all(name in metrics for name in _AGGREGATION_METRICS)
-
-
-def format_aggregation(scenario, result: SweepResult) -> List[str]:
-    """The flow-aggregation block of a scale scenario report.
-
-    One line per point: the population the aggregate stream stood in
-    for, the calibrated fixed-point rate (with how many pilot
-    iterations it took and whether it converged within tolerance), the
-    aggregate/probe transaction split, and the probe cohort's latency
-    (mean and p95) — the per-user numbers only the probes can observe.
-    """
-    if not _scenario_is_aggregated(scenario):
-        return []
-    lines = [
-        "",
-        "flow aggregation (calibrated open stream + probe cohort):",
-    ]
-    for (x, _config), analyzer in zip(scenario.points, result.analyzers):
-        if not _has_aggregation_metrics(analyzer):
-            lines.append(f"  {x}: n/a (no aggregated phase metrics)")
-            continue
-        population = analyzer.mean("aggregation_population")
-        rate = analyzer.mean("calibrated_rate_tps")
-        iterations = analyzer.mean("calibration_iterations")
-        converged = analyzer.mean("calibration_converged") >= 1.0
-        aggregate = analyzer.mean("aggregate_transactions")
-        probe = analyzer.mean("probe_transactions")
-        line = (
-            f"  {x}: N={population:.0f}, rate {_metric_value(rate)} tps "
-            f"({iterations:.0f} pilot iters, "
-            f"{'converged' if converged else 'NOT converged'}), "
-            f"aggregate/probe txns {_metric_value(aggregate)}/"
-            f"{_metric_value(probe)}"
-        )
-        metrics = set(analyzer.metrics())
-        if "probe_mean_response_time_ms" in metrics:
-            mean_ms = analyzer.interval("probe_mean_response_time_ms")
-            p95_ms = analyzer.mean("probe_p95_response_time_ms")
-            line += (
-                f", probe {_metric_value(mean_ms.mean)} ms "
-                f"±{_metric_value(mean_ms.half_width)} "
-                f"(p95 {_metric_value(p95_ms)})"
-            )
-        lines.append(line)
-    return lines
-
-
-#: Metric names the steady-state pipeline flattens per replication
-#: (see :meth:`repro.core.results.PhaseResults.to_metrics`).
-_STEADY_METRICS = (
-    "steady_response_time_ms",
-    "steady_response_ci_ms",
-    "steady_truncated",
-    "steady_batches",
-)
-
-
-def _scenario_is_open(scenario) -> bool:
-    """Whether the scenario drives an open (source-driven) system."""
-    return scenario.arrival_mode != "closed"
-
-
-def _has_steady_metrics(analyzer) -> bool:
-    metrics = set(analyzer.metrics())
-    return all(name in metrics for name in _STEADY_METRICS)
-
-
-def format_steady_state(scenario, result: SweepResult) -> List[str]:
-    """The steady-state block of an open-system scenario report.
-
-    One line per point: the MSER-5 truncated batch-means response-time
-    estimate with two half-widths — the across-replication CI of the
-    per-replication point estimates, and the mean within-replication
-    batch-means CI — plus how much warm-up MSER deleted and how many
-    batches the within-run CI used.  The raw (transient-contaminated)
-    mean stays in the table above; this block is the defensible number.
-    """
-    if not _scenario_is_open(scenario):
-        return []
-    lines = [
-        "",
-        "steady-state response time "
-        "(MSER-5 truncation + batch means, per replication):",
-    ]
-    for (x, _config), analyzer in zip(scenario.points, result.analyzers):
-        if not _has_steady_metrics(analyzer):
-            lines.append(
-                f"  {x}: n/a (too few observations for a steady-state estimate)"
-            )
-            continue
-        point = analyzer.interval("steady_response_time_ms")
-        batch_ci = analyzer.mean("steady_response_ci_ms")
-        truncated = analyzer.mean("steady_truncated")
-        observations = analyzer.mean("transactions")
-        batches = analyzer.mean("steady_batches")
-        lines.append(
-            f"  {x}: {_metric_value(point.mean)} ms "
-            f"±{_metric_value(point.half_width)} across replications "
-            f"(batch CI ±{_metric_value(batch_ci)}, "
-            f"truncated {_metric_value(truncated)}/"
-            f"{_metric_value(observations)} obs, "
-            f"{_metric_value(batches)} batches)"
-        )
-    return lines
-
-
-def format_scenario(scenario, result: SweepResult) -> str:
-    """Render one executed scenario as its golden text report."""
-    spec = result.spec
-    replications = result.analyzers[0].replications if result.analyzers else 0
-    lines = [
-        f"Scenario {scenario.name}: {scenario.title}",
-        f"(arrivals: {scenario.arrival_mode}; mean of {replications} "
-        f"replications, {spec.confidence:.0%} CI)",
-    ]
-    header = [scenario.x_label]
-    widths = [max(len(scenario.x_label), 10)]
-    for metric in scenario.metrics:
-        header.extend([metric, "±CI"])
-        widths.extend([max(len(metric), 12), 8])
-    lines.append(_format_row(header, widths))
-    for x, analyzer in zip(result.x_values, result.analyzers):
-        row: List[str] = [str(x)]
-        for metric in scenario.metrics:
-            ci = analyzer.interval(metric)
-            row.extend([_metric_value(ci.mean), _metric_value(ci.half_width)])
-        lines.append(_format_row(row, widths))
-    lines.extend(format_cluster_detail(scenario, result))
-    lines.extend(format_replication(scenario, result))
-    lines.extend(format_failover(scenario, result))
-    lines.extend(format_faults(scenario, result))
-    lines.extend(format_aggregation(scenario, result))
-    lines.extend(format_steady_state(scenario, result))
-    return "\n".join(lines)
 
 
 def scenario_to_json(scenario, result: SweepResult) -> Dict[str, Any]:
-    """JSON-ready summary of one executed scenario (CLI ``--json``)."""
-    replications = result.analyzers[0].replications if result.analyzers else 0
+    """The document of one executed scenario (CLI ``--json``).
+
+    The only code here that reads the analyzers; :func:`format_scenario`
+    renders the golden text from this document alone.  Each section
+    after ``metrics`` holds columns of one value per point, ``None``
+    where the point does not run the section's feature, and is present
+    when at least one point runs it.
+    """
+    analyzers = result.analyzers
+    configs = [config for _x, config in scenario.points]
+
+    def column(metric: str, gates: List[bool], part: str = "mean") -> List[Any]:
+        """The metric's interval ``part`` per point, ``None`` where the
+        gate is shut or the point did not report the metric."""
+        return [
+            getattr(analyzer.interval(metric), part)
+            if gate and metric in analyzer.metrics()
+            else None
+            for gate, analyzer in zip(gates, analyzers)
+        ]
+
     metrics: Dict[str, Any] = {}
     for metric in scenario.metrics:
         intervals = result.intervals(metric)
@@ -425,162 +127,273 @@ def scenario_to_json(scenario, result: SweepResult) -> Dict[str, Any]:
             "means": [ci.mean for ci in intervals],
             "half_widths": [ci.half_width for ci in intervals],
         }
-    payload = {
+    payload: Dict[str, Any] = {
         "scenario": scenario.name,
         "title": scenario.title,
         "arrival_mode": scenario.arrival_mode,
         "x_label": scenario.x_label,
         "x_values": [str(x) for x in result.x_values],
-        "replications": replications,
+        "replications": analyzers[0].replications if analyzers else 0,
         "base_seed": scenario.base_seed,
         "metrics": metrics,
     }
+    # Fixed names and order: a cache replay's metric dicts come back
+    # with sorted keys.
     kernel: Dict[str, Any] = {}
-    for counter in _KERNEL_COUNTERS:
-        metric = f"kernel_{counter}"
-        if all(metric in analyzer.metrics() for analyzer in result.analyzers):
-            kernel[counter] = {
-                "means": [
-                    analyzer.mean(metric) for analyzer in result.analyzers
-                ]
-            }
+    for name, _counter in KERNEL_COUNTERS:
+        metric = f"kernel_{name}"
+        if all(metric in analyzer.metrics() for analyzer in analyzers):
+            kernel[name] = {"means": [a.mean(metric) for a in analyzers]}
     if kernel:
         payload["kernel"] = kernel
-    if _scenario_is_aggregated(scenario):
-        aggregation: Dict[str, Any] = {
-            "populations": [],
-            "calibrated_rates_tps": [],
-            "calibration_iterations": [],
-            "calibration_converged": [],
-            "aggregate_transactions": [],
-            "probe_transactions": [],
-            "probe_mean_response_times_ms": [],
-            "probe_p95_response_times_ms": [],
+    aggregated = [config.aggregation.enabled for config in configs]
+    if any(aggregated):
+        probe = "probe_mean_response_time_ms"
+        payload["aggregation"] = {
+            "populations": column("aggregation_population", aggregated),
+            "calibrated_rates_tps": column("calibrated_rate_tps", aggregated),
+            "calibration_iterations": column("calibration_iterations", aggregated),
+            "calibration_converged": [
+                None if value is None else value >= 1.0
+                for value in column("calibration_converged", aggregated)
+            ],
+            "aggregate_transactions": column("aggregate_transactions", aggregated),
+            "probe_transactions": column("probe_transactions", aggregated),
+            "probe_mean_response_times_ms": column(probe, aggregated),
+            "probe_p95_response_times_ms": column(
+                "probe_p95_response_time_ms", aggregated
+            ),
+            "probe_mean_half_widths_ms": column(probe, aggregated, "half_width"),
         }
-        for analyzer in result.analyzers:
-            if not _has_aggregation_metrics(analyzer):
-                for values in aggregation.values():
-                    values.append(None)
-                continue
-            metrics_present = set(analyzer.metrics())
-            aggregation["populations"].append(
-                analyzer.mean("aggregation_population")
-            )
-            aggregation["calibrated_rates_tps"].append(
-                analyzer.mean("calibrated_rate_tps")
-            )
-            aggregation["calibration_iterations"].append(
-                analyzer.mean("calibration_iterations")
-            )
-            aggregation["calibration_converged"].append(
-                analyzer.mean("calibration_converged") >= 1.0
-            )
-            aggregation["aggregate_transactions"].append(
-                analyzer.mean("aggregate_transactions")
-            )
-            aggregation["probe_transactions"].append(
-                analyzer.mean("probe_transactions")
-            )
-            for key, metric in (
-                ("probe_mean_response_times_ms", "probe_mean_response_time_ms"),
-                ("probe_p95_response_times_ms", "probe_p95_response_time_ms"),
-            ):
-                aggregation[key].append(
-                    analyzer.mean(metric) if metric in metrics_present else None
-                )
-        payload["aggregation"] = aggregation
-    if _scenario_is_open(scenario):
-        steady: Dict[str, Any] = {
+    open_points = [
+        config.arrivals.open or config.aggregation.enabled for config in configs
+    ]
+    if any(open_points):
+        point = "steady_response_time_ms"
+        payload["steady_state"] = {
             "method": "mser5+batch-means",
             "metric": "response_time_ms",
-            "points": [],
-            "replication_half_widths": [],
-            "batch_half_widths": [],
-            "truncated": [],
-            "batches": [],
+            "points": column(point, open_points),
+            "replication_half_widths": column(point, open_points, "half_width"),
+            "batch_half_widths": column("steady_response_ci_ms", open_points),
+            "truncated": column("steady_truncated", open_points),
+            "batches": column("steady_batches", open_points),
+            "observations": column("transactions", open_points),
         }
-        for analyzer in result.analyzers:
-            if not _has_steady_metrics(analyzer):
-                for key in (
-                    "points",
-                    "replication_half_widths",
-                    "batch_half_widths",
-                    "truncated",
-                    "batches",
-                ):
-                    steady[key].append(None)
-                continue
-            interval = analyzer.interval("steady_response_time_ms")
-            steady["points"].append(interval.mean)
-            steady["replication_half_widths"].append(interval.half_width)
-            steady["batch_half_widths"].append(analyzer.mean("steady_response_ci_ms"))
-            steady["truncated"].append(analyzer.mean("steady_truncated"))
-            steady["batches"].append(analyzer.mean("steady_batches"))
-        payload["steady_state"] = steady
-    servers_per_point = _cluster_servers_per_point(scenario)
-    if any(servers_per_point):
+    servers = [config.cluster.servers for config in configs]
+
+    def per_server(metric: str) -> List[List[float]]:
+        """Each point's ``server{i}_{metric}`` means, over the servers
+        that reported one."""
+        table = []
+        for count, analyzer in zip(servers, analyzers):
+            names = [f"server{i}_{metric}" for i in range(count)]
+            table.append(
+                [analyzer.mean(name) for name in names if name in analyzer.metrics()]
+            )
+        return table
+
+    if any(servers):
         payload["cluster"] = {
-            "servers": servers_per_point,
-            "per_server_utilization": [
-                [
-                    analyzer.mean(f"server{i}_utilization")
-                    for i in range(servers)
-                ]
-                for servers, analyzer in zip(servers_per_point, result.analyzers)
+            "servers": servers,
+            "per_server_utilization": per_server("utilization"),
+            "per_server_accesses": per_server("accesses"),
+        }
+    replication = [config.replication for config in configs]
+    async_points = [rep.is_async for rep in replication]
+    if any(async_points):
+        payload["replication"] = {
+            "modes": [rep.mode for rep in replication],
+            "read_quorums": [rep.read_quorum for rep in replication],
+            "write_quorums": [rep.write_quorum for rep in replication],
+            "replica_lag_ms": column("replica_lag_ms", async_points),
+            "replica_applies": column("replica_applies", async_points),
+            "stale_reads": column("stale_reads", async_points),
+            "stale_reads_per_1000_reads": column(
+                "stale_reads_per_1000_reads", async_points
+            ),
+            "apply_queue_peaks": [
+                max(peaks, default=0.0) if is_async else None
+                for is_async, peaks in zip(async_points, per_server("apply_queue_peak"))
             ],
         }
-    async_per_point = _replication_async_per_point(scenario)
-    if any(async_per_point):
-        replication: Dict[str, Any] = {
-            "modes": [
-                config.replication.mode for _x, config in scenario.points
-            ],
-            "read_quorums": [
-                config.replication.read_quorum
-                for _x, config in scenario.points
-            ],
-            "write_quorums": [
-                config.replication.write_quorum
-                for _x, config in scenario.points
-            ],
-            "replica_lag_ms": [],
-            "replica_applies": [],
-            "stale_reads": [],
-            "stale_reads_per_1000_reads": [],
+    faulted = [
+        config.cluster.enabled and config.faults.enabled for config in configs
+    ]
+    if any(faulted):
+        payload["faults"] = {
+            metric: column(metric, faulted)
+            for line in _FAULT_LINES
+            for metric, _label in line
         }
-        for is_async, analyzer in zip(async_per_point, result.analyzers):
-            present = set(analyzer.metrics())
-            for key, metric in (
-                ("replica_lag_ms", "replica_lag_ms"),
-                ("replica_applies", "replica_applies"),
-                ("stale_reads", "stale_reads"),
-                (
-                    "stale_reads_per_1000_reads",
-                    "stale_reads_per_1000_reads",
-                ),
-            ):
-                replication[key].append(
-                    analyzer.mean(metric)
-                    if is_async and metric in present
-                    else None
-                )
-        payload["replication"] = replication
-    faults_per_point = _faults_per_point(scenario)
-    if any(faults_per_point):
-        fault_metrics = [metric for metric, _label in _FAULT_LINE_ONE] + [
-            metric for metric, _label in _FAULT_LINE_TWO
-        ]
-        faults: Dict[str, Any] = {metric: [] for metric in fault_metrics}
-        for active, analyzer in zip(faults_per_point, result.analyzers):
-            present = set(analyzer.metrics())
-            for metric in fault_metrics:
-                faults[metric].append(
-                    analyzer.mean(metric)
-                    if active and metric in present
-                    else None
-                )
-        payload["faults"] = faults
+    payload["confidence"] = result.spec.confidence
+    hazards = [
+        config.cluster.enabled and config.failures.enabled for config in configs
+    ]
+    if any(hazards):
+        payload["failover"] = {
+            metric: column(metric, hazards) for metric in _FAILOVER_METRICS
+        }
     return payload
+
+
+# The text blocks: each renders one point's row of its document section
+# (the section's columns read at that point), or None to skip the point.
+def _cluster_cell(row: Dict[str, Any]) -> Optional[str]:
+    """Each server's mean disk utilization and share of the accesses."""
+    if not row["servers"]:
+        return None
+    accesses = row["per_server_accesses"]
+    total = sum(accesses) or 1.0
+    return "  ".join(
+        f"s{i} {_metric_value(utilization)} ({served / total:.1%})"
+        for i, (utilization, served) in enumerate(
+            zip(row["per_server_utilization"], accesses)
+        )
+    )
+
+
+def _replication_cell(row: Dict[str, Any]) -> Optional[str]:
+    """The quorum pair, the mean lag over the applies, the stale reads
+    (with their rate per 1000 served reads) and the deepest apply queue."""
+    if row["modes"] != "async":
+        return "sync"
+    stale = f"stale reads {_metric_value(row['stale_reads'])}"
+    if row["stale_reads_per_1000_reads"] is not None:
+        rate = _metric_value(row["stale_reads_per_1000_reads"])
+        stale += f" ({rate}/1k reads)"
+    return (
+        f"R{row['read_quorums']}/W{row['write_quorums']}, "
+        f"lag {_metric_value(row['replica_lag_ms'])} ms over "
+        f"{_metric_value(row['replica_applies'])} applies, {stale}, "
+        f"peak queue {_metric_value(row['apply_queue_peaks'])}"
+    )
+
+
+def _failover_cell(row: Dict[str, Any]) -> Optional[str]:
+    """Crashes and their downtime, transient faults, and how the cluster
+    routed around the outages."""
+    if row["crashes"] is None:
+        return None
+    value = {metric: _metric_value(row[metric]) for metric in _FAILOVER_METRICS}
+    return (
+        f"crashes {value['crashes']} (downtime {value['downtime_ms']} ms), "
+        f"transient faults {value['transient_faults']}, "
+        f"read failovers {value['read_failovers']}, "
+        f"write recovery waits {value['write_recovery_waits']}"
+    )
+
+
+def _faults_cell(row: Dict[str, Any]) -> Optional[str]:
+    """The fault pressure, then how the recovery machinery absorbed it."""
+    if row["partitions"] is None:
+        return None
+    return "\n     ".join(
+        ", ".join(f"{label} {_metric_value(row[metric])}" for metric, label in line)
+        for line in _FAULT_LINES
+    )
+
+
+def _aggregation_cell(row: Dict[str, Any]) -> Optional[str]:
+    """The population, the calibrated rate, the aggregate/probe split and
+    the probe cohort's latency."""
+    if row["populations"] is None:
+        return None
+    converged = "converged" if row["calibration_converged"] else "NOT converged"
+    cell = (
+        f"N={row['populations']:.0f}, "
+        f"rate {_metric_value(row['calibrated_rates_tps'])} tps "
+        f"({row['calibration_iterations']:.0f} pilot iters, {converged}), "
+        f"aggregate/probe txns {_metric_value(row['aggregate_transactions'])}/"
+        f"{_metric_value(row['probe_transactions'])}"
+    )
+    if row["probe_mean_response_times_ms"] is not None:
+        cell += (
+            f", probe {_metric_value(row['probe_mean_response_times_ms'])} ms "
+            f"±{_metric_value(row['probe_mean_half_widths_ms'])} "
+            f"(p95 {_metric_value(row['probe_p95_response_times_ms'])})"
+        )
+    return cell
+
+
+def _steady_cell(row: Dict[str, Any]) -> Optional[str]:
+    """The MSER-5 truncated batch-means estimate of an open point."""
+    if row["observations"] is None:
+        return None
+    if row["points"] is None:
+        return "n/a (too few observations for a steady-state estimate)"
+    value = {key: _metric_value(number) for key, number in row.items()}
+    return (
+        f"{value['points']} ms ±{value['replication_half_widths']} across "
+        f"replications (batch CI ±{value['batch_half_widths']}, "
+        f"truncated {value['truncated']}/{value['observations']} obs, "
+        f"{value['batches']} batches)"
+    )
+
+
+#: The text report's blocks in print order: the document section each
+#: renders, its header line and its per-point cell.
+_TEXT_BLOCKS = (
+    ("cluster", "per-server disk utilization (share of accesses):", _cluster_cell),
+    (
+        "replication",
+        "async replication (apply queues, lag, staleness):",
+        _replication_cell,
+    ),
+    ("failover", "failover (per-node hazards on the cluster):", _failover_cell),
+    ("faults", "fault tolerance (partitions, gray nodes, recovery):", _faults_cell),
+    (
+        "aggregation",
+        "flow aggregation (calibrated open stream + probe cohort):",
+        _aggregation_cell,
+    ),
+    (
+        "steady_state",
+        "steady-state response time "
+        "(MSER-5 truncation + batch means, per replication):",
+        _steady_cell,
+    ),
+)
+
+
+def format_scenario(scenario, result: SweepResult) -> str:
+    """Render one executed scenario as its golden text report.
+
+    Every number comes from the :func:`scenario_to_json` document, so
+    ``--json`` carries all that the text prints.
+    """
+    doc = scenario_to_json(scenario, result)
+    lines = [
+        f"Scenario {doc['scenario']}: {doc['title']}",
+        f"(arrivals: {doc['arrival_mode']}; mean of {doc['replications']} "
+        f"replications, {doc['confidence']:.0%} CI)",
+    ]
+    header = [doc["x_label"]]
+    widths = [max(len(doc["x_label"]), 10)]
+    for metric in doc["metrics"]:
+        header.extend([metric, "±CI"])
+        widths.extend([max(len(metric), 12), 8])
+    lines.append(_format_row(header, widths))
+    for i, x in enumerate(doc["x_values"]):
+        row = [x]
+        for values in doc["metrics"].values():
+            row.append(_metric_value(values["means"][i]))
+            row.append(_metric_value(values["half_widths"][i]))
+        lines.append(_format_row(row, widths))
+    for key, title, cell in _TEXT_BLOCKS:
+        if key not in doc:
+            continue
+        lines += ["", title]
+        columns = {
+            name: values
+            for name, values in doc[key].items()
+            if isinstance(values, list)
+        }
+        for i, x in enumerate(doc["x_values"]):
+            text = cell({name: values[i] for name, values in columns.items()})
+            if text is not None:
+                lines.append(f"  {x}: {text}")
+    return "\n".join(lines)
 
 
 def format_scenario_list(scenarios: Sequence[Any]) -> str:

@@ -1,9 +1,8 @@
 """Steady-state rendering in the scenario report layer.
 
-Open-system scenarios gain an MSER-5 + batch-means block in the text
-report and a ``steady_state`` section in the JSON payload; closed
-scenarios must render exactly as before (the committed goldens depend
-on it).
+Open-system points gain an MSER-5 + batch-means line in the text report
+and a ``steady_state`` entry in the JSON payload; closed scenarios must
+render exactly as before (the committed goldens depend on it).
 """
 
 import pytest
@@ -11,6 +10,7 @@ import pytest
 from repro.experiments.executor import SerialExecutor
 from repro.experiments.report import format_scenario, scenario_to_json
 from repro.scenarios import get_scenario, run_scenario
+from repro.scenarios.schema import scenario_from_dict, scenario_to_dict
 
 STEADY_HEADER = "steady-state response time (MSER-5 truncation + batch means"
 
@@ -76,3 +76,26 @@ class TestTooFewObservations:
         assert "n/a (too few observations" in text
         payload = scenario_to_json(scenario, result)
         assert all(p is None for p in payload["steady_state"]["points"])
+
+
+class TestMixedArrivalModes:
+    @pytest.mark.parametrize("order", [("closed", "poisson"), ("poisson", "closed")])
+    def test_only_the_open_point_is_estimated(self, order):
+        """The estimate follows each point's arrival mode, not the
+        first point's."""
+        data = scenario_to_dict(get_scenario("open-poisson"))
+        points = {
+            "closed": {"x": "closed", "config": {"arrivals": {"mode": "closed"}}},
+            "poisson": {"x": "poisson"},
+        }
+        data["points"] = [points[x] for x in order]
+        scenario = scenario_from_dict(data).scaled(hotn=40)
+        result = run_scenario(scenario, executor=SerialExecutor(), replications=2)
+        text = format_scenario(scenario, result)
+        assert STEADY_HEADER in text
+        block = text.split(STEADY_HEADER)[1].splitlines()[1:]
+        assert [line.split(":")[0].strip() for line in block] == ["poisson"]
+        steady = scenario_to_json(scenario, result)["steady_state"]
+        assert [p is not None for p in steady["points"]] == [
+            x == "poisson" for x in order
+        ]

@@ -42,6 +42,17 @@ def small(scenario: Scenario) -> Scenario:
     return scenario.scaled(hotn=20)
 
 
+#: Each text block's header with the JSON section it renders.
+BLOCK_SECTIONS = {
+    "per-server disk utilization": "cluster",
+    "async replication": "replication",
+    "failover (": "failover",
+    "fault tolerance": "faults",
+    "flow aggregation": "aggregation",
+    "steady-state response time": "steady_state",
+}
+
+
 class TestRegistry:
     def test_catalog_has_twenty_six_scenarios(self):
         assert len(ALL) == 26
@@ -226,6 +237,12 @@ class TestRoundTrip:
         assert payload["scenario"] == scenario.name
         assert payload["replications"] == 1
         assert set(payload["metrics"]) == set(scenario.metrics)
+        # The text and the document carry the same sections.
+        for header, section in BLOCK_SECTIONS.items():
+            assert (f"\n{header}" in text) == (section in payload), section
+        if scenario.name == "failover-under-load":
+            for metric, values in payload["failover"].items():
+                assert values == [a.mean(metric) for a in result.analyzers]
 
     def test_json_exposes_kernel_counters(self, scenario):
         """``scenario run --json`` reports the kernel fast-path counters."""

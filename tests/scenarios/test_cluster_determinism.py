@@ -5,13 +5,15 @@ counters and a sharded lock service — all of which must stay pure
 functions of ``(config, seed)``.  This suite pins that three ways:
 
 * serial vs :class:`ParallelExecutor` vs cache-replay produce
-  byte-identical reports for every cluster scenario;
+  byte-identical text reports and ``--json`` documents for every
+  cluster scenario;
 * ``python -m repro scenario run`` reproduces the committed
   ``results/scenario_cluster_*.txt`` goldens byte-for-byte;
 * back-to-back replications of one cluster config are identical down
   to the per-server metric vectors.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from repro.experiments.executor import (
     SerialExecutor,
     standard_replication,
 )
-from repro.experiments.report import format_scenario
+from repro.experiments.report import format_scenario, scenario_to_json
 from repro.scenarios import get_scenario, run_scenario
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
@@ -52,6 +54,14 @@ def scenario(request):
     return get_scenario(request.param)
 
 
+def reports(scenario, result):
+    """The text report and the serialized ``--json`` document."""
+    return (
+        format_scenario(scenario, result),
+        json.dumps(scenario_to_json(scenario, result)),
+    )
+
+
 class TestExecutorEquivalence:
     """Serial == parallel == cache-replay, byte for byte."""
 
@@ -59,7 +69,7 @@ class TestExecutorEquivalence:
         fast = scenario.scaled(hotn=40)
         serial = run_scenario(fast, executor=SerialExecutor())
         parallel = run_scenario(fast, executor=ParallelExecutor(jobs=2))
-        assert format_scenario(fast, serial) == format_scenario(fast, parallel)
+        assert reports(fast, serial) == reports(fast, parallel)
 
     def test_cache_replay_matches_fresh_run(self, scenario, tmp_path):
         fast = scenario.scaled(hotn=40)
@@ -70,7 +80,7 @@ class TestExecutorEquivalence:
         replay = run_scenario(fast, executor=SerialExecutor(cache=cache))
         assert cache.hits > hits_before
         # ...and replay the exact same report.
-        assert format_scenario(fast, first) == format_scenario(fast, replay)
+        assert reports(fast, first) == reports(fast, replay)
 
     def test_parallel_with_cache_matches_serial(self, scenario, tmp_path):
         fast = scenario.scaled(hotn=40)
@@ -81,7 +91,7 @@ class TestExecutorEquivalence:
                 jobs=2, cache=ReplicationCache(str(tmp_path / "cache"))
             ),
         )
-        assert format_scenario(fast, serial) == format_scenario(fast, cached)
+        assert reports(fast, serial) == reports(fast, cached)
 
 
 class TestReplicationDeterminism:
