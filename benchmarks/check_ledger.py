@@ -4,24 +4,28 @@
 to agree exactly on every layer's call count and on the model's
 simulated counters.  This gate pins those numbers: it reads the
 ledger's last line (the JSON result) and requires every metric whose
-unit is ``count`` to equal the committed value.  A change that adds or
-removes calls in a layer then fails until it is re-pinned, and the
-review diff of the pin shows which layer moved.
+unit is ``count`` to equal the value committed for the ledger's
+workload.  A change that adds or removes calls in a layer then fails
+until it is re-pinned, and the review diff of the pin shows which layer
+moved.
 
-Usage (what CI's 3.11 leg runs)::
+Usage (what CI's 3.11 leg runs, once per pinned workload)::
 
     python3 perfbench/run.py --workload cluster-quorum --trace 1 > ledger.txt
     python benchmarks/check_ledger.py ledger.txt \\
         --compare benchmarks/ledger_counts.json
 
-Re-pin after an intended change with ``--out benchmarks/ledger_counts.json``
-(the committed pin is cluster-quorum at perfbench's default seed 1).
+The pin file maps each workload to its counts (the committed pins are
+paper-o2 and cluster-quorum at perfbench's default seed 1).  Re-pin
+after an intended change with ``--out benchmarks/ledger_counts.json``,
+which replaces only the ledger's workload entry.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Tuple
 
@@ -45,12 +49,25 @@ def load_ledger(path: str) -> Tuple[str, Dict[str, int]]:
     return lines[0].split()[0], counts
 
 
-def compare_counts(workload: str, counts: Dict[str, int], pin: Dict) -> List[str]:
+def load_pins(path: str) -> Dict[str, Dict[str, int]]:
+    """The committed counts, one entry per workload."""
+    with open(path, encoding="utf-8") as handle:
+        pins = json.load(handle)
+    if not isinstance(pins, dict) or not all(
+        isinstance(counts, dict) for counts in pins.values()
+    ):
+        raise ValueError(f"{path}: not a map of workload -> counts")
+    return pins
+
+
+def compare_counts(
+    workload: str, counts: Dict[str, int], pins: Dict[str, Dict[str, int]]
+) -> List[str]:
     """Problems found (empty = every count matches), one per name."""
+    if workload not in pins:
+        return [f"workload: {workload} has no pin (pinned: {', '.join(pins)})"]
     problems = []
-    if workload != pin["workload"]:
-        problems.append(f"workload: {workload}, pinned {pin['workload']}")
-    pinned = pin["counts"]
+    pinned = pins[workload]
     for name in sorted(set(counts) | set(pinned)):
         value = counts.get(name, "<missing>")
         expected = pinned.get(name, "<missing>")
@@ -71,17 +88,18 @@ def main(argv=None) -> int:
     try:
         workload, counts = load_ledger(args.ledger)
         if args.out:
+            pins = load_pins(args.out) if os.path.exists(args.out) else {}
+            pins[workload] = counts
             with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump({"workload": workload, "counts": counts}, handle, indent=2)
+                json.dump(pins, handle, indent=2)
                 handle.write("\n")
             print(f"pinned {len(counts)} {workload} counts to {args.out}")
             return 0
-        with open(args.compare, encoding="utf-8") as handle:
-            pin = json.load(handle)
+        pins = load_pins(args.compare)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    problems = compare_counts(workload, counts, pin)
+    problems = compare_counts(workload, counts, pins)
     if problems:
         print(f"FAIL: {len(problems)} count(s) differ from {args.compare}:")
         for problem in problems:

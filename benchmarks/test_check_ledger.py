@@ -5,7 +5,9 @@ import json
 from check_ledger import main
 
 
-def ledger(tmp_path, calls=1000, stale=28, name="ledger.txt"):
+def ledger(
+    tmp_path, calls=1000, stale=28, name="ledger.txt", workload="cluster-quorum"
+):
     """A ``perfbench/run.py --trace 1`` output with two counts."""
     units = {
         "despy.kernel.calls": ("count", calls),
@@ -13,7 +15,7 @@ def ledger(tmp_path, calls=1000, stale=28, name="ledger.txt"):
         "core.self_s": ("s", 2.5),
     }
     lines = [
-        f"cluster-quorum  {metric:>36} = {value} {unit}"
+        f"{workload}  {metric:>36} = {value} {unit}"
         for metric, (unit, value) in units.items()
     ]
     result = {
@@ -57,12 +59,28 @@ class TestCheckLedger:
         assert main([changed, "--compare", path]) == 0
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle) == {
-                "workload": "cluster-quorum",
-                "counts": {
+                "cluster-quorum": {
                     "despy.kernel.calls": 990,
                     "core.cluster.stale_reads": 28,
                 },
             }
+
+    def test_each_workload_is_checked_against_its_own_entry(self, tmp_path, capsys):
+        path = pin(tmp_path, capsys)
+        other = ledger(tmp_path, calls=500, name="o2.txt", workload="paper-o2")
+        assert main([other, "--compare", path]) == 1
+        assert "paper-o2 has no pin (pinned: cluster-quorum)" in capsys.readouterr().out
+        assert main([other, "--out", path]) == 0
+        assert main([other, "--compare", path]) == 0
+        assert "OK: all 2 paper-o2 counts match" in capsys.readouterr().out
+        # Re-pinning one workload leaves the other's entry as it was.
+        assert main([ledger(tmp_path, calls=990), "--out", path]) == 0
+        with open(path, encoding="utf-8") as handle:
+            pins = json.load(handle)
+        assert list(pins) == ["cluster-quorum", "paper-o2"]
+        assert pins["cluster-quorum"]["despy.kernel.calls"] == 990
+        assert pins["paper-o2"]["despy.kernel.calls"] == 500
+        assert main([other, "--compare", path]) == 0
 
     def test_untraced_output_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "plain.txt"

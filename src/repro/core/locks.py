@@ -75,6 +75,10 @@ class LockManager:
         #: waiters list) per distinct object, so recycling them saves
         #: three allocations per lock on the sole-holder fast path.
         self._entry_pool: List[_LockEntry] = []
+        #: the transactions between the start of their acquire sweep and
+        #: the end of their release sweep on this table.  A release by
+        #: the only one owns every entry, so it clears the table at once.
+        self._sweeping: set[int] = set()
         # GETLOCK/RELLOCK converted to ticks once (the config is frozen).
         self._getlock_ticks = config.getlock_ticks
         self._rellock_ticks = config.rellock_ticks
@@ -107,10 +111,12 @@ class LockManager:
         (GETLOCK = 0) or waiting; otherwise a generator to ``yield from``.
 
         ``presorted`` promises ``oids`` is already a sorted sequence of
-        distinct ids (the Transaction Manager sorts once per transaction
-        and shares the list with the release sweep).
+        distinct ids (the transaction's ``lock_set``, which the release
+        sweep shares).  A transaction acquires one lock set per table
+        and releases that same set once.
         """
         distinct = oids if presorted else sorted(set(oids))
+        self._sweeping.add(txn_id)
         lock_cost = self._getlock_ticks * len(distinct)
         if lock_cost > 0:
             return self._acquire_timed(txn_id, distinct, writes, lock_cost)
@@ -128,6 +134,17 @@ class LockManager:
         table = self._table
         shared = txn_id
         exclusive = ~txn_id
+        if not table or table.keys().isdisjoint(distinct):
+            # No lock of the set is held (always so with one user):
+            # grant them all in one update, int-encoded single holders.
+            if writes:
+                table.update(
+                    {oid: exclusive if oid in writes else shared for oid in distinct}
+                )
+            else:
+                table.update(dict.fromkeys(distinct, shared))
+            self.acquisitions += len(distinct)
+            return None
         for index, oid in enumerate(distinct):
             want_write = oid in writes
             entry = table.get(oid)
@@ -186,6 +203,15 @@ class LockManager:
 
     def _release_sync(self, txn_id, distinct):
         table = self._table
+        sweeping = self._sweeping
+        if len(sweeping) == 1 and txn_id in sweeping:
+            # Alone on the table: nobody else holds or waits for a lock
+            # here, so every entry is this transaction's.
+            sweeping.clear()
+            self.releases += len(table)
+            table.clear()
+            return
+        sweeping.discard(txn_id)
         shared = txn_id
         exclusive = ~txn_id
         for oid in distinct:

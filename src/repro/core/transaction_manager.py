@@ -93,12 +93,11 @@ class TransactionManager:
         locks = self.locks
         if not locks.admission.try_acquire_inline():
             yield locks.admission_request
-        # Sorted once; the lock managers' acquire and release sweeps
-        # both consume this list (``presorted``), instead of each
-        # re-deriving sorted(set(...)) from the raw trace.
-        distinct = sorted(txn.distinct_objects)
-        writes = {oid for oid, is_write in txn.accesses if is_write}
-        step = self.locks.acquire_all_nowait(txn_id, distinct, writes, True)
+        # The generator derived the sorted lock set and the write set
+        # with the trace; the acquire and release sweeps both consume
+        # it as it is (``presorted``).
+        distinct = txn.lock_set
+        step = locks.acquire_all_nowait(txn_id, distinct, txn.write_set, True)
         if step is not None:
             yield from step
 
@@ -128,7 +127,7 @@ class TransactionManager:
         if cpu_time > 0:
             yield Hold(cpu_time)
 
-        step = self.locks.release_all_nowait(txn_id, distinct, True)
+        step = locks.release_all_nowait(txn_id, distinct, True)
         if step is not None:
             yield from step
         if not locks.admission.release_inline():

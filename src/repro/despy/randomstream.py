@@ -82,6 +82,8 @@ class RandomStream:
             self.uniform = self._rng.uniform
         if cls.choice is RandomStream.choice:
             self.choice = self._rng.choice
+        if cls.getrandbits is RandomStream.getrandbits:
+            self.getrandbits = getrandbits
 
     # ------------------------------------------------------------------
     # Continuous distributions
@@ -127,6 +129,11 @@ class RandomStream:
 
     def random(self) -> float:
         return self._rng.random()
+
+    def getrandbits(self, k: int) -> int:
+        """A uniform integer of ``k`` random bits: the bits ``randint``
+        rejection-samples, for loops that inline that sampling."""
+        return self._rng.getrandbits(k)
 
     def choice(self, items: Sequence[T]) -> T:
         return self._rng.choice(items)

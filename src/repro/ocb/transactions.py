@@ -24,7 +24,6 @@ with probability PWRITE (read-only in the validation experiments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from repro.despy.randomstream import RandomStream
@@ -34,14 +33,43 @@ from repro.ocb.parameters import OCBConfig
 #: One object access: (oid, is_write).
 Access = Tuple[int, bool]
 
+#: The write set of every read-only transaction (PWRITE = 0).
+_NO_WRITES: frozenset = frozenset()
 
-@dataclass(frozen=True)
+
 class Transaction:
-    """A fully materialized transaction: its type, root, and trace."""
+    """A fully materialized transaction: its type, root, and trace.
 
-    kind: str
-    root: int
-    accesses: tuple[Access, ...]
+    The generator also hands over what the Transaction Manager's
+    conservative-2PL sweeps consume: ``lock_set``, the distinct oids in
+    ascending order, and ``write_set``, the oids written at least once.
+    It has both at hand when it draws the trace, so each transaction
+    derives them once, not once per execution.  Left out, they are
+    derived from ``accesses``.
+    """
+
+    # Slots and a plain __init__, not a frozen dataclass: its generated
+    # __init__ calls object.__setattr__ per field, about 2 us per
+    # transaction.
+    __slots__ = ("kind", "root", "accesses", "lock_set", "write_set")
+
+    def __init__(
+        self,
+        kind: str,
+        root: int,
+        accesses: tuple[Access, ...],
+        lock_set: tuple[int, ...] | None = None,
+        write_set: frozenset | None = None,
+    ) -> None:
+        self.kind = kind
+        self.root = root
+        self.accesses = accesses
+        if lock_set is None:
+            lock_set = tuple(sorted({oid for oid, __ in accesses}))
+        if write_set is None:
+            write_set = frozenset([oid for oid, is_write in accesses if is_write])
+        self.lock_set = lock_set
+        self.write_set = write_set
 
     @property
     def objects(self) -> List[int]:
@@ -59,14 +87,31 @@ class Transaction:
     def __len__(self) -> int:
         return len(self.accesses)
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<Transaction {self.kind} root={self.root} "
+            f"accesses={len(self.accesses)} locks={len(self.lock_set)}>"
+        )
 
-def _with_writes(
-    oids: List[int], pwrite: float, rng: RandomStream
-) -> tuple[Access, ...]:
+
+def _traced(
+    kind: str,
+    root: int,
+    oids: List[int],
+    lock_set: tuple[int, ...],
+    pwrite: float,
+    rng: RandomStream,
+) -> Transaction:
+    """A traced transaction, its write flags drawn per access."""
     if pwrite <= 0.0:
-        return tuple([(oid, False) for oid in oids])
-    bernoulli = rng.bernoulli
-    return tuple([(oid, bernoulli(pwrite)) for oid in oids])
+        accesses = tuple([(oid, False) for oid in oids])
+        return Transaction(kind, root, accesses, lock_set, _NO_WRITES)
+    # ``bernoulli(pwrite)`` is ``random() < pwrite``: the generator's
+    # bound method, called directly, draws the same bits without a
+    # wrapper frame per access.
+    random = rng.random
+    accesses = tuple([(oid, random() < pwrite) for oid in oids])
+    return Transaction(kind, root, accesses, lock_set)
 
 
 class SetOrientedAccess:
@@ -169,13 +214,22 @@ class StochasticTraversal:
         order = [root]
         current = root
         obj_refs = db._obj_refs
-        randint = rng.randint
+        # ``randint(0, n - 1)``'s rejection sampling, inlined: the same
+        # ``getrandbits(n.bit_length())`` draws, so walks replay bit for
+        # bit, without a Python frame per step.  A step from an object
+        # with one reference still consumes its draw.
+        getrandbits = rng.getrandbits
         push = order.append
         for __ in range(depth):
             refs = obj_refs[current]
             if not refs:
                 break
-            current = refs[randint(0, len(refs) - 1)]
+            n = len(refs)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            current = refs[r]
             push(current)
         return order
 
@@ -235,29 +289,31 @@ class TransactionGenerator:
         if choice == 5:
             return self._delete_transaction()
         root = self.next_root()
+        # Set-oriented and hierarchy traces visit each object once;
+        # simple and stochastic ones may repeat objects.
         if choice == 0:
             oids = SetOrientedAccess.trace(self.db, root, config.setdepth)
             kind = SetOrientedAccess.kind
+            lock_set = tuple(sorted(oids))
         elif choice == 1:
             oids = SimpleTraversal.trace(self.db, root, config.simdepth)
             kind = SimpleTraversal.kind
+            lock_set = tuple(sorted(set(oids)))
         elif choice == 2:
             ref_type = self.rng.randint(0, config.nreft - 1)
             oids = HierarchyTraversal.trace(
                 self.db, root, config.hiedepth, ref_type
             )
             kind = HierarchyTraversal.kind
+            lock_set = tuple(sorted(oids))
         else:
             oids = StochasticTraversal.trace(
                 self.db, root, config.stodepth, self.rng
             )
             kind = StochasticTraversal.kind
+            lock_set = tuple(sorted(set(oids)))
         self.generated += 1
-        return Transaction(
-            kind=kind,
-            root=root,
-            accesses=_with_writes(oids, config.pwrite, self.rng),
-        )
+        return _traced(kind, root, oids, lock_set, config.pwrite, self.rng)
 
     def _insert_transaction(self) -> Transaction:
         """Create one object of a random class, wired like the generator.
@@ -299,14 +355,14 @@ class TransactionGenerator:
         """The §4.4 DSTC workload: pure depth-``depth`` hierarchy traversals.
 
         At PWRITE = 0 a repeated root (§4.4's roots come from a small hot
-        region) yields the transaction drawn for it earlier in this call:
-        the trace is a pure function of the root and the object graph,
-        and the graph cannot change during the call, since every user of
-        a phase draws from here, a phase drains before the next one
-        starts and churn (OCB inserts and deletes) runs in phases of its
-        own.  Every root is still drawn, so the stream is consumed as
-        before.  A memo kept beyond one call would need ``db.mutations``
-        in its key.
+        region) yields the transaction drawn for it earlier in this call,
+        lock set included: the trace is a pure function of the root and
+        the object graph, and the graph cannot change during the call,
+        since every user of a phase draws from here, a phase drains
+        before the next one starts and churn (OCB inserts and deletes)
+        runs in phases of its own.  Every root is still drawn, so the
+        stream is consumed as before.  A memo kept beyond one call would
+        need ``db.mutations`` in its key.
         """
         pwrite = self.config.pwrite
         memo: dict[int, Transaction] = {}
@@ -316,10 +372,13 @@ class TransactionGenerator:
             txn = memo.get(root)
             if txn is None:
                 oids = HierarchyTraversal.trace(self.db, root, depth, ref_type)
-                txn = Transaction(
-                    kind=HierarchyTraversal.kind,
-                    root=root,
-                    accesses=_with_writes(oids, pwrite, self.rng),
+                txn = _traced(
+                    HierarchyTraversal.kind,
+                    root,
+                    oids,
+                    tuple(sorted(oids)),
+                    pwrite,
+                    self.rng,
                 )
                 if pwrite <= 0.0:
                     memo[root] = txn

@@ -85,17 +85,20 @@ class Scenario:
     # ------------------------------------------------------------------
     @property
     def arrival_mode(self) -> str:
-        """Arrival mode of the scenario (from its first point).
+        """Arrival mode of the scenario's points.
 
-        ``"aggregated"`` when the flow-aggregated source tier is on —
-        the tier replaces the closed loop with a calibrated open
-        stream, so open-system reporting (steady-state statistics)
-        applies.
+        A point's mode is ``"aggregated"`` when the flow-aggregated
+        source tier is on — the tier replaces the closed loop with a
+        calibrated open stream, so open-system reporting (steady-state
+        statistics) applies.  Points that mix modes name each distinct
+        mode once, in point order, joined with ``+``
+        (``"closed+poisson"``).
         """
-        config = self.points[0][1]
-        if config.aggregation.enabled:
-            return "aggregated"
-        return config.arrivals.mode.value
+        modes = dict.fromkeys(
+            "aggregated" if config.aggregation.enabled else config.arrivals.mode.value
+            for _, config in self.points
+        )
+        return "+".join(modes)
 
     @property
     def golden_name(self) -> str:

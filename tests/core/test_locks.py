@@ -193,3 +193,52 @@ class TestContention:
             sim.process(writer(tag))
         sim.run()
         assert finished == [1.0, 2.0, 3.0]
+
+
+class TestBulkSweeps:
+    def test_disjoint_sweep_on_a_held_table_stores_each_mode(self):
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        assert locks.acquire_all_nowait(3, [1], set()) is None
+        assert locks.acquire_all_nowait(5, [2, 3, 4], {3}) is None
+        assert locks.acquire_all_nowait(7, [8, 9], set()) is None
+        # Int-encoded single holders: txn_id shared, ~txn_id exclusive.
+        assert locks._table == {1: 3, 2: 5, 3: ~5, 4: 5, 8: 7, 9: 7}
+        assert locks.acquisitions == 6
+        locks.release_all_nowait(5, [2, 3, 4])
+        assert locks._table == {1: 3, 8: 7, 9: 7}
+        locks.release_all_nowait(3, [1])
+        locks.release_all_nowait(7, [8, 9])
+        assert (locks.releases, locks.locked_objects) == (6, 0)
+
+    def test_sweep_meeting_a_held_exclusive_lock_waits(self):
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        granted = []
+
+        def holder():
+            yield from drive(locks.acquire_all_nowait(0, [5], {5}))
+            yield Hold(ms_to_ticks(2.0))
+            # 4 granted, 5 held with the contender queued, 6 not yet.
+            assert sorted(locks._table) == [4, 5] and locks._table[4] == 1
+            yield from drive(locks.release_all_nowait(0, [5]))
+
+        def contender():
+            step = locks.acquire_all_nowait(1, [4, 5, 6], set())
+            assert step is not None
+            yield from step
+            granted.append(sim.now_ms)
+            yield from drive(locks.release_all_nowait(1, [4, 5, 6]))
+
+        sim.process(holder())
+        sim.process(contender())
+        sim.run()
+        assert granted == [2.0]
+        assert (locks.waits, locks.wait_time_ms) == (1, pytest.approx(2.0))
+        assert (locks.acquisitions, locks.releases, locks.locked_objects) == (4, 4, 0)
+
+    def test_release_without_an_acquire_keeps_the_holders_locks(self):
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        assert locks.acquire_all_nowait(1, [1, 2], set()) is None
+        locks.release_all_nowait(2, [1, 2])
+        assert (locks.releases, locks._table) == (0, {1: 1, 2: 1})
+        locks.release_all_nowait(1, [1, 2])
+        assert (locks.releases, locks.locked_objects) == (2, 0)

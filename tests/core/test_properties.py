@@ -217,12 +217,26 @@ def test_range_router_partitions_the_extent_contiguously(servers, total_pages):
 
 
 # ---------------------------------------------------------------------------
-# ClusterLockManager: presorted fast path == canonicalizing slow path
+# Lock services: every sweep path replays the same schedule
 # ---------------------------------------------------------------------------
 
-def _lock_trace(oid_sets, presorted: bool):
+#: The bulk-sweep schedules lock oids below this; the idle transaction
+#: holds a shared lock on each oid from it up to the base's 500.
+IDLE_FROM = 41
+
+
+def _lock_trace(schedule, presorted: bool = True, servers: int = 3, idle: bool = False):
     """Drive concurrent conservative-2PL transactions through a fresh
-    cluster lock service and record the full grant/release schedule."""
+    lock service and record the full grant/release schedule.
+
+    ``schedule`` holds one ``(raw oids, written oids)`` pair per
+    transaction.  ``servers=1`` runs the single-server
+    :class:`~repro.core.locks.LockManager`, more the cluster lock
+    service, both at O2's GETLOCK = RELLOCK = 0.5 ms.  ``idle`` adds
+    transaction 0, which holds shared locks from ``IDLE_FROM`` on, on
+    every node, for the whole run, so no release is ever alone on its
+    table.
+    """
     import math
 
     from repro.despy import Hold
@@ -230,21 +244,27 @@ def _lock_trace(oid_sets, presorted: bool):
     from repro.core.model import VOODBSimulation
     from repro.systems.o2 import o2_config
 
-    config = o2_config(nc=10, no=500, cache_mb=0.25, hotn=30).with_changes(
-        cluster=ClusterConfig(
-            servers=3, placement="hash", interconnect_mbps=math.inf
-        ),
-        multilvl=8,
-    )
+    config = o2_config(nc=10, no=500, cache_mb=0.25, hotn=30).with_changes(multilvl=8)
+    if servers > 1:
+        config = config.with_changes(
+            cluster=ClusterConfig(
+                servers=servers, placement="hash", interconnect_mbps=math.inf
+            )
+        )
     model = VOODBSimulation(config, seed=1)
     locks = model.locks
     trace = []
+    held = range(IDLE_FROM, 500) if idle else range(0)
+    if idle:
+        step = locks.acquire_all_nowait(0, held, set(), True)
+        # Granted before the run: the GETLOCK hold it yields is skipped.
+        for __ in step or ():
+            pass
+        assert all(part.locked_objects for part in getattr(locks, "parts", [locks]))
 
-    def txn(txn_id, raw):
+    def txn(txn_id, raw, writes):
         ids = sorted(set(raw)) if presorted else list(raw)
-        step = locks.acquire_all_nowait(
-            txn_id, ids, writes=set(ids), presorted=presorted
-        )
+        step = locks.acquire_all_nowait(txn_id, ids, writes, presorted)
         if step is not None:
             yield from step
         trace.append(("granted", txn_id, model.sim.now))
@@ -254,15 +274,15 @@ def _lock_trace(oid_sets, presorted: bool):
             yield from step
         trace.append(("released", txn_id, model.sim.now))
 
-    for txn_id, raw in enumerate(oid_sets, start=1):
-        model.sim.process(txn(txn_id, raw), name=f"txn-{txn_id}")
+    for txn_id, (raw, writes) in enumerate(schedule, start=1):
+        model.sim.process(txn(txn_id, raw, writes), name=f"txn-{txn_id}")
     model.sim.run()
     counters = (
-        locks.acquisitions,
+        locks.acquisitions - len(held),
         locks.releases,
         locks.waits,
         locks.wait_ticks,
-        locks.locked_objects,
+        locks.locked_objects - len(held),
     )
     return trace, counters
 
@@ -280,8 +300,39 @@ def test_presorted_lock_trace_matches_unsorted(oid_sets):
     replay the exact grant/release schedule of the canonicalizing path
     fed the raw ids — same total (home node, oid) acquisition order,
     same waits, same clock."""
-    sorted_trace, sorted_counters = _lock_trace(oid_sets, presorted=True)
-    raw_trace, raw_counters = _lock_trace(oid_sets, presorted=False)
+    schedule = [(raw, set(raw)) for raw in oid_sets]
+    sorted_trace, sorted_counters = _lock_trace(schedule, presorted=True)
+    raw_trace, raw_counters = _lock_trace(schedule, presorted=False)
     assert sorted_trace == raw_trace
     assert sorted_counters == raw_counters
     assert sorted_counters[-1] == 0  # every table drained
+
+
+@given(
+    schedule=st.lists(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=40), st.booleans()),
+            min_size=1,
+            max_size=10,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    servers=st.sampled_from([1, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_bulk_lock_sweeps_change_nothing_observable(schedule, servers):
+    """A sole transaction releases its table in one ``clear``; an idle
+    lock holder outside the schedule rules that path out, so every
+    release runs the per-oid sweep instead.  Both runs must grant and
+    release at the same ticks, with the same counters, and drain every
+    table."""
+    schedule = [
+        ([oid for oid, __ in accesses], {oid for oid, write in accesses if write})
+        for accesses in schedule
+    ]
+    trace, counters = _lock_trace(schedule, servers=servers)
+    idle_trace, idle_counters = _lock_trace(schedule, servers=servers, idle=True)
+    assert trace == idle_trace
+    assert counters == idle_counters
+    assert counters[-1] == 0  # every table drained

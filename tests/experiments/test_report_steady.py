@@ -8,7 +8,12 @@ render exactly as before (the committed goldens depend on it).
 import pytest
 
 from repro.experiments.executor import SerialExecutor
-from repro.experiments.report import format_scenario, scenario_to_json
+from repro.experiments.report import (
+    format_scenario,
+    format_scenario_description,
+    format_scenario_list,
+    scenario_to_json,
+)
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.schema import scenario_from_dict, scenario_to_dict
 
@@ -78,18 +83,23 @@ class TestTooFewObservations:
         assert all(p is None for p in payload["steady_state"]["points"])
 
 
+def mixed_scenario(order):
+    """``open-poisson`` rebuilt with one point per arrival mode in ``order``."""
+    data = scenario_to_dict(get_scenario("open-poisson"))
+    points = {
+        "closed": {"x": "closed", "config": {"arrivals": {"mode": "closed"}}},
+        "poisson": {"x": "poisson"},
+    }
+    data["points"] = [points[x] for x in order]
+    return scenario_from_dict(data).scaled(hotn=40)
+
+
 class TestMixedArrivalModes:
     @pytest.mark.parametrize("order", [("closed", "poisson"), ("poisson", "closed")])
     def test_only_the_open_point_is_estimated(self, order):
         """The estimate follows each point's arrival mode, not the
         first point's."""
-        data = scenario_to_dict(get_scenario("open-poisson"))
-        points = {
-            "closed": {"x": "closed", "config": {"arrivals": {"mode": "closed"}}},
-            "poisson": {"x": "poisson"},
-        }
-        data["points"] = [points[x] for x in order]
-        scenario = scenario_from_dict(data).scaled(hotn=40)
+        scenario = mixed_scenario(order)
         result = run_scenario(scenario, executor=SerialExecutor(), replications=2)
         text = format_scenario(scenario, result)
         assert STEADY_HEADER in text
@@ -99,3 +109,17 @@ class TestMixedArrivalModes:
         assert [p is not None for p in steady["points"]] == [
             x == "poisson" for x in order
         ]
+
+    @pytest.mark.parametrize("order", [("closed", "poisson"), ("poisson", "closed")])
+    def test_arrival_mode_names_every_point(self, order):
+        """The header, the list row, ``describe`` and the JSON name both
+        modes in point order, not only the first point's."""
+        scenario = mixed_scenario(order)
+        mode = "+".join(order)
+        assert scenario.arrival_mode == mode
+        row = format_scenario_list([scenario]).splitlines()[1].split()
+        assert row[:3] == ["open-poisson", mode, "2"]
+        assert f"arrival mode:  {mode}\n" in format_scenario_description(scenario)
+        result = run_scenario(scenario, executor=SerialExecutor(), replications=1)
+        assert f"(arrivals: {mode}; " in format_scenario(scenario, result)
+        assert scenario_to_json(scenario, result)["arrival_mode"] == mode

@@ -1,6 +1,8 @@
 """Unit tests for the four OCB transaction types and the generator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.despy import RandomStream
 from repro.ocb import (
@@ -13,7 +15,7 @@ from repro.ocb import (
     StochasticTraversal,
     TransactionGenerator,
 )
-from repro.ocb.transactions import _with_writes
+from repro.ocb.transactions import _traced
 
 
 def build(config: OCBConfig, seed: int = 1) -> Database:
@@ -184,7 +186,9 @@ class TestTransactionGenerator:
             for __ in range(100):
                 root = reference.next_root()
                 oids = HierarchyTraversal.trace(db, root, 3, 0)
-                accesses = _with_writes(oids, pwrite, reference.rng)
+                # Read-only traces draw no write flags.
+                draw = reference.rng.bernoulli
+                accesses = tuple((oid, pwrite > 0 and draw(pwrite)) for oid in oids)
                 expected.append(("hierarchy", root, accesses))
             assert [(t.kind, t.root, t.accesses) for t in drawn] == expected
             assert shared.generated == len(expected)
@@ -231,3 +235,89 @@ class TestTransactionGenerator:
         gen = TransactionGenerator(db, db.config, RandomStream(9, "wl"))
         txn = gen.next_transaction()
         assert txn.distinct_objects == set(txn.objects)
+
+
+#: Transaction mixes (PSET, PSIMPLE, PHIER, PSTOCH, PINSERT, PDELETE).
+MIXES = [
+    (0.25, 0.25, 0.25, 0.25, 0.0, 0.0),
+    (0.2, 0.2, 0.2, 0.2, 0.1, 0.1),
+    (0.0, 0.3, 0.0, 0.3, 0.2, 0.2),
+]
+
+
+def assert_bookkeeping(txn):
+    """The lock set and write set the 2PL sweeps read match the trace."""
+    assert isinstance(txn.lock_set, tuple)
+    assert txn.lock_set == tuple(sorted(txn.distinct_objects))
+    assert isinstance(txn.write_set, frozenset)
+    assert txn.write_set == {oid for oid, is_write in txn.accesses if is_write}
+
+
+class TestBookkeeping:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        pwrite=st.sampled_from([0.0, 0.3]),
+        mix=st.sampled_from(MIXES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lock_and_write_sets_match_the_trace(self, db, seed, pwrite, mix):
+        pset, psimple, phier, pstoch, pinsert, pdelete = mix
+        config = db.config.with_changes(
+            pset=pset,
+            psimple=psimple,
+            phier=phier,
+            pstoch=pstoch,
+            pinsert=pinsert,
+            pdelete=pdelete,
+            pwrite=pwrite,
+            root_region=40,
+        )
+        gen = TransactionGenerator(db.clone(), config, RandomStream(seed, "wl"))
+        kinds = set()
+        for txn in gen.transactions(60):
+            assert_bookkeeping(txn)
+            kinds.add(txn.kind)
+        if pinsert:
+            assert kinds & {"insert", "delete"}
+        for txn in gen.hierarchy_only(40, ref_type=0, depth=3):
+            assert_bookkeeping(txn)
+
+
+def reference_walk(db, root, depth, rng):
+    """The stochastic walk as a plain ``randint`` per step."""
+    order = [root]
+    current = root
+    for __ in range(depth):
+        refs = db.refs(current)
+        if not refs:
+            break
+        current = refs[rng.randint(0, len(refs) - 1)]
+        order.append(current)
+    return order
+
+
+class TestDraws:
+    @pytest.fixture(scope="class")
+    def sparse(self):
+        """A base whose live objects have zero, one or two references."""
+        graph = build(OCBConfig(nc=6, no=300, maxnref=2), seed=4).clone()
+        for oid in range(0, 300, 3):
+            graph.delete_object(oid)
+        counts = {
+            len(graph.refs(oid)) for oid in range(300) if not graph.is_deleted(oid)
+        }
+        assert {0, 1} <= counts
+        return graph
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_walk_and_write_flags_draw_as_randint_and_bernoulli(self, sparse, seed):
+        drawn, expected = RandomStream(seed, "wl"), RandomStream(seed, "wl")
+        lengths = set()
+        for root in range(1, 300, 7):
+            walk = StochasticTraversal.trace(sparse, root, 12, drawn)
+            assert walk == reference_walk(sparse, root, 12, expected)
+            lengths.add(len(walk))
+            txn = _traced("stochastic", root, walk, (), 0.3, drawn)
+            assert txn.accesses == tuple((oid, expected.bernoulli(0.3)) for oid in walk)
+        assert len(lengths) > 1  # some walks stopped at an object without refs
+        assert drawn.random() == expected.random()
