@@ -16,7 +16,7 @@ Usage (what CI's 3.11 leg runs, once per pinned workload)::
         --compare benchmarks/ledger_counts.json
 
 The pin file maps each workload to its counts (the committed pins are
-paper-o2 and cluster-quorum at perfbench's default seed 1).  Re-pin
+all four workloads at perfbench's default seed 1).  Re-pin
 after an intended change with ``--out benchmarks/ledger_counts.json``,
 which replaces only the ledger's workload entry.
 """
