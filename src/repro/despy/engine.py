@@ -21,16 +21,18 @@ near-misses.  Integral values (including the ``float('inf')`` horizon
 sentinel, which saturates) are coerced.
 :attr:`Simulation.now_ms` reports the clock in milliseconds for display.
 
-Fast paths
-----------
-Zero-delay, priority-0 events (the continuations that dominate VOODB:
-resource grants, gate openings, process wake-ups after a release) skip
-the timed tiers and land on an immediate-dispatch FIFO; timed events go
-through a calendar-queue event wheel with a far-future overflow heap —
-see :mod:`repro.despy.events`.  The run loop merges the FIFO head with
-the wheel's due head on the full ``(time, priority, seq)`` key, so the
-execution order is *bit-identical* to a pure-heap kernel; only the
-per-event cost changes.  The counters :attr:`Simulation.events_wheel_pushed`,
+Event order
+-----------
+Events run in ``(time, seq)`` order: by tick, then in scheduling order.
+Zero-delay events (the continuations that dominate VOODB: resource
+grants, gate openings, process wake-ups after a release) skip the timed
+tiers and land on an immediate-dispatch FIFO; timed events go through a
+calendar-queue event wheel with a far-future overflow heap — see
+:mod:`repro.despy.events`.  A timed event always lands strictly after
+the clock, so one that is due at the current tick was scheduled on an
+earlier tick and runs before the tick's immediates.  That single rule
+makes the execution order *bit-identical* to a pure-heap kernel; only
+the per-event cost changes.  The counters :attr:`Simulation.events_wheel_pushed`,
 :attr:`Simulation.events_heap_pushed`, :attr:`Simulation.events_fast_dispatched`
 and :attr:`Simulation.events_pooled_reused` report how much traffic each
 tier carried and how many Event allocations the free-list pool saved.
@@ -51,10 +53,6 @@ from repro.despy.events import Event, EventList
 from repro.despy.process import Process
 from repro.despy.randomstream import RandomStream
 from repro.despy.timebase import MS_PER_TICK, TICK_HORIZON, coerce_ticks
-
-#: Fence value above any real sequence number (the engine drains the
-#: immediate queue up to, but not past, a tick-tied timed event's seq).
-_NO_FENCE = 9223372036854775807
 
 
 def _coerce_horizon(until: Union[int, float]) -> Union[int, float]:
@@ -98,7 +96,7 @@ class Simulation:
         #: active hold-warp horizon (ticks).  While the run loop
         #: executes, this is the run's ``until`` (or the largest
         #: warpable tick under an infinite horizon); -1 disables the
-        #: warp lane (outside run(), after stop()).  See Process._step.
+        #: warp lane outside run().  See Process._step.
         self._warp_until = -1
 
     @property
@@ -122,57 +120,20 @@ class Simulation:
     # ------------------------------------------------------------------
     # Event scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: int,
-        handler: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
+    def schedule(self, delay: int, handler: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``handler(*args)`` to run ``delay`` ticks from now."""
         if delay.__class__ is not int:
             delay = coerce_ticks(delay)
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay!r}")
-        if delay == 0 and priority == 0:
+        if delay == 0:
             return self._events.push_immediate(self.now, handler, args)
-        return self._events.push(self.now + delay, priority, handler, args)
-
-    def schedule_at(
-        self,
-        time: int,
-        handler: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``handler(*args)`` at an absolute tick time."""
-        if time.__class__ is not int:
-            time = coerce_ticks(time)
-        if time < self.now:
-            raise SchedulingError(
-                f"cannot schedule at {time} before current time {self.now}"
-            )
-        return self.schedule(time - self.now, handler, *args, priority=priority)
-
-    def wake(self, handler: Callable[..., Any], *args: Any) -> Event:
-        """Queue ``handler(*args)`` for immediate dispatch at the current time.
-
-        Equivalent to ``schedule(0, handler, *args)`` in every
-        observable way (ordering and cancellability included) — just
-        spelled as what it is.
-        """
-        return self._events.push_immediate(self.now, handler, args)
+        return self._events.push(self.now + delay, handler, args)
 
     # ------------------------------------------------------------------
     # Process layer
     # ------------------------------------------------------------------
-    def process(
-        self,
-        generator: Generator,
-        name: str = "",
-        delay: int = 0,
-        priority: int = 0,
-    ) -> Process:
+    def process(self, generator: Generator, name: str = "", delay: int = 0) -> Process:
         """Register a generator as a simulation process.
 
         The process starts ``delay`` ticks from now.  See
@@ -180,7 +141,7 @@ class Simulation:
         """
         proc = Process(self, generator, name or f"process-{self._processes_started}")
         self._processes_started += 1
-        self.schedule(delay, proc._step, None, priority=priority)
+        self.schedule(delay, proc._step, None)
         return proc
 
     # ------------------------------------------------------------------
@@ -189,11 +150,11 @@ class Simulation:
     def run(self, until: Union[int, float] = math.inf) -> int:
         """Execute events in order until the list drains or ``until``.
 
-        Returns the final simulation clock (ticks).  The clock is left
-        at ``until`` when the horizon is hit with events still pending,
-        and at the last executed event time otherwise.  An infinite
-        horizon never touches the clock (``run(until=float("inf"))``
-        behaves like ``run()``).
+        Returns the final simulation clock (ticks).  A finite horizon
+        leaves the clock at ``until`` whether or not events are still
+        pending (a horizon already behind the clock leaves it alone).
+        An infinite horizon leaves it at the last executed event time
+        (``run(until=float("inf"))`` behaves like ``run()``).
 
         A drained simulation is *reusable*: scheduling new events and
         calling :meth:`run` again continues on the same clock.  VOODB's
@@ -226,14 +187,7 @@ class Simulation:
                 if events._timed:
                     due = events._due
                     idx = events._due_idx
-                    if idx < len(due):
-                        head = due[idx]
-                        if head.cancelled:
-                            events._due_idx = idx + 1
-                            events._timed -= 1
-                            continue
-                    else:
-                        head = advance()
+                    head = due[idx] if idx < len(due) else advance()
                 else:
                     head = None
                 if immediate:
@@ -241,59 +195,31 @@ class Simulation:
                         # Horizon in the past: leave the queue intact
                         # for the next run().
                         return self.now
-                    seq_fence = _NO_FENCE
                     if head is not None and head.time == now:
-                        # A timed event on the current tick precedes the
-                        # pending immediates when its priority is
-                        # negative, or on a seq tie-break at priority 0.
-                        # (Priority-0 timed events usually come from an
-                        # earlier tick and win the tie-break — but a
-                        # zero-tick positive delay, now + 0 == now,
-                        # lands on this tick with a *larger* seq, so
-                        # the compare is required.)
-                        prio = head.priority
-                        if prio < 0 or (
-                            prio == 0 and head.seq < immediate[0].seq
-                        ):
-                            events._due_idx += 1
-                            events._timed -= 1
-                            executed += 1
-                            head.handler(*head.args)
-                            if head.pooled:
-                                head.handler = None
-                                pool_append(head)
-                            continue
-                        if prio == 0:
-                            # The tick-tied head sorts between two
-                            # queued immediates: drain only up to it.
-                            seq_fence = head.seq
-                    # No preempting timed contender: drain immediates
-                    # until the fence, or until one of their handlers
-                    # pushes a timed event that could preempt this tick
-                    # (preempt_dirty).
-                    events.preempt_dirty = False
-                    # The timed head is fixed for this drain (pushes
-                    # that could tie the tick set preempt_dirty and
-                    # break out), so its tie status is too.
-                    tie_free = (
-                        head is None or head.time != now or head.priority > 0
-                    )
+                        # Timed pushes land strictly after the clock, so
+                        # a head due now was pushed on an earlier tick:
+                        # it precedes every immediate queued on this
+                        # one.  ``quiet`` stays False (set by those
+                        # immediate pushes).
+                        events._due_idx += 1
+                        events._timed -= 1
+                        executed += 1
+                        head.handler(*head.args)
+                        if head.pooled:
+                            head.handler = None
+                            pool_append(head)
+                        continue
+                    # No timed event is due now and none can be pushed
+                    # onto this tick: drain the FIFO.
                     while immediate:
-                        event = immediate[0]
-                        if event.seq > seq_fence:
-                            break
-                        popleft()
-                        if event.cancelled:
-                            continue
+                        event = popleft()
                         executed += 1
                         fast += 1
-                        events.quiet = False if immediate else tie_free
+                        events.quiet = not immediate
                         event.handler(*event.args)
                         if event.pooled:
                             event.handler = None
                             pool_append(event)
-                        if events.preempt_dirty:
-                            break
                     continue
                 if head is None:
                     break
@@ -308,26 +234,21 @@ class Simulation:
                 executed += 1
                 # Refresh the cached merged-continuation test, the
                 # predicate's only full copy: no immediate is queued
-                # here, so ``quiet`` iff no timed event ties this tick
-                # at priority <= 0.  The live due head is the earliest
-                # timed event, which makes the test exact; with the due
-                # list drained, the bucket-index checks against the
-                # wheel and the overflow heap are exact unless the
-                # clock out-ran the due bucket, and then err to False.
+                # here, so ``quiet`` iff no timed event ties this tick.
+                # The live due head is the earliest timed event, which
+                # makes the test exact; with the due list drained, the
+                # bucket-index checks against the wheel and the overflow
+                # heap are exact unless the clock out-ran the due
+                # bucket, and then err to False.
                 due = events._due
                 idx = events._due_idx
                 if idx < len(due):
-                    nxt = due[idx]
-                    events.quiet = nxt.priority > 0 or nxt.time != time
+                    events.quiet = due[idx].time != time
                 else:
                     bucket_heap = events._bucket_heap
                     heap = events._heap
-                    events.quiet = not (
-                        bucket_heap
-                        and time >> events._shift >= bucket_heap[0]
-                    ) and not (
-                        heap and heap[0][0] == time and heap[0][1] <= 0
-                    )
+                    wheel_tie = bucket_heap and time >> events._shift >= bucket_heap[0]
+                    events.quiet = not wheel_tie and not (heap and heap[0][0] == time)
                 head.handler(*head.args)
                 if head.pooled:
                     head.handler = None
@@ -340,19 +261,12 @@ class Simulation:
             self.now = until
         return self.now
 
-    def stop(self) -> None:
-        """Drop every pending event, ending :meth:`run` at the current time."""
-        self._events.clear()
-        # Disarm the warp lane: a process stepping on after stop() must
-        # park normally so the drained loop can actually exit.
-        self._warp_until = -1
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of events (live or cancelled) still queued."""
+        """Number of events still queued."""
         return len(self._events)
 
     @property

@@ -6,8 +6,8 @@ class DespyError(Exception):
 
 
 class SchedulingError(DespyError):
-    """Raised for invalid scheduling requests (negative delays, events
-    scheduled in the past, cancelling an already-executed event...)."""
+    """Raised for invalid scheduling requests (negative or fractional
+    delays, fractional run horizons, unsupported process commands...)."""
 
 
 class ResourceError(DespyError):

@@ -1,10 +1,10 @@
 """Event and event-list primitives.
 
-The event list is the heart of a discrete-event kernel: a priority queue
-ordered by ``(time, priority, sequence)``.  The sequence number makes the
-ordering total and deterministic — two events scheduled for the same time
-and priority always execute in scheduling order, which is what makes the
-whole simulation reproducible for a given random seed.
+The event list is the heart of a discrete-event kernel: a queue ordered
+by ``(time, sequence)``.  The sequence number makes the ordering total
+and deterministic — two events scheduled for the same time always
+execute in scheduling order, which is what makes the whole simulation
+reproducible for a given random seed.
 
 Time is an **integer tick count** (see :mod:`repro.despy.timebase`): the
 wheel's bucket index is an exact shift (``time >> shift``), clock
@@ -13,9 +13,9 @@ integer arithmetic — no float quantization anywhere in the schedule.
 
 Three storage tiers share one sequence counter:
 
-* an **immediate queue** (a plain FIFO deque) for priority-0 events at
-  the current clock value — the zero-delay continuations that dominate
-  VOODB traffic (resource grants, gate openings, process wake-ups);
+* an **immediate queue** (a plain FIFO deque) for zero-delay events at
+  the current clock value — the continuations that dominate VOODB
+  traffic (resource grants, gate openings, process wake-ups);
 * a **calendar-queue event wheel** for timed events in the near future:
   events are appended unsorted to a bucket keyed by the high bits of
   their tick time (``time >> shift``; the bucket width is always a power
@@ -30,18 +30,19 @@ Three storage tiers share one sequence counter:
 * a **binary heap** for far-future overflow: events more than
   ``_OVERFLOW_BUCKETS`` bucket widths ahead (or saturated at the tick
   horizon — the old "non-finite time" case) would bloat the bucket-index
-  heap, so they wait in a conventional heap of ``(time, priority, seq,
-  event)`` tuples and are merged, bucket by bucket, as the wheel
-  advances.
+  heap, so they wait in a conventional heap of ``(time, seq, event)``
+  tuples and are merged, bucket by bucket, as the wheel advances.
 
 Dispatch drains the *due list* — the sorted current bucket — by index.
 A timed event landing at or before the due bucket is insorted into the
 remaining (unconsumed) slice of the due list, so the due head is always
-the earliest pending timed event; the engine merges it against the
-immediate queue head on the full ``(time, priority, seq)`` key.  The
-merged execution order is therefore exactly the total order a single
-heap would produce — only without a Python-level ``__lt__`` call per
-heap sift or an O(log n) push per timed event.
+the earliest pending timed event.  Every timed push lands strictly after
+the clock, so a timed event due at the current tick was pushed on an
+earlier tick and precedes every immediate queued on this one; the
+engine needs no other merge rule.  The execution order is therefore
+exactly the total order a single heap would produce — only without a
+Python-level ``__lt__`` call per heap sift or an O(log n) push per timed
+event.
 
 Dispatched events whose creator keeps no reference (process
 continuations, resource grants — flagged ``pooled=True`` at push time)
@@ -71,61 +72,48 @@ _DELAY_STAT_CAP = TICK_HORIZON
 class Event:
     """A pending occurrence in simulated time.
 
-    Events are created by :meth:`repro.despy.engine.Simulation.schedule`;
-    user code normally only keeps a reference in order to ``cancel()`` it.
+    Events are created by :meth:`repro.despy.engine.Simulation.schedule`.
     Events flagged ``pooled`` are internal continuations whose creator
     provably dropped the reference; the engine recycles them through the
     event list's free list after dispatch.
     """
 
-    __slots__ = ("time", "priority", "seq", "handler", "args", "cancelled", "pooled")
+    __slots__ = ("time", "seq", "handler", "args", "pooled")
 
     def __init__(
         self,
         time: int,
-        priority: int,
         seq: int,
         handler: Callable[..., Any],
         args: tuple,
         pooled: bool = False,
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.handler = handler
         self.args = args
-        self.cancelled = False
         self.pooled = pooled
 
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when its time comes."""
-        self.cancelled = True
-
     def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
+        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
         name = getattr(self.handler, "__qualname__", repr(self.handler))
-        return f"<Event t={self.time} prio={self.priority} {name}{state}>"
+        return f"<Event t={self.time} seq={self.seq} {name}>"
 
 
-#: Bucket sort key: builds the (time, priority, seq) tuples in C, once
-#: per event per bucket sort, instead of per comparison via __lt__.
-_SORT_KEY = attrgetter("time", "priority", "seq")
+#: Bucket sort key: builds the (time, seq) tuples in C, once per event
+#: per bucket sort, instead of per comparison via __lt__.
+_SORT_KEY = attrgetter("time", "seq")
 
 
 class EventList:
     """A deterministic future-event list: immediate FIFO + wheel + heap.
 
     The wheel tiers store :class:`Event` objects directly; only the
-    far-future overflow heap wraps them in ``(time, priority, seq,
-    event)`` tuples so its sifts compare C scalars (``seq`` is unique,
-    so the event itself is never compared).
+    far-future overflow heap wraps them in ``(time, seq, event)`` tuples
+    so its sifts compare C scalars (``seq`` is unique, so the event
+    itself is never compared).
     """
 
     __slots__ = (
@@ -149,7 +137,6 @@ class EventList:
         "ticks_overflowed",
         "wheel_recalibrations",
         "now_hint",
-        "preempt_dirty",
         "quiet",
         "merged_continuations",
         "holds_warped",
@@ -180,7 +167,7 @@ class EventList:
         self._shift = -1
         self._delay_sum = 0
         self._delay_n = 0
-        #: timed events still queued (live or cancelled-but-unpruned)
+        #: timed events still queued
         self._timed = 0
         #: free list of recycled Event objects (see ``pooled``)
         self._pool: list = []
@@ -199,24 +186,19 @@ class EventList:
         #: empty (perf counter)
         self.wheel_recalibrations = 0
         #: the engine's current clock, mirrored here so :meth:`push` can
-        #: tell whether a new timed event could preempt the tick being
-        #: drained (see ``preempt_dirty``).
+        #: sample scheduling delays for the adaptive bucket width.
         self.now_hint = 0
-        #: set when a timed push lands at the current tick with priority
-        #: <= 0; tells the engine's drain loop to re-merge.
-        self.preempt_dirty = False
         #: cached merged-continuation test: True iff the currently
         #: executing handler's process is provably the next dispatch
-        #: (immediate queue empty, no timed event tying the current tick
-        #: at priority <= 0).  The engine computes it at each dispatch
-        #: (see the refresh in :meth:`Simulation.run
-        #: <repro.despy.engine.Simulation.run>`); the two push paths
-        #: that can create a tie clear it, and the warp lane sets it on
-        #: an empty list.  It may go conservatively stale-False (a
-        #: cancel can silently clear a tie) — that skips a merge, never
-        #: permits a wrong one.  One attribute load replaces the full
-        #: test on the hottest kernel sites (``Process._step``, the
-        #: inline grant/release fast paths).
+        #: (immediate queue empty, no timed event tying the current
+        #: tick).  The engine computes it at each dispatch (see the
+        #: refresh in :meth:`Simulation.run
+        #: <repro.despy.engine.Simulation.run>`), an immediate push
+        #: clears it, and the warp lane sets it on an empty list.  A
+        #: timed push lands strictly after the clock, so it never
+        #: creates a tie.  One attribute load replaces the full test on
+        #: the hottest kernel sites (``Process._step``, the inline
+        #: grant/release fast paths).
         self.quiet = False
         #: continuations the process layer ran synchronously because the
         #: process was provably the next dispatch anyway (perf counter).
@@ -250,12 +232,11 @@ class EventList:
     def push(
         self,
         time: int,
-        priority: int,
         handler: Callable[..., Any],
         args: tuple = (),
         pooled: bool = False,
     ) -> Event:
-        """Insert a new timed event and return it (so callers may cancel it).
+        """Insert a new timed event, due strictly after the clock.
 
         Routing: at or before the due bucket → insorted into the live
         slice of the due list; within the wheel horizon → appended to its
@@ -266,22 +247,16 @@ class EventList:
         self._seq = seq + 1
         pool = self._pool
         if pool:
-            # Recycled events were dispatched live, so ``cancelled`` is
-            # already False.
             event = pool.pop()
             event.time = time
-            event.priority = priority
             event.seq = seq
             event.handler = handler
             event.args = args
             event.pooled = pooled
             self.pooled_reused += 1
         else:
-            event = Event(time, priority, seq, handler, args, pooled)
+            event = Event(time, seq, handler, args, pooled)
         now = self.now_hint
-        if time <= now and priority <= 0:
-            self.preempt_dirty = True
-            self.quiet = False
         shift = self._shift
         if shift < 0:
             shift = self._calibrate(time - now)
@@ -295,7 +270,7 @@ class EventList:
             due_bucket = self._due_bucket
             if bucket > due_bucket:
                 if bucket - due_bucket > _OVERFLOW_BUCKETS:
-                    heappush(self._heap, (time, priority, seq, event))
+                    heappush(self._heap, (time, seq, event))
                     self.heap_pushed += 1
                 elif self._timed:
                     buckets = self._buckets
@@ -306,10 +281,10 @@ class EventList:
                     else:
                         chain.append(event)
                 else:
-                    # Singleton lane: nothing else is queued (not even a
-                    # cancelled-but-unpruned event), so this event *is*
-                    # the due list — no bucket, no bucket-index heap
-                    # push, and no _advance() on the dispatch side.
+                    # Singleton lane: nothing else is queued, so this
+                    # event *is* the due list — no bucket, no
+                    # bucket-index heap push, and no _advance() on the
+                    # dispatch side.
                     self._due = [event]
                     self._due_idx = 0
                     self._due_bucket = bucket
@@ -318,7 +293,7 @@ class EventList:
         else:
             # Saturated at the tick horizon (float-inf sentinel or an
             # absurd delay): dispatches last, in key order, off the heap.
-            heappush(self._heap, (time, priority, seq, event))
+            heappush(self._heap, (time, seq, event))
             self.heap_pushed += 1
             self.ticks_overflowed += 1
         self._timed += 1
@@ -331,12 +306,12 @@ class EventList:
         args: tuple = (),
         pooled: bool = False,
     ) -> Event:
-        """Append a priority-0 event at the current clock value.
+        """Append a zero-delay event at the current clock value.
 
         The caller (the engine) guarantees ``time`` equals the current
         simulation clock; under that invariant FIFO order within the
-        queue equals ``(time, priority, seq)`` order, so the timed tiers
-        are bypassed without changing the execution order.
+        queue equals ``(time, seq)`` order, so the timed tiers are
+        bypassed without changing the execution order.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -344,14 +319,13 @@ class EventList:
         if pool:
             event = pool.pop()
             event.time = time
-            event.priority = 0
             event.seq = seq
             event.handler = handler
             event.args = args
             event.pooled = pooled
             self.pooled_reused += 1
         else:
-            event = Event(time, 0, seq, handler, args, pooled)
+            event = Event(time, seq, handler, args, pooled)
         self.fast_scheduled += 1
         self.quiet = False
         self._immediate.append(event)
@@ -386,94 +360,43 @@ class EventList:
             self._delay_sum = 0
             self._delay_n = 0
 
-    def _advance(self):
-        """Refill the due list and return its head event, or ``None``.
+    def _advance(self) -> Event:
+        """Refill the exhausted due list and return its head event.
 
-        Prunes cancelled events, merges the next wheel bucket with any
+        The engine calls this only while timed events are queued past
+        the due list.  It opens the next wheel bucket, absorbs any
         overflow-heap entries falling in the same bucket, and sorts the
         merged batch — the only per-timed-event ordering work the wheel
         ever does.
         """
-        due = self._due
-        idx = self._due_idx
-        timed = self._timed
-        while idx < len(due):
-            event = due[idx]
-            if not event.cancelled:
-                self._due_idx = idx
-                self._timed = timed
-                return event
-            idx += 1
-            timed -= 1
-        self._due_idx = idx
-        self._timed = timed
-        while True:
-            bucket_heap = self._bucket_heap
-            heap = self._heap
-            if bucket_heap:
-                shift = self._shift
-                bucket = bucket_heap[0]
-                batch = None
-                if heap:
-                    head_bucket = heap[0][0] >> shift
-                    if head_bucket < bucket:
-                        # The overflow head precedes every wheel
-                        # bucket: open its bucket instead.
-                        bucket = head_bucket
-                        batch = [heappop(heap)[3]]
-                if batch is None:
-                    heappop(bucket_heap)
-                    batch = self._buckets.pop(bucket)
-                # Absorb overflow entries falling in the same bucket
-                # (exact integer compares — no 2**53 float edge cases).
-                while heap and heap[0][0] >> shift <= bucket:
-                    batch.append(heappop(heap)[3])
-                batch.sort(key=_SORT_KEY)
-            elif heap:
-                # Wheel empty: a safe moment to adapt the bucket width
-                # before quantizing the overflow head's bucket.  (The
-                # shift is always calibrated here: push() seeds it on
-                # the first timed event, heap-routed or not.)
-                self._recalibrate()
-                shift = self._shift
+        bucket_heap = self._bucket_heap
+        heap = self._heap
+        if bucket_heap:
+            shift = self._shift
+            bucket = bucket_heap[0]
+            if heap and heap[0][0] >> shift < bucket:
+                # The overflow head precedes every wheel bucket: open
+                # its bucket instead.
                 bucket = heap[0][0] >> shift
-                batch = [heappop(heap)[3]]
-                while heap and heap[0][0] >> shift <= bucket:
-                    batch.append(heappop(heap)[3])
-                batch.sort(key=_SORT_KEY)
+                batch = [heappop(heap)[2]]
             else:
-                # Fully drained: adapt the width for the next burst and
-                # re-anchor the due bucket at the current clock so fresh
-                # pushes route through the wheel, not the insort path.
-                self._due = []
-                self._due_idx = 0
-                self._recalibrate()
-                shift = self._shift
-                if shift >= 0:
-                    self._due_bucket = self.now_hint >> shift
-                return None
-            self._due = due = batch
-            self._due_bucket = bucket
-            idx = 0
-            timed = self._timed
-            while idx < len(due):
-                event = due[idx]
-                if not event.cancelled:
-                    self._due_idx = idx
-                    self._timed = timed
-                    return event
-                idx += 1
-                timed -= 1
-            self._due_idx = idx
-            self._timed = timed
-            # Every event in the batch was cancelled: take the next bucket.
-
-    def clear(self) -> None:
-        self._immediate.clear()
-        self._due = []
+                heappop(bucket_heap)
+                batch = self._buckets.pop(bucket)
+        else:
+            # Wheel empty: a safe moment to adapt the bucket width before
+            # quantizing the overflow head's bucket.  (The shift is
+            # always calibrated here: push() seeds it on the first timed
+            # event, heap-routed or not.)
+            self._recalibrate()
+            shift = self._shift
+            bucket = heap[0][0] >> shift
+            batch = [heappop(heap)[2]]
+        # Absorb overflow entries falling in the same bucket (exact
+        # integer compares — no 2**53 float edge cases).
+        while heap and heap[0][0] >> shift <= bucket:
+            batch.append(heappop(heap)[2])
+        batch.sort(key=_SORT_KEY)
+        self._due = batch
         self._due_idx = 0
-        self._buckets.clear()
-        self._bucket_heap.clear()
-        self._heap.clear()
-        self._timed = 0
-        self.quiet = False
+        self._due_bucket = bucket
+        return batch[0]

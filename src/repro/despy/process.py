@@ -7,15 +7,15 @@ command objects:
 
 ``yield Hold(duration)``
     advance simulated time for this process;
-``yield Request(resource, priority=0)``
-    queue for one capacity unit of a resource, resuming once granted;
+``yield Request(resource)``
+    queue (FIFO) for one capacity unit of a resource, resuming once
+    granted;
 ``yield Release(resource)``
     give the unit back;
 ``yield WaitFor(gate)``
     block until :meth:`repro.despy.resource.Gate.open` is called.
 
-A process may also ``return`` at any point; the kernel then runs its
-completion callbacks (see :meth:`Process.on_complete`).
+A process may also ``return`` at any point; it then simply ends.
 
 Hot model generators may skip the ``Request``/``Release`` yields with
 :meth:`~repro.despy.resource.Resource.try_acquire_inline` and
@@ -26,7 +26,7 @@ and release alike.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.despy.errors import SchedulingError
 from repro.despy.timebase import coerce_ticks
@@ -44,29 +44,26 @@ class Hold:
     site with :func:`~repro.despy.timebase.ms_to_ticks`.
     """
 
-    __slots__ = ("duration", "priority")
+    __slots__ = ("duration",)
 
-    def __init__(self, duration: int, priority: int = 0) -> None:
+    def __init__(self, duration: int) -> None:
         if duration.__class__ is not int:
             duration = coerce_ticks(duration)
         if duration < 0:
             raise SchedulingError(f"hold duration must be >= 0, got {duration}")
         self.duration = duration
-        self.priority = priority
 
 
 class Request:
     """Command: acquire one capacity unit of ``resource``.
 
-    Lower ``priority`` values are served first (ties broken FIFO), which
-    matches the priority-queue discipline of DESP-C++ resources.
+    Contended requests are served first come, first served.
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         self.resource = resource
-        self.priority = priority
 
 
 class Release:
@@ -104,7 +101,7 @@ class Process:
     Do not instantiate directly — use :meth:`Simulation.process`.
     """
 
-    __slots__ = ("sim", "name", "_generator", "_send", "_done", "_callbacks", "value")
+    __slots__ = ("sim", "name", "_generator", "_send")
 
     def __init__(self, sim: "Simulation", generator: Generator, name: str) -> None:
         self.sim = sim
@@ -112,22 +109,6 @@ class Process:
         self._generator = generator
         # Bound once: _step is the hottest call site in the kernel.
         self._send = generator.send
-        self._done = False
-        self._callbacks: list[Callable[["Process"], None]] = []
-        #: value returned by the generator (``return x`` → ``value == x``)
-        self.value: Any = None
-
-    @property
-    def done(self) -> bool:
-        """True once the generator has run to completion."""
-        return self._done
-
-    def on_complete(self, callback: Callable[["Process"], None]) -> None:
-        """Register ``callback(process)`` to run when the process ends."""
-        if self._done:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
 
     # ------------------------------------------------------------------
     # Kernel interface
@@ -147,9 +128,9 @@ class Process:
         ``Release``, a ``Hold(0)``) normally parks this process on the
         immediate queue and returns to the engine, which dispatches it
         as the next event.  When the immediate queue is empty and no
-        timed event ties the current tick at priority <= 0, this process
-        *is* provably that next dispatch — so the loop below just keeps
-        sending into the generator instead.  The observable execution
+        timed event ties the current tick, this process *is* provably
+        that next dispatch — so the loop below just keeps sending into
+        the generator instead.  The observable execution
         order (and therefore every statistic and random draw) is
         bit-identical; only the queue round-trip disappears.
 
@@ -157,10 +138,9 @@ class Process:
         attribute load.  The engine computes it exactly at every
         dispatch (reading the wheel's due head, with conservative
         bucket-index fallbacks; see the refresh in ``Simulation.run``)
-        and the push paths that can create a tick tie clear it, so the
-        flag always equals the full test, erring only on the conservative
-        side (skip the merge, park on the immediate queue) — the
-        engine's merge loop then re-establishes the exact order.
+        and an immediate push clears it, so the flag always equals the
+        full test, erring only on the conservative side (skip the merge,
+        park on the immediate queue).
         """
         send = self._send
         sim = self.sim
@@ -168,15 +148,12 @@ class Process:
         while True:
             try:
                 command = send(send_value)
-            except StopIteration as stop:
-                self.value = stop.value
-                self._finish()
+            except StopIteration:
                 return
             cls = command.__class__
             if cls is Hold:
                 duration = command.duration
-                priority = command.priority
-                if duration == 0 and priority == 0:
+                if duration == 0:
                     if events.quiet:
                         events.merged_continuations += 1
                         send_value = None
@@ -192,8 +169,7 @@ class Process:
                     # sending.  Clock and statistics are bit-identical;
                     # only the push/dispatch round trip disappears.
                     if (
-                        priority == 0
-                        and not events._timed
+                        not events._timed
                         and not events._immediate
                         and time <= sim._warp_until
                     ):
@@ -205,10 +181,10 @@ class Process:
                         continue
                     # Hold validated the duration (int, >= 0) at
                     # construction — push without re-checking.
-                    events.push(time, priority, self._step, _STEP_ARGS, True)
+                    events.push(time, self._step, _STEP_ARGS, True)
                 return
             if cls is Request:
-                if command.resource._request(self, command.priority):
+                if command.resource._request(self):
                     send_value = None
                     continue
                 return
@@ -228,12 +204,5 @@ class Process:
                 f"{command!r}; expected Hold/Request/Release/WaitFor"
             )
 
-    def _finish(self) -> None:
-        self._done = True
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self._done else "active"
-        return f"<Process {self.name!r} {state}>"
+        return f"<Process {self.name!r}>"

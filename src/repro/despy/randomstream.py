@@ -108,15 +108,6 @@ class RandomStream:
         """
         return ms_to_ticks(self.exponential(mean_ms))
 
-    def normal(self, mean: float, stdev: float) -> float:
-        return self._rng.gauss(mean, stdev)
-
-    def lognormal(self, mu: float, sigma: float) -> float:
-        return self._rng.lognormvariate(mu, sigma)
-
-    def triangular(self, low: float, high: float, mode: float) -> float:
-        return self._rng.triangular(low, high, mode)
-
     # ------------------------------------------------------------------
     # Discrete distributions
     # ------------------------------------------------------------------

@@ -57,27 +57,6 @@ class TestScheduling:
         assert seen == [ticks]
         assert Hold(delay).duration == ticks
 
-    def test_schedule_at_absolute_time(self):
-        sim = Simulation()
-        seen = []
-        sim.schedule_at(3.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [3.0]
-
-    def test_schedule_at_past_rejected(self):
-        sim = Simulation()
-        failures = []
-
-        def try_past():
-            try:
-                sim.schedule_at(1.0, lambda: None)
-            except SchedulingError:
-                failures.append(sim.now)
-
-        sim.schedule(2.0, try_past)
-        sim.run()
-        assert failures == [2.0]
-
     def test_drained_simulation_is_reusable(self):
         """Multi-phase experiments schedule fresh work after a drain."""
         sim = Simulation()
@@ -125,14 +104,6 @@ class TestRunControl:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.run() == 1.0
-
-    def test_stop_drops_pending_events(self):
-        sim = Simulation()
-        seen = []
-        sim.schedule(1.0, lambda: (seen.append(sim.now), sim.stop()))
-        sim.schedule(2.0, lambda: seen.append(sim.now))
-        sim.run()
-        assert seen == [1.0]
 
     def test_empty_run_finishes_at_zero(self):
         sim = Simulation()
@@ -215,13 +186,7 @@ class TestFastDispatch:
         assert sim.events_fast_dispatched == 0
         assert sim.events_wheel_pushed == 1
 
-    def test_prioritized_zero_delay_events_use_the_timed_tiers(self):
-        sim = Simulation()
-        sim.schedule(0.0, lambda: None, priority=1)
-        sim.run()
-        assert sim.events_wheel_pushed == 1
-
-    def test_wake_runs_at_current_time_in_seq_order(self):
+    def test_zero_delay_runs_at_current_time_in_seq_order(self):
         sim = Simulation()
         order = []
 
@@ -230,7 +195,7 @@ class TestFastDispatch:
 
         def first():
             order.append("first")
-            sim.wake(lambda: order.append("woken"))
+            sim.schedule(0.0, lambda: order.append("woken"))
             sim.schedule(0.0, lambda: order.append("scheduled"))
 
         sim.schedule(1.0, first)
@@ -240,45 +205,29 @@ class TestFastDispatch:
         # its smaller sequence number must win the time tie.
         assert order == ["first", "later", "woken", "scheduled"]
 
-    def test_heap_priority_preempts_pending_immediates(self):
+    def test_timed_event_due_now_precedes_the_ticks_immediates(self):
+        """A process resumed off the timed tier at a tick where a
+        zero-delay event is already queued runs before that event, and
+        its own zero-delay continuation queues behind it: the timed
+        resume was scheduled on an earlier tick (smaller seq), the
+        continuation on this one (larger seq)."""
         sim = Simulation()
         order = []
 
-        def kick():
-            sim.wake(lambda: order.append("imm"))
-            sim.schedule(0.0, lambda: order.append("urgent"), priority=-5)
+        def e1():
+            order.append("E1")
+            sim.schedule(0, lambda: order.append("C"))
 
-        sim.schedule(1.0, kick)
+        def proc():
+            yield Hold(5)
+            order.append("P")
+            yield Hold(0)
+            order.append("P-after")
+
+        sim.schedule(5, e1)
+        sim.process(proc())
         sim.run()
-        assert order == ["urgent", "imm"]
-
-    def test_wake_event_can_be_cancelled(self):
-        sim = Simulation()
-        seen = []
-        event = sim.wake(lambda: seen.append("no"))
-        event.cancel()
-        sim.run()
-        assert seen == []
-
-    def test_mixed_order_matches_pure_key_order(self):
-        """Interleave heap and immediate events and check the dispatch
-        order equals a sort by (time, priority, seq)."""
-        sim = Simulation()
-        order = []
-
-        def tag(label):
-            return lambda: order.append(label)
-
-        def storm():
-            sim.schedule(0.0, tag("a"))          # imm seq n
-            sim.schedule(0.0, tag("b"), priority=2)   # heap, loses to prio 0
-            sim.schedule(0.0, tag("c"), priority=-2)  # heap, wins over imm
-            sim.wake(tag("d"))                   # imm seq n+3
-            sim.schedule(1.0, tag("e"))
-
-        sim.schedule(1.0, storm)
-        sim.run()
-        assert order == ["c", "a", "d", "b", "e"]
+        assert order == ["E1", "P", "C", "P-after"]
 
     def test_fast_path_counts_into_events_executed(self):
         sim = Simulation()
@@ -286,38 +235,6 @@ class TestFastDispatch:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_executed == 2
-
-    def test_stop_drops_pending_immediates(self):
-        sim = Simulation()
-        seen = []
-
-        def first():
-            sim.wake(lambda: seen.append("no"))
-            sim.stop()
-
-        sim.schedule(1.0, first)
-        sim.run()
-        assert seen == []
-
-    def test_current_tick_timed_event_keeps_seq_order(self):
-        """Regression (from the float kernel's absorbed delays): a
-        priority-0 event landing on the *timed* tier at the current tick
-        with a seq between two queued immediates.  Integer ticks can no
-        longer absorb a positive delay, so the tier mix is staged through
-        the event list directly — the merge must still honor
-        (time, priority, seq) order across tiers."""
-        sim = Simulation()
-        order = []
-
-        def kick():
-            sim.schedule(0, lambda: order.append("imm-first"))
-            # Same tick, timed tier, seq between the two immediates.
-            sim._events.push(sim.now, 0, lambda: order.append("tied"))
-            sim.schedule(0, lambda: order.append("imm-second"))
-
-        sim.schedule(10**16, kick)
-        sim.run()
-        assert order == ["imm-first", "tied", "imm-second"]
 
 
 class TestStreams:

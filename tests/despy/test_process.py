@@ -52,42 +52,6 @@ class TestProcessLifecycle:
         sim.run()
         assert seen == [3.0]
 
-    def test_return_value_captured(self):
-        sim = Simulation()
-
-        def proc():
-            yield Hold(1.0)
-            return 42
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.done
-        assert p.value == 42
-
-    def test_on_complete_callback_runs_at_completion(self):
-        sim = Simulation()
-        completions = []
-
-        def proc():
-            yield Hold(2.0)
-
-        p = sim.process(proc())
-        p.on_complete(lambda proc: completions.append((proc.name, sim.now)))
-        sim.run()
-        assert completions == [(p.name, 2.0)]
-
-    def test_on_complete_after_done_fires_immediately(self):
-        sim = Simulation()
-
-        def proc():
-            yield Hold(1.0)
-
-        p = sim.process(proc())
-        sim.run()
-        fired = []
-        p.on_complete(lambda proc: fired.append(True))
-        assert fired == [True]
-
     def test_default_names_unique(self):
         sim = Simulation()
 
@@ -145,7 +109,7 @@ class TestRequestRelease:
         sim.run()
         assert seen == [5.0]
 
-    def test_priority_served_before_fifo(self):
+    def test_contended_requests_served_fifo(self):
         sim = Simulation()
         res = Resource(sim, "r", capacity=1)
         order = []
@@ -155,17 +119,17 @@ class TestRequestRelease:
             yield Hold(1.0)
             yield Release(res)
 
-        def job(tag, prio):
-            yield Hold(1)  # enqueue while holder owns the resource
-            yield Request(res, priority=prio)
+        def job(tag, delay):
+            yield Hold(delay)  # enqueue while holder owns the resource
+            yield Request(res)
             order.append(tag)
             yield Release(res)
 
         sim.process(holder())
-        sim.process(job("low", 10))
-        sim.process(job("high", -10))
+        sim.process(job("second", 1))
+        sim.process(job("first", 0))
         sim.run()
-        assert order == ["high", "low"]
+        assert order == ["first", "second"]
 
     def test_capacity_two_serves_pairs(self):
         sim = Simulation()

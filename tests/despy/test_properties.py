@@ -19,10 +19,7 @@ from repro.despy.validation import (
 
 @given(
     st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10**12),
-            st.integers(min_value=-10, max_value=10),
-        ),
+        st.integers(min_value=0, max_value=10**12),
         min_size=1,
         max_size=200,
     )
@@ -30,8 +27,8 @@ from repro.despy.validation import (
 def test_run_dispatches_in_nondecreasing_time_order(entries):
     sim = Simulation()
     times = []
-    for time, priority in entries:
-        sim.schedule(time, lambda: times.append(sim.now), priority=priority)
+    for time in entries:
+        sim.schedule(time, lambda: times.append(sim.now))
     sim.run()
     assert len(times) == len(entries)
     assert times == sorted(times)
@@ -39,26 +36,23 @@ def test_run_dispatches_in_nondecreasing_time_order(entries):
 
 @given(
     st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10**8),
-            st.integers(min_value=-3, max_value=3),
-        ),
+        st.integers(min_value=0, max_value=10**8),
         min_size=1,
         max_size=100,
     )
 )
 def test_run_order_matches_reference_heap(entries):
-    """The run loop is observationally a stable (time, priority) heap."""
+    """The run loop is observationally a stable (time, seq) heap."""
     sim = Simulation()
     reference = []
     dispatched = []
 
-    def record(priority, seq):
-        dispatched.append((sim.now, priority, seq))
+    def record(seq):
+        dispatched.append((sim.now, seq))
 
-    for seq, (time, priority) in enumerate(entries):
-        sim.schedule(time, record, priority, seq, priority=priority)
-        heapq.heappush(reference, (time, priority, seq))
+    for seq, time in enumerate(entries):
+        sim.schedule(time, record, seq)
+        heapq.heappush(reference, (time, seq))
     sim.run()
     assert dispatched == [heapq.heappop(reference) for _ in entries]
 

@@ -3,11 +3,11 @@
 The PR-2/PR-5 contract is that the immediate queue, the calendar wheel,
 the overflow heap, the event pool and the merged-continuation fast paths
 are *invisible except in speed*: for any schedule, the dispatch order is
-exactly the total ``(time, priority, seq)`` order a single binary heap
-would produce.  These properties drive randomly generated schedules —
-nested scheduling, cancellations, ``run(until=...)`` horizon re-entry —
-through the real :class:`Simulation` and through a deliberately naive
-pure-heap reference kernel, and require identical dispatch logs.
+exactly the total ``(time, seq)`` order a single binary heap would
+produce.  These properties drive randomly generated schedules — nested
+scheduling, ``run(until=...)`` horizon re-entry — through the real
+:class:`Simulation` and through a deliberately naive pure-heap reference
+kernel, and require identical dispatch logs.
 """
 
 from __future__ import annotations
@@ -32,32 +32,24 @@ class HeapReferenceKernel:
     """A minimal, obviously-correct event kernel: one binary heap.
 
     Mirrors :class:`Simulation`'s scheduling semantics — the
-    ``(time, priority, seq)`` total order, lazy cancellation, horizon
-    handling — with none of its tiers or fast paths.
+    ``(time, seq)`` total order and horizon handling — with none of its
+    tiers or fast paths.
     """
 
     def __init__(self) -> None:
         self.now = 0
         self._heap: list = []
         self._seq = 0
-        self._cancelled: set[int] = set()
 
-    def schedule(self, delay: int, handler, priority: int = 0) -> int:
+    def schedule(self, delay: int, handler) -> None:
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (self.now + delay, priority, seq, handler))
-        return seq
-
-    def cancel(self, seq: int) -> None:
-        self._cancelled.add(seq)
+        heapq.heappush(self._heap, (self.now + delay, seq, handler))
 
     def run(self, until: float = math.inf) -> float:
         heap = self._heap
         while heap:
-            time, priority, seq, handler = heap[0]
-            if seq in self._cancelled:
-                heapq.heappop(heap)
-                continue
+            time, seq, handler = heap[0]
             if time > until:
                 if until > self.now and not math.isinf(until):
                     self.now = until
@@ -70,17 +62,14 @@ class HeapReferenceKernel:
         return self.now
 
 
-#: One scheduling action: (delay, priority, nested actions, cancel_flag).
-#: ``nested`` actions are scheduled from inside the handler when it
-#: runs; ``cancel_flag`` marks events a sibling handler cancels before
-#: their time comes.  Delays are integer ticks spanning ~8 ms, so
-#: schedules hit bucket ties, adjacent buckets and empty stretches.
+#: One scheduling action: (delay, nested actions).  ``nested`` actions
+#: are scheduled from inside the handler when it runs.  Delays are
+#: integer ticks spanning ~8 ms, so schedules hit bucket ties, adjacent
+#: buckets and empty stretches.
 _action = st.deferred(
     lambda: st.tuples(
         st.integers(min_value=0, max_value=8 << 20),
-        st.integers(min_value=-2, max_value=2),
         st.lists(_action, max_size=2),
-        st.booleans(),
     )
 )
 
@@ -91,11 +80,10 @@ def _drive_simulation(actions, horizons):
     """Run a schedule on the real kernel; return the dispatch log."""
     sim = Simulation()
     log: list = []
-    cancellable: list = []
     counter = [0]
 
     def install(action):
-        delay, priority, nested, cancel_me = action
+        delay, nested = action
         label = counter[0]
         counter[0] += 1
 
@@ -103,17 +91,8 @@ def _drive_simulation(actions, horizons):
             log.append((label, sim.now))
             for sub in nested:
                 install(sub)
-            # Cancel the oldest still-pending cancellable event, if any:
-            # exercises lazy pruning in every tier.
-            while cancellable:
-                event = cancellable.pop(0)
-                if not event.cancelled:
-                    event.cancel()
-                    break
 
-        event = sim.schedule(delay, handler, priority=priority)
-        if cancel_me:
-            cancellable.append(event)
+        sim.schedule(delay, handler)
 
     for action in actions:
         install(action)
@@ -127,11 +106,10 @@ def _drive_reference(actions, horizons):
     """Run the same schedule on the pure-heap reference kernel."""
     kernel = HeapReferenceKernel()
     log: list = []
-    cancellable: list = []
     counter = [0]
 
     def install(action):
-        delay, priority, nested, cancel_me = action
+        delay, nested = action
         label = counter[0]
         counter[0] += 1
 
@@ -139,15 +117,8 @@ def _drive_reference(actions, horizons):
             log.append((label, kernel.now))
             for sub in nested:
                 install(sub)
-            while cancellable:
-                seq = cancellable.pop(0)
-                if seq not in kernel._cancelled:
-                    kernel.cancel(seq)
-                    break
 
-        seq = kernel.schedule(delay, handler, priority=priority)
-        if cancel_me:
-            cancellable.append(seq)
+        kernel.schedule(delay, handler)
 
     for action in actions:
         install(action)
@@ -188,27 +159,23 @@ def test_horizon_reentry_matches_pure_heap_reference(actions, horizons):
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=50 << 20),
-            st.integers(min_value=-2, max_value=2),
-        ),
+        st.integers(min_value=0, max_value=50 << 20),
         min_size=1,
         max_size=64,
     ),
     st.integers(min_value=2, max_value=7),
 )
-def test_wide_delay_mix_hits_every_tier(entries, modulus):
+def test_wide_delay_mix_hits_every_tier(delays, modulus):
     """Zero delays, tick ties and far-future overflows in one schedule.
 
     Every ``modulus``-th entry is stretched far beyond the overflow
     horizon, forcing wheel/heap coexistence; the dispatch order must
     still be the reference order.
     """
-    stretched = [
-        (delay * 10**9 if i % modulus == 0 else delay, priority)
-        for i, (delay, priority) in enumerate(entries)
+    actions = [
+        (delay * 10**9 if i % modulus == 0 else delay, [])
+        for i, delay in enumerate(delays)
     ]
-    actions = [(delay, priority, [], False) for delay, priority in stretched]
     assert _drive_simulation(actions, ()) == _drive_reference(actions, ())
 
 
