@@ -125,7 +125,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
@@ -322,63 +322,39 @@ class ClusterLockManager(NodeSum):
     # ------------------------------------------------------------------
     # Transaction-side protocol
     # ------------------------------------------------------------------
-    def _partition(
-        self, oids: Iterable[int], presorted: bool = False
-    ) -> List[Tuple[int, List[int]]]:
+    def _partition(self, distinct: Sequence[int]) -> List[Tuple[int, List[int]]]:
         """Split the lock set by home node, each part in ascending oid.
 
-        A ``presorted`` input (sorted, distinct — the Transaction
-        Manager's contract) partitions order-preservingly, so every
-        per-node part is already canonical and the node tables can skip
-        their re-sort; otherwise ids are deduplicated here and the node
-        tables canonicalize.  Either way the acquisition order is the
-        same total order over ``(home node, oid)``.
+        The lock set is sorted and distinct (the Transaction Manager's
+        contract), so the order-preserving split leaves every per-node
+        part canonical too, and the acquisition order is one total order
+        over ``(home node, oid)``.
         """
         home_of = self._home_of
         parts: Dict[int, List[int]] = {}
-        if presorted:
-            for oid in oids:
-                parts.setdefault(home_of(oid), []).append(oid)
-        else:
-            for oid in set(oids):
-                parts.setdefault(home_of(oid), []).append(oid)
+        for oid in distinct:
+            parts.setdefault(home_of(oid), []).append(oid)
         return sorted(parts.items())
 
-    def acquire_all_nowait(
-        self,
-        txn_id: int,
-        oids: Iterable[int],
-        writes: set,
-        presorted: bool = False,
-    ):
-        parts = self._partition(oids, presorted)
+    def acquire_all_nowait(self, txn_id: int, distinct: Sequence[int], writes: set):
+        parts = self._partition(distinct)
         for position, (node, part) in enumerate(parts):
-            step = self.parts[node].acquire_all_nowait(
-                txn_id, part, writes, presorted
-            )
+            step = self.parts[node].acquire_all_nowait(txn_id, part, writes)
             if step is not None:
-                return self._acquire_tail(
-                    step, txn_id, parts[position + 1 :], writes, presorted
-                )
+                return self._acquire_tail(step, txn_id, parts[position + 1 :], writes)
         return None
 
-    def _acquire_tail(self, step, txn_id, rest, writes, presorted):
+    def _acquire_tail(self, step, txn_id, rest, writes):
         yield from step
         for node, part in rest:
-            step = self.parts[node].acquire_all_nowait(
-                txn_id, part, writes, presorted
-            )
+            step = self.parts[node].acquire_all_nowait(txn_id, part, writes)
             if step is not None:
                 yield from step
 
-    def release_all_nowait(
-        self, txn_id: int, oids: Iterable[int], presorted: bool = False
-    ):
+    def release_all_nowait(self, txn_id: int, distinct: Sequence[int]):
         steps = []
-        for node, part in self._partition(oids, presorted):
-            step = self.parts[node].release_all_nowait(
-                txn_id, part, presorted
-            )
+        for node, part in self._partition(distinct):
+            step = self.parts[node].release_all_nowait(txn_id, part)
             if step is not None:
                 steps.append(step)
         return _join(steps)

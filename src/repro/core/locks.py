@@ -15,7 +15,7 @@ experiments never exercise deadlock handling (NUSERS=1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
@@ -97,25 +97,19 @@ class LockManager:
     # Transaction-side protocol (entering and leaving the multiprogramming
     # mix is ``yield admission_request`` / ``yield admission_release``)
     # ------------------------------------------------------------------
-    def acquire_all_nowait(
-        self,
-        txn_id: int,
-        oids: Iterable[int],
-        writes: set,
-        presorted: bool = False,
-    ):
-        """Acquire locks on every distinct object, sorted (deadlock-free).
+    def acquire_all_nowait(self, txn_id: int, distinct: Sequence[int], writes: set):
+        """Acquire locks on every object of ``distinct``, in order.
 
         Pays GETLOCK per lock and blocks while any lock conflicts.
         Returns ``None`` when every lock was granted without paying time
         (GETLOCK = 0) or waiting; otherwise a generator to ``yield from``.
 
-        ``presorted`` promises ``oids`` is already a sorted sequence of
-        distinct ids (the transaction's ``lock_set``, which the release
-        sweep shares).  A transaction acquires one lock set per table
-        and releases that same set once.
+        ``distinct`` is a sorted sequence of distinct ids (the
+        transaction's ``lock_set``, which the release sweep shares), so
+        every transaction acquires in one global order (deadlock-free).
+        A transaction acquires one lock set per table and releases that
+        same set once.
         """
-        distinct = oids if presorted else sorted(set(oids))
         self._sweeping.add(txn_id)
         lock_cost = self._getlock_ticks * len(distinct)
         if lock_cost > 0:
@@ -181,16 +175,14 @@ class LockManager:
                 self.wait_ticks += self.sim.now - started
             self.acquisitions += 1
 
-    def release_all_nowait(
-        self, txn_id: int, oids: Iterable[int], presorted: bool = False
-    ):
-        """Release every lock, paying RELLOCK per lock, waking waiters.
+    def release_all_nowait(self, txn_id: int, distinct: Sequence[int]):
+        """Release every lock of ``distinct`` (the acquired lock set),
+        paying RELLOCK per lock, waking waiters.
 
         Returns ``None`` when RELLOCK costs nothing (releasing never
         blocks, so only the Hold needs the event loop); otherwise a
         generator to ``yield from``.
         """
-        distinct = oids if presorted else sorted(set(oids))
         release_cost = self._rellock_ticks * len(distinct)
         if release_cost > 0:
             return self._release_timed(txn_id, distinct, release_cost)

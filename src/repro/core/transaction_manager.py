@@ -95,9 +95,9 @@ class TransactionManager:
             yield locks.admission_request
         # The generator derived the sorted lock set and the write set
         # with the trace; the acquire and release sweeps both consume
-        # it as it is (``presorted``).
+        # it as it is.
         distinct = txn.lock_set
-        step = locks.acquire_all_nowait(txn_id, distinct, txn.write_set, True)
+        step = locks.acquire_all_nowait(txn_id, distinct, txn.write_set)
         if step is not None:
             yield from step
 
@@ -127,7 +127,7 @@ class TransactionManager:
         if cpu_time > 0:
             yield Hold(cpu_time)
 
-        step = locks.release_all_nowait(txn_id, distinct, True)
+        step = locks.release_all_nowait(txn_id, distinct)
         if step is not None:
             yield from step
         if not locks.admission.release_inline():

@@ -225,7 +225,7 @@ def test_range_router_partitions_the_extent_contiguously(servers, total_pages):
 IDLE_FROM = 41
 
 
-def _lock_trace(schedule, presorted: bool = True, servers: int = 3, idle: bool = False):
+def _lock_trace(schedule, servers: int = 3, idle: bool = False):
     """Drive concurrent conservative-2PL transactions through a fresh
     lock service and record the full grant/release schedule.
 
@@ -256,20 +256,20 @@ def _lock_trace(schedule, presorted: bool = True, servers: int = 3, idle: bool =
     trace = []
     held = range(IDLE_FROM, 500) if idle else range(0)
     if idle:
-        step = locks.acquire_all_nowait(0, held, set(), True)
+        step = locks.acquire_all_nowait(0, held, set())
         # Granted before the run: the GETLOCK hold it yields is skipped.
         for __ in step or ():
             pass
         assert all(part.locked_objects for part in getattr(locks, "parts", [locks]))
 
     def txn(txn_id, raw, writes):
-        ids = sorted(set(raw)) if presorted else list(raw)
-        step = locks.acquire_all_nowait(txn_id, ids, writes, presorted)
+        ids = sorted(set(raw))
+        step = locks.acquire_all_nowait(txn_id, ids, writes)
         if step is not None:
             yield from step
         trace.append(("granted", txn_id, model.sim.now))
         yield Hold(5)
-        step = locks.release_all_nowait(txn_id, ids, presorted=presorted)
+        step = locks.release_all_nowait(txn_id, ids)
         if step is not None:
             yield from step
         trace.append(("released", txn_id, model.sim.now))
@@ -285,27 +285,6 @@ def _lock_trace(schedule, presorted: bool = True, servers: int = 3, idle: bool =
         locks.locked_objects - len(held),
     )
     return trace, counters
-
-
-@given(
-    oid_sets=st.lists(
-        st.lists(st.integers(min_value=0, max_value=499), min_size=1, max_size=10),
-        min_size=1,
-        max_size=4,
-    )
-)
-@settings(max_examples=40, deadline=None)
-def test_presorted_lock_trace_matches_unsorted(oid_sets):
-    """``presorted=True`` over the canonical (sorted, distinct) ids must
-    replay the exact grant/release schedule of the canonicalizing path
-    fed the raw ids — same total (home node, oid) acquisition order,
-    same waits, same clock."""
-    schedule = [(raw, set(raw)) for raw in oid_sets]
-    sorted_trace, sorted_counters = _lock_trace(schedule, presorted=True)
-    raw_trace, raw_counters = _lock_trace(schedule, presorted=False)
-    assert sorted_trace == raw_trace
-    assert sorted_counters == raw_counters
-    assert sorted_counters[-1] == 0  # every table drained
 
 
 @given(
