@@ -461,13 +461,11 @@ class VOODBSimulation:
                 values["apply_queue_peak"] = tuple(
                     node.queue_peak for node in cluster.nodes
                 )
-        response = self.tm.phase_response
+        series = self.tm.phase_response_series
         return PhaseResults(
-            response_time_sum_ms=response.total * MS_PER_TICK,
-            response_time_max_ms=max(response.maximum, 0) * MS_PER_TICK,
-            response_times_ms=tuple(
-                ticks * MS_PER_TICK for ticks in self.tm.phase_response_series
-            ),
+            response_time_sum_ms=sum(series) * MS_PER_TICK,
+            response_time_max_ms=max(series, default=0) * MS_PER_TICK,
+            response_times_ms=tuple(ticks * MS_PER_TICK for ticks in series),
             transactions_by_kind=dict(self.tm.phase_kind_counts),
             **values,
         )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.despy.monitor import OnlineStats
 from repro.despy.process import PARK, Hold
 from repro.core.architectures import Architecture
 from repro.core.failures import NoFailures
@@ -57,16 +56,15 @@ class TransactionManager:
         # Cumulative counters
         self.transactions_executed = 0
         self.objects_accessed = 0
-        self.phase_response = OnlineStats()
         #: Per-transaction response times (ticks) in completion order —
         #: the series the steady-state pipeline (MSER-5 truncation +
-        #: batch means, :mod:`repro.despy.stats`) analyzes per phase.
+        #: batch means, :mod:`repro.despy.stats`) analyzes per phase,
+        #: and the phase's response-time sum and maximum.
         self.phase_response_series: list = []
         self.phase_kind_counts: Dict[str, int] = {}
 
     def begin_phase(self) -> None:
         """Reset the per-phase response-time and mix trackers."""
-        self.phase_response = OnlineStats()
         self.phase_response_series = []
         self.phase_kind_counts = {}
 
@@ -134,9 +132,7 @@ class TransactionManager:
             yield PARK
 
         self.transactions_executed += 1
-        response = self.sim.now - started
-        self.phase_response.record(response)
-        self.phase_response_series.append(response)
+        self.phase_response_series.append(self.sim.now - started)
         kind_counts = self.phase_kind_counts
         kind_counts[txn.kind] = kind_counts.get(txn.kind, 0) + 1
 
