@@ -194,7 +194,7 @@ class EventList:
         #: tick).  The engine computes it at each dispatch (see the
         #: refresh in :meth:`Simulation.run
         #: <repro.despy.engine.Simulation.run>`), an immediate push
-        #: clears it, and the warp lane sets it on an empty list.  A
+        #: resets it, and the warp lane sets it on an empty list.  A
         #: timed push lands strictly after the clock, so it never
         #: creates a tie.  One attribute load replaces the full test on
         #: the hottest kernel sites (``Process._step``, the inline

@@ -130,15 +130,15 @@ class Process:
         as the next event.  When the immediate queue is empty and no
         timed event ties the current tick, this process *is* provably
         that next dispatch — so the loop below just keeps sending into
-        the generator instead.  The observable execution
-        order (and therefore every statistic and random draw) is
-        bit-identical; only the queue round-trip disappears.
+        the generator instead.  The observable execution order (and
+        therefore every statistic and random draw) is bit-identical;
+        only the queue round-trip disappears.
 
         The test itself is the event list's cached ``quiet`` flag — one
         attribute load.  The engine computes it exactly at every
         dispatch (reading the wheel's due head, with conservative
         bucket-index fallbacks; see the refresh in ``Simulation.run``)
-        and an immediate push clears it, so the flag always equals the
+        and an immediate push resets it, so the flag always equals the
         full test, erring only on the conservative side (skip the merge,
         park on the immediate queue).
         """

@@ -41,8 +41,8 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         #: waiting ``(process, enqueue tick)`` pairs, first come first
-        #: served.  A list, not a deque: queues stay short, and a deque
-        #: measured 0.3 MB more peak RSS on perfbench paper-o2.
+        #: served.  A list, not a deque: a deque measured 0.3 MB more
+        #: peak RSS on perfbench paper-o2.
         self._queue: list[tuple["Process", int]] = []
         # Statistics
         self.busy_units = TimeWeightedStats(sim)
