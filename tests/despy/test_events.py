@@ -45,7 +45,6 @@ class TestEventOrdering:
         assert a < b
         assert not b < a
 
-
     def test_run_until_on_empty_list_advances_clock(self):
         sim = Simulation()
         assert sim.run(until=7) == 7
