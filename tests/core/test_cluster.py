@@ -15,6 +15,7 @@ from repro.core import (
     run_replication,
 )
 from repro.core.model import VOODBSimulation
+from repro.despy import Hold
 from repro.systems.o2 import o2_config
 
 
@@ -374,6 +375,64 @@ class TestNowaitFastPath:
         for node in model.cluster.nodes:
             assert node.locks.admission is None
         assert model.locks.admission is not None
+
+
+class TestClusterLockSweeps:
+    """A lock set splits by home node and is swept one node at a time."""
+
+    def _model(self):
+        config = cluster_config(servers=3, getlock=0.0, rellock=0.0)
+        return VOODBSimulation(config, seed=1)
+
+    def test_partition_keeps_the_lock_set_order_within_each_node(self):
+        locks = self._model().locks
+        distinct = list(range(40))
+        parts = locks._partition(distinct)
+        nodes = [node for node, _ in parts]
+        assert nodes == sorted(set(nodes))
+        assert len(nodes) > 1
+        for node, part in parts:
+            assert part == sorted(part)
+            assert {locks._home_of(oid) for oid in part} == {node}
+        assert sorted(oid for _, part in parts for oid in part) == distinct
+
+    def test_sweeps_lock_and_unlock_each_oid_on_its_home_node(self):
+        locks = self._model().locks
+        distinct = list(range(40))
+        sizes = {node: len(part) for node, part in locks._partition(distinct)}
+        assert locks.acquire_all_nowait(1, distinct, {3, 17}) is None
+        held = [part.locked_objects for part in locks.parts]
+        assert held == [sizes.get(node, 0) for node in range(len(locks.parts))]
+        assert locks.acquisitions == 40
+        assert locks.release_all_nowait(1, distinct) is None
+        assert (locks.releases, locks.locked_objects) == (40, 0)
+
+    def test_sweep_waits_on_an_earlier_node_before_touching_a_later_one(self):
+        model = self._model()
+        locks, sim = model.locks, model.sim
+        (__, first), (later_node, later) = locks._partition(list(range(40)))[:2]
+        blocker, tail = first[0], later[0]
+        seen = []
+
+        def holder():
+            assert locks.acquire_all_nowait(1, [blocker], {blocker}) is None
+            yield Hold(5)
+            seen.append(("held", locks.parts[later_node].locked_objects))
+            assert locks.release_all_nowait(1, [blocker]) is None
+
+        def sweeper():
+            distinct = sorted([blocker, tail])
+            step = locks.acquire_all_nowait(2, distinct, set())
+            assert step is not None
+            yield from step
+            seen.append(("granted", sim.now, locks.parts[later_node].locked_objects))
+            assert locks.release_all_nowait(2, distinct) is None
+
+        sim.process(holder())
+        sim.process(sweeper())
+        sim.run()
+        assert seen == [("held", 0), ("granted", 5, 1)]
+        assert (locks.waits, locks.locked_objects) == (1, 0)
 
 
 def _drain(step):

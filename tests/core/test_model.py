@@ -137,6 +137,39 @@ class TestPhases:
             model.run_phase(5, workload="olap")
 
 
+class TestPhaseResponses:
+    """A phase's response-time sum and maximum come from its series."""
+
+    def test_sum_and_max_match_the_phase_series(self):
+        results = run_replication(small_config(nusers=2, multilvl=2), seed=1)
+        phase = results.phase
+        series = phase.response_times_ms
+        assert len(series) == phase.transactions
+        assert phase.response_time_sum_ms == pytest.approx(sum(series))
+        assert phase.response_time_max_ms == max(series)
+
+    def test_each_phase_reports_only_its_own_responses(self):
+        model = VOODBSimulation(small_config(), seed=1)
+        first = model.run_phase(10)
+        second = model.run_phase(15)
+        assert len(first.response_times_ms) == 10
+        assert len(second.response_times_ms) == 15
+        for phase in (first, second):
+            series = phase.response_times_ms
+            assert phase.response_time_sum_ms == pytest.approx(sum(series))
+            assert phase.response_time_max_ms == max(series)
+        assert second.mean_response_time_ms == pytest.approx(
+            second.response_time_sum_ms / 15
+        )
+
+    def test_empty_phase_reports_zero_sum_and_max(self):
+        model = VOODBSimulation(small_config(), seed=1)
+        phase = model.run_phase(0)
+        assert phase.response_times_ms == ()
+        assert phase.response_time_sum_ms == 0.0
+        assert phase.response_time_max_ms == 0.0
+
+
 class TestMemoryModels:
     def test_virtual_memory_model_selected(self):
         model = VOODBSimulation(

@@ -167,6 +167,52 @@ class TestRunControl:
         sim.schedule(1.0, lambda: None)
         assert sim.run(until=2.0) == 5.0  # horizon already behind the clock
 
+    def test_event_due_at_the_horizon_runs(self):
+        sim = Simulation()
+        seen = []
+        sim.schedule(5, lambda: seen.append(sim.now))
+        assert sim.run(until=5) == 5
+        assert seen == [5]
+        assert sim.pending_events == 0
+
+    def test_immediates_queued_on_the_horizon_tick_run_before_returning(self):
+        sim = Simulation()
+        seen = []
+
+        def last():
+            seen.append("last")
+            sim.schedule(0, lambda: seen.append("continuation"))
+
+        sim.schedule(5, last)
+        assert sim.run(until=5) == 5
+        assert seen == ["last", "continuation"]
+        assert sim.pending_events == 0
+
+    def test_horizon_behind_the_clock_keeps_queued_immediates(self):
+        sim = Simulation()
+        seen = []
+        sim.schedule(5, lambda: None)
+        sim.run()
+        sim.schedule(0, lambda: seen.append(sim.now))
+        assert sim.run(until=2) == 5
+        assert (seen, sim.pending_events) == ([], 1)
+        sim.run()
+        assert seen == [5]
+
+    def test_hold_past_the_horizon_resumes_on_the_next_run(self):
+        sim = Simulation()
+        seen = []
+
+        def proc():
+            yield Hold(10)
+            seen.append(sim.now)
+
+        sim.process(proc())
+        assert sim.run(until=4) == 4
+        assert (seen, sim.pending_events) == ([], 1)
+        assert sim.run() == 10
+        assert seen == [10]
+
 
 class TestFastDispatch:
     """The immediate-dispatch queue must be invisible except in speed."""
@@ -235,6 +281,73 @@ class TestFastDispatch:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_executed == 2
+
+    def test_hold_zero_queues_behind_a_pending_immediate(self):
+        """A process yielding ``Hold(0)`` while a zero-delay event is
+        queued on its tick parks behind that event."""
+        sim = Simulation()
+        order = []
+
+        def proc():
+            sim.schedule(0, lambda: order.append("queued"))
+            yield Hold(0)
+            order.append("resumed")
+
+        sim.process(proc())
+        sim.run()
+        assert order == ["queued", "resumed"]
+        assert sim.events_merged_continuations == 0
+
+    def test_hold_zero_merges_in_place_on_a_quiet_list(self):
+        sim = Simulation()
+        seen = []
+
+        def proc():
+            yield Hold(0)
+            yield Hold(0)
+            seen.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        assert seen == [0]
+        assert sim.events_merged_continuations == 2
+        # Only the process start went through the immediate queue.
+        assert sim.events_fast_dispatched == 1
+
+
+class TestHoldWarp:
+    """A lone process's holds advance the clock in place, unobservably."""
+
+    def test_lone_process_holds_advance_the_clock_in_place(self):
+        sim = Simulation()
+        seen = []
+
+        def proc():
+            for delay in (2, 3, 4):
+                yield Hold(delay)
+                seen.append(sim.now)
+
+        sim.process(proc())
+        assert sim.run() == 9
+        assert seen == [2, 5, 9]
+        assert sim.events_holds_warped == 3
+        assert sim.events_wheel_pushed == 0
+
+    def test_holds_go_through_the_wheel_while_another_event_is_queued(self):
+        sim = Simulation()
+        order = []
+
+        def proc():
+            for _ in range(3):
+                yield Hold(2)
+                order.append(("P", sim.now))
+
+        sim.schedule(3, lambda: order.append(("E", sim.now)))
+        sim.process(proc())
+        sim.run()
+        assert order == [("P", 2), ("E", 3), ("P", 4), ("P", 6)]
+        # Only the last hold finds the list empty.
+        assert sim.events_holds_warped == 1
 
 
 class TestStreams:

@@ -52,6 +52,54 @@ class TestProcessLifecycle:
         sim.run()
         assert seen == [3.0]
 
+    def test_return_ends_the_process(self):
+        """A ``return`` (with or without a value) just ends the process;
+        the rest of the simulation runs on."""
+        sim = Simulation()
+        seen = []
+
+        def short():
+            yield Hold(1)
+            return 42
+
+        def long():
+            yield Hold(3)
+            seen.append(sim.now)
+
+        sim.process(short())
+        sim.process(long())
+        assert sim.run() == 3
+        assert seen == [3]
+        assert sim.pending_events == 0
+
+    def test_generator_returning_before_its_first_yield_ends_at_start(self):
+        sim = Simulation()
+        seen = []
+
+        def empty():
+            seen.append(sim.now)
+            return
+            yield
+
+        sim.process(empty(), delay=4)
+        assert sim.run() == 4
+        assert seen == [4]
+        assert sim.events_executed == 1
+
+    def test_zero_delay_start_queues_among_immediates_in_seq_order(self):
+        sim = Simulation()
+        order = []
+
+        def proc():
+            order.append("process")
+            yield Hold(0)
+
+        sim.schedule(0, lambda: order.append("event"))
+        sim.process(proc())
+        sim.schedule(0, lambda: order.append("later-event"))
+        sim.run()
+        assert order == ["event", "process", "later-event"]
+
     def test_default_names_unique(self):
         sim = Simulation()
 
@@ -130,6 +178,53 @@ class TestRequestRelease:
         sim.process(job("first", 0))
         sim.run()
         assert order == ["first", "second"]
+
+    def test_capacity_two_queue_serves_waiters_in_arrival_order(self):
+        sim = Simulation()
+        res = Resource(sim, "r", capacity=2)
+        served = []
+
+        def holder():
+            yield Request(res)
+            yield Hold(10)
+            yield Release(res)
+
+        def waiter(arrival):
+            yield Hold(arrival)
+            yield Request(res)
+            served.append((arrival, sim.now))
+            yield Hold(1)
+            yield Release(res)
+
+        sim.process(holder())
+        sim.process(holder())
+        for arrival in (4, 3, 2, 1):  # started latest arrival first
+            sim.process(waiter(arrival))
+        sim.run()
+        assert served == [(1, 10), (2, 10), (3, 11), (4, 11)]
+        assert res.wait_times.maximum == 9
+
+    def test_release_parks_the_releaser_behind_the_woken_waiter(self):
+        sim = Simulation()
+        res = Resource(sim, "r")
+        order = []
+
+        def holder():
+            yield Request(res)
+            yield Hold(2)
+            yield Release(res)
+            order.append(("holder", sim.now))
+
+        def waiter():
+            yield Hold(1)
+            yield Request(res)
+            order.append(("waiter", sim.now))
+            yield Release(res)
+
+        sim.process(holder())
+        sim.process(waiter())
+        sim.run()
+        assert order == [("waiter", 2), ("holder", 2)]
 
     def test_capacity_two_serves_pairs(self):
         sim = Simulation()
@@ -239,3 +334,23 @@ class TestWaitFor:
         sim.run()
         assert seen == [2.0]
         assert gate.times_opened == 2
+
+    def test_gate_wakes_waiters_in_wait_order(self):
+        sim = Simulation()
+        gate = Gate(sim, "g")
+        order = []
+
+        def waiter(tag, arrival):
+            yield Hold(arrival)
+            yield WaitFor(gate)
+            order.append(tag)
+
+        def opener():
+            yield Hold(5)
+            gate.open()
+
+        sim.process(waiter("late", 2))
+        sim.process(waiter("early", 1))
+        sim.process(opener())
+        sim.run()
+        assert order == ["early", "late"]

@@ -27,6 +27,25 @@ class TestInlineFace:
         # to ``yield Request``, which counts the request.
         assert res.total_requests == 2
 
+    def test_try_acquire_inline_declines_while_another_event_is_queued(self):
+        """With capacity free but another event queued, the caller is
+        not provably the next dispatch: the inline grant books nothing."""
+        sim = Simulation()
+        res = Resource(sim, "r")
+        grants = []
+
+        def job():
+            grants.append(res.try_acquire_inline())
+            yield Hold(1)
+
+        sim.process(job())
+        sim.process(job())
+        sim.run()
+        # The first job runs with the second's start queued behind it;
+        # the second finds only a later timed event queued.
+        assert grants == [False, True]
+        assert (res.in_use, res.total_requests) == (1, 1)
+
     def test_release_inline_restores_capacity(self):
         sim = Simulation()
         res = Resource(sim, "r")

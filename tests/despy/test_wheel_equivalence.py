@@ -5,9 +5,10 @@ the overflow heap, the event pool and the merged-continuation fast paths
 are *invisible except in speed*: for any schedule, the dispatch order is
 exactly the total ``(time, seq)`` order a single binary heap would
 produce.  These properties drive randomly generated schedules — nested
-scheduling, ``run(until=...)`` horizon re-entry — through the real
-:class:`Simulation` and through a deliberately naive pure-heap reference
-kernel, and require identical dispatch logs.
+scheduling, processes holding among plain handlers, ``run(until=...)``
+horizon re-entry — through the real :class:`Simulation` and through a
+deliberately naive pure-heap reference kernel, and require identical
+dispatch logs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.despy import (
     MS_PER_TICK,
     TICK_HORIZON,
     TICKS_PER_MS,
+    Hold,
     Simulation,
     ms_to_ticks,
     ticks_to_ms,
@@ -75,8 +77,44 @@ _action = st.deferred(
 
 _schedules = st.lists(_action, min_size=1, max_size=12)
 
+#: One process: (start delay, hold durations).  A zero hold on a quiet
+#: list runs in place and a lone process's hold advances the clock in
+#: place; tick-sized holds tie processes with each other and with plain
+#: handlers.
+_process = st.tuples(
+    st.integers(min_value=0, max_value=4),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=4 << 20),
+        ),
+        max_size=6,
+    ),
+)
 
-def _drive_simulation(actions, horizons):
+
+def _process_body(label, holds, clock, log):
+    """A process both kernels run: log each resume, then hold."""
+    log.append((label, "start", clock()))
+    for step, duration in enumerate(holds):
+        yield Hold(duration)
+        log.append((label, step, clock()))
+
+
+def _reference_process(kernel, generator):
+    """The reference's process: every resume is one plain event."""
+
+    def step():
+        try:
+            hold = next(generator)
+        except StopIteration:
+            return
+        kernel.schedule(hold.duration, step)
+
+    return step
+
+
+def _drive_simulation(actions, horizons, processes=()):
     """Run a schedule on the real kernel; return the dispatch log."""
     sim = Simulation()
     log: list = []
@@ -96,13 +134,16 @@ def _drive_simulation(actions, horizons):
 
     for action in actions:
         install(action)
+    for index, (start, holds) in enumerate(processes):
+        body = _process_body(("process", index), holds, lambda: sim.now, log)
+        sim.process(body, delay=start)
     for horizon in horizons:
         sim.run(until=sim.now + horizon)
     sim.run()
     return log
 
 
-def _drive_reference(actions, horizons):
+def _drive_reference(actions, horizons, processes=()):
     """Run the same schedule on the pure-heap reference kernel."""
     kernel = HeapReferenceKernel()
     log: list = []
@@ -122,6 +163,9 @@ def _drive_reference(actions, horizons):
 
     for action in actions:
         install(action)
+    for index, (start, holds) in enumerate(processes):
+        body = _process_body(("process", index), holds, lambda: kernel.now, log)
+        kernel.schedule(start, _reference_process(kernel, body))
     for horizon in horizons:
         kernel.run(until=kernel.now + horizon)
     kernel.run()
@@ -153,6 +197,24 @@ def test_horizon_reentry_matches_pure_heap_reference(actions, horizons):
     """
     assert _drive_simulation(actions, horizons) == _drive_reference(
         actions, horizons
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(_action, max_size=6),
+    st.lists(_process, min_size=1, max_size=5),
+    st.lists(st.integers(min_value=0, max_value=6 << 20), max_size=3),
+)
+def test_processes_match_pure_heap_reference(actions, processes, horizons):
+    """Processes holding among plain handlers run in reference order.
+
+    Neither a zero hold merged in place nor a lone process's hold that
+    advances the clock in place may show in the dispatch log, across
+    ``run(until=...)`` slices too.
+    """
+    assert _drive_simulation(actions, horizons, processes) == _drive_reference(
+        actions, horizons, processes
     )
 
 
