@@ -12,10 +12,10 @@ DESP-C++ it adopts the *resource view* of simulation (paper Table 2):
 * the :class:`Simulation` engine owns the event list and the clock.
 
 The kernel is deliberately small: an event scheduler (`scheduler`), a
-generator-based process layer (`process`), queued resources with
-time-weighted statistics (`resource`), reproducible random streams
-(`randomstream`) and replication statistics with Student-t confidence
-intervals (`stats`, implementing the [Ban96] method of paper §4.2.2).
+generator-based process layer (`process`), FIFO-queued resources
+(`resource`), reproducible random streams (`randomstream`) and
+replication statistics with Student-t confidence intervals (`stats`,
+implementing the [Ban96] method of paper §4.2.2).
 
 It is validated the way DESP-C++ was validated against QNAP2: by checking
 simulated queueing systems against closed-form M/M/1 and M/M/c results
@@ -34,7 +34,7 @@ from repro.despy.errors import (
     SchedulingError,
 )
 from repro.despy.events import Event, EventList
-from repro.despy.monitor import OnlineStats, TimeWeightedStats
+from repro.despy.monitor import OnlineStats
 from repro.despy.process import Hold, Process, Request, Release, WaitFor
 from repro.despy.randomstream import RandomStream
 from repro.despy.resource import Gate, Resource
@@ -94,7 +94,6 @@ __all__ = [
     "poisson_interarrivals",
     "mmpp_interarrivals",
     "OnlineStats",
-    "TimeWeightedStats",
     "ConfidenceInterval",
     "ReplicationAnalyzer",
     "SteadyStateEstimate",

@@ -1,21 +1,13 @@
-"""Observation collectors: running moments and time-weighted averages.
+"""Observation collector: running moments of discrete observations.
 
-Two collectors cover everything the kernel and the VOODB model report:
-
-* :class:`OnlineStats` — Welford's streaming mean/variance for discrete
-  observations (wait times, I/Os per transaction, response times);
-* :class:`TimeWeightedStats` — the integral of a piecewise-constant value
-  over simulated time (queue lengths, resource busy units), whose
-  ``time_average`` is the standard output of queueing simulations.
+:class:`OnlineStats` is Welford's streaming mean/variance for discrete
+observations, such as the response times the kernel validation tests
+compare with queueing oracles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.despy.engine import Simulation
 
 
 class OnlineStats:
@@ -69,46 +61,3 @@ class OnlineStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<OnlineStats n={self.n} mean={self.mean:.6g}>"
-
-
-class TimeWeightedStats:
-    """Integral of a piecewise-constant signal over simulated time.
-
-    Call :meth:`record` with the *new* value each time the signal changes;
-    the collector accumulates ``old_value * elapsed`` automatically.
-    """
-
-    __slots__ = ("sim", "_last_time", "_last_value", "_area", "_start")
-
-    def __init__(self, sim: "Simulation", initial: float = 0.0) -> None:
-        self.sim = sim
-        self._start = sim.now
-        self._last_time = sim.now
-        self._last_value = initial
-        self._area = 0.0
-
-    def record(self, value: float) -> None:
-        now = self.sim.now
-        # Same-instant updates collapse to "last value wins": only the
-        # final value at a timestamp contributes area, so the multiply-
-        # accumulate is skipped when the clock has not moved.  Adding
-        # ``v * 0.0`` would be a bitwise no-op anyway — this guard just
-        # avoids paying for it, which matters on the release→grant pairs
-        # the Resource hot path emits at one instant.
-        if now != self._last_time:
-            self._area += self._last_value * (now - self._last_time)
-            self._last_time = now
-        self._last_value = value
-
-    @property
-    def current(self) -> float:
-        return self._last_value
-
-    def time_average(self) -> float:
-        """Average value from construction until the current clock."""
-        now = self.sim.now
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._last_value
-        area = self._area + self._last_value * (now - self._last_time)
-        return area / elapsed

@@ -1,4 +1,4 @@
-"""Passive resources: capacity-limited queues with usage statistics.
+"""Passive resources: capacity-limited FIFO queues.
 
 Paper Table 1 lists VOODB's passive resources (processors and main
 memory, disk controller, the database scheduler); Table 2 maps each to a
@@ -10,11 +10,17 @@ back with ``yield Release(res)``.  Hot model generators skip those
 yields' round trip through the command pump with
 :meth:`Resource.try_acquire_inline` and :meth:`Resource.release_inline`.
 The ``Release`` command runs :meth:`Resource.release_inline` itself, and
-the ``Request`` command books an uncontended grant as
+the ``Request`` command grants an uncontended unit as
 :meth:`Resource.try_acquire_inline` does, so there is one grant rule and
-one release rule.  The two rules update the time-weighted statistics
-that report resource utilization and queue lengths at the end of a
-replication.
+one release rule.
+
+A resource keeps no statistics: a grant or a release only moves a unit
+and queues or wakes a process.  The model reads utilization and network
+time from the subsystems' own ``busy_ticks`` counters
+(:class:`~repro.core.io_subsystem.IOSubsystem`,
+:class:`~repro.core.network.Network`), and the kernel validation tests
+measure utilization and queue length from their jobs' service and wait
+ticks.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.despy.errors import ResourceError
-from repro.despy.monitor import OnlineStats, TimeWeightedStats
 from repro.despy.process import _STEP_ARGS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,7 +36,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Resource:
-    """A capacity-limited passive resource with a FIFO queue."""
+    """A capacity-limited passive resource with a FIFO queue.
+
+    A process waits only while every unit is taken, and a release with
+    a waiter hands its unit straight to the head of the queue, so the
+    queue is empty whenever a unit is free.
+    """
 
     def __init__(self, sim: "Simulation", name: str, capacity: int = 1) -> None:
         if capacity < 1:
@@ -40,16 +50,10 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        #: waiting ``(process, enqueue tick)`` pairs, first come first
-        #: served.  A list, not a deque: a deque measured 0.3 MB more
-        #: peak RSS on perfbench paper-o2.
-        self._queue: list[tuple["Process", int]] = []
-        # Statistics
-        self.busy_units = TimeWeightedStats(sim)
-        self.queue_length = TimeWeightedStats(sim)
-        self.wait_times = OnlineStats()
-        self.total_requests = 0
-        self.total_served = 0
+        #: waiting processes, first come first served.  A list, not a
+        #: deque: a deque measured 0.3 MB more peak RSS on perfbench
+        #: paper-o2.
+        self._queue: list["Process"] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -70,54 +74,34 @@ class Resource:
     # ------------------------------------------------------------------
     # Grant and release (the Request/Release commands run these too)
     # ------------------------------------------------------------------
-    # The grant/release accounting below inlines the two collectors'
-    # ``record`` bodies (the time-weighted busy integral and Welford's
-    # zero-wait update).  Every simulated I/O passes through these
-    # methods, and the method-call overhead of three ``record`` calls
-    # per grant cycle is measurable; the statement sequence — including
-    # each float operation — is exactly what the ``record`` calls
-    # perform, so the statistics stay bit-identical.
-
     def release_inline(self) -> bool:
         """Release a unit; True iff the caller may keep running inline.
 
         The one release rule, which ``yield Release(self)`` runs too:
-        the release (with its statistics and waiter wake-up) happens
-        immediately; the return value is the merged-continuation test.
-        On False the caller must ``yield PARK`` (a shared ``Hold(0)``)
-        — the process layer then parks it on the immediate queue
-        exactly as the Release command does.  Releasing an idle
-        resource raises :class:`~repro.despy.errors.ResourceError`.
+        the release (with its waiter wake-up) happens immediately; the
+        return value is the merged-continuation test.  On False the
+        caller must ``yield PARK`` (a shared ``Hold(0)``) — the process
+        layer then parks it on the immediate queue exactly as the
+        Release command does.  Releasing an idle resource raises
+        :class:`~repro.despy.errors.ResourceError`.
 
-        The release bookkeeping is spelled out inline (every simulated
-        I/O and network transfer ends here); the uncontended no-waiter
-        exit never leaves this frame.  The merge test is the event
-        list's cached ``quiet`` flag — the same one Process._step reads,
-        refreshed by ``Simulation.run`` at every dispatch.
+        With a waiter queued, the head waiter inherits the unit
+        (``in_use`` is unchanged) and is woken on the immediate queue.
+        The merge test is the event list's cached ``quiet`` flag — the
+        same one Process._step reads, refreshed by ``Simulation.run`` at
+        every dispatch.
         """
-        in_use = self._in_use
-        if in_use <= 0:
+        if self._in_use <= 0:
             raise ResourceError(f"release of idle resource {self.name!r}")
-        in_use -= 1
-        self._in_use = in_use
         sim = self.sim
-        now = sim.now
-        busy = self.busy_units
-        if now != busy._last_time:
-            busy._area += busy._last_value * (now - busy._last_time)
-            busy._last_time = now
-        busy._last_value = in_use
-        if self._queue:
-            waiter, enqueue_time = self._queue.pop(0)
-            self.queue_length.record(len(self._queue))
-            self._take()
-            self.wait_times.record(now - enqueue_time)
-            events = sim._events
-            events.push_immediate(now, waiter._step, _STEP_ARGS, True)
-            # The wake-up above cleared the quiet flag, so the merge
-            # test below is False by construction.
-            return False
         events = sim._events
+        if self._queue:
+            waiter = self._queue.pop(0)
+            events.push_immediate(sim.now, waiter._step, _STEP_ARGS, True)
+            # The wake-up above cleared the quiet flag, so the merge
+            # test is False by construction.
+            return False
+        self._in_use -= 1
         if events.quiet:
             events.merged_continuations += 1
             return True
@@ -126,81 +110,32 @@ class Resource:
     def try_acquire_inline(self) -> bool:
         """Grant a unit inline iff ``yield Request(self)`` would merge.
 
-        The merged-continuation test and accounting of an uncontended
-        grant, as ``yield Request(self)`` books it (:meth:`_request`) —
-        offered to hot model generators so they can skip the Request
-        yield's round trip through the command pump entirely.  Returns
-        False (booking nothing) whenever the grant is contended or this
-        caller is not provably the next dispatch; the caller then falls
-        back to ``yield Request(self)``, which queues the request or
-        parks the granted process on the immediate queue.
-
-        The merge test and the grant accounting (:meth:`_book_grant`)
-        are spelled out inline for the same reason as
-        :meth:`release_inline`.
+        The merged-continuation test of an uncontended grant, as
+        ``yield Request(self)`` runs it (:meth:`_request`) — offered to
+        hot model generators so they can skip the Request yield's round
+        trip through the command pump entirely.  Returns False (taking
+        nothing) whenever the grant is contended or this caller is not
+        provably the next dispatch; the caller then falls back to
+        ``yield Request(self)``, which queues the request or parks the
+        granted process on the immediate queue.
         """
-        sim = self.sim
-        events = sim._events
-        if events.quiet and self._in_use < self.capacity and not self._queue:
-            now = sim.now
-            self.total_requests += 1
-            in_use = self._in_use + 1
-            self._in_use = in_use
-            self.total_served += 1
-            busy = self.busy_units
-            if now != busy._last_time:
-                busy._area += busy._last_value * (now - busy._last_time)
-                busy._last_time = now
-            busy._last_value = in_use
-            waits = self.wait_times
-            n = waits.n + 1
-            waits.n = n
-            waits.total += 0.0
-            delta = 0.0 - waits.mean
-            waits.mean += delta / n
-            waits._m2 += delta * (0.0 - waits.mean)
-            if waits.minimum > 0.0:
-                waits.minimum = 0.0
-            if waits.maximum < 0.0:
-                waits.maximum = 0.0
+        events = self.sim._events
+        if events.quiet and self._in_use < self.capacity:
+            self._in_use += 1
             events.merged_continuations += 1
             return True
         return False
 
-    def _book_grant(self) -> None:
-        """Uncontended-grant accounting: take a unit, record zero wait."""
-        in_use = self._in_use + 1
-        self._in_use = in_use
-        self.total_served += 1
-        busy = self.busy_units
-        now = self.sim.now
-        if now != busy._last_time:
-            busy._area += busy._last_value * (now - busy._last_time)
-            busy._last_time = now
-        busy._last_value = in_use
-        waits = self.wait_times
-        n = waits.n + 1
-        waits.n = n
-        waits.total += 0.0
-        delta = 0.0 - waits.mean
-        waits.mean += delta / n
-        waits._m2 += delta * (0.0 - waits.mean)
-        if waits.minimum > 0.0:
-            waits.minimum = 0.0
-        if waits.maximum < 0.0:
-            waits.maximum = 0.0
-
     def _request(self, process: "Process") -> bool:
         """Run ``yield Request(self)``; True iff the caller keeps stepping.
 
-        An uncontended grant is booked at once and merges in place when
-        the event list is ``quiet``, as :meth:`try_acquire_inline` does;
-        otherwise the process goes to the immediate-dispatch queue.  A
-        contended request joins the FIFO queue.
+        An uncontended grant takes a unit at once and merges in place
+        when the event list is ``quiet``, as :meth:`try_acquire_inline`
+        does; otherwise the process goes to the immediate-dispatch
+        queue.  A contended request joins the FIFO queue.
         """
-        self.total_requests += 1
-        if self._in_use < self.capacity and not self._queue:
-            self._book_grant()
+        if self._in_use < self.capacity:
+            self._in_use += 1
             sim = self.sim
             events = sim._events
             if events.quiet:
@@ -208,27 +143,8 @@ class Resource:
                 return True
             events.push_immediate(sim.now, process._step, _STEP_ARGS, True)
             return False
-        self._queue.append((process, self.sim.now))
-        self.queue_length.record(len(self._queue))
+        self._queue.append(process)
         return False
-
-    def _take(self) -> None:
-        self._in_use += 1
-        self.total_served += 1
-        self.busy_units.record(self._in_use)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def utilization(self) -> float:
-        """Time-averaged fraction of capacity in use so far."""
-        return self.busy_units.time_average() / self.capacity
-
-    def mean_queue_length(self) -> float:
-        return self.queue_length.time_average()
-
-    def mean_wait(self) -> float:
-        return self.wait_times.mean
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -16,6 +16,7 @@ from repro.despy import (
 )
 from repro.despy.monitor import OnlineStats
 from repro.despy.resource import Resource
+from tests.despy.station import Station
 
 
 class TestBatchMeans:
@@ -71,7 +72,7 @@ class TestMD1:
         """Poisson arrivals + constant service — the VOODB disk pattern."""
         lam, mu, jobs = 0.6, 1.0, 20_000
         sim = Simulation(seed=3)
-        station = Resource(sim, "disk", capacity=1)
+        station = Station(sim, "disk")
         response = OnlineStats()
 
         def source():
@@ -84,9 +85,7 @@ class TestMD1:
 
         def job():
             start = sim.now
-            yield Request(station)
-            yield Hold(service)  # deterministic service
-            yield Release(station)
+            yield from station.visit(lambda: service)  # deterministic service
             response.record((sim.now - start) * MS_PER_TICK)
 
         sim.process(source())

@@ -1,11 +1,10 @@
-"""Unit tests for the observation collectors."""
+"""Unit tests for the observation collector."""
 
 import math
 
 import pytest
 
-from repro.despy import Simulation
-from repro.despy.monitor import OnlineStats, TimeWeightedStats
+from repro.despy.monitor import OnlineStats
 
 
 class TestOnlineStats:
@@ -62,55 +61,3 @@ class TestOnlineStats:
         merged = a.merge(OnlineStats())
         assert merged.n == 1
         assert merged.mean == 4.0
-
-
-class TestTimeWeightedStats:
-    def test_constant_signal_average_is_value(self):
-        sim = Simulation()
-        tw = TimeWeightedStats(sim, initial=3.0)
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        assert tw.time_average() == pytest.approx(3.0)
-
-    def test_step_signal(self):
-        sim = Simulation()
-        tw = TimeWeightedStats(sim, initial=0.0)
-        sim.schedule(4.0, lambda: tw.record(2.0))
-        sim.schedule(8.0, lambda: None)
-        sim.run()
-        # 0 for 4 units then 2 for 4 units -> average 1
-        assert tw.time_average() == pytest.approx(1.0)
-
-    def test_zero_elapsed_returns_current(self):
-        sim = Simulation()
-        tw = TimeWeightedStats(sim, initial=7.0)
-        assert tw.time_average() == 7.0
-
-    def test_current_tracks_last_value(self):
-        sim = Simulation()
-        tw = TimeWeightedStats(sim)
-        sim.schedule(1.0, lambda: tw.record(5.0))
-        sim.run()
-        assert tw.current == 5.0
-
-    def test_multiple_steps(self):
-        sim = Simulation()
-        tw = TimeWeightedStats(sim, initial=1.0)
-        sim.schedule(2.0, lambda: tw.record(3.0))
-        sim.schedule(6.0, lambda: tw.record(0.0))
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        # 1*2 + 3*4 + 0*4 = 14 over 10 units
-        assert tw.time_average() == pytest.approx(1.4)
-
-    def test_starts_at_construction_time(self):
-        sim = Simulation()
-        holder = {}
-
-        def later():
-            holder["tw"] = TimeWeightedStats(sim, initial=2.0)
-
-        sim.schedule(5.0, later)
-        sim.schedule(10.0, lambda: None)
-        sim.run()
-        assert holder["tw"].time_average() == pytest.approx(2.0)

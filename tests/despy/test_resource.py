@@ -1,10 +1,49 @@
-"""Unit tests for Resource grants, releases and statistics."""
+"""Unit tests for Resource grants, releases and queueing."""
 
 import pytest
 
 from repro.despy import Hold, Release, Request, Simulation, WaitFor
 from repro.despy.errors import ResourceError
 from repro.despy.resource import Gate, Resource
+
+
+def run_jobs(capacity, holds):
+    """Start one job per hold at tick 0, each taking a unit of one
+    resource, holding it and releasing it; return the simulation, the
+    resource and the ``(request, grant, release)`` ticks each job
+    records, in grant order."""
+    sim = Simulation()
+    res = Resource(sim, "r", capacity=capacity)
+    ticks = []
+
+    def job(hold):
+        requested = sim.now
+        yield Request(res)
+        granted = sim.now
+        yield Hold(hold)
+        yield Release(res)
+        ticks.append((requested, granted, sim.now))
+
+    for hold in holds:
+        sim.process(job(hold))
+    sim.run()
+    ticks.sort(key=lambda record: record[1])
+    return sim, res, ticks
+
+
+def waits(ticks):
+    return [granted - requested for requested, granted, __ in ticks]
+
+
+def utilization(sim, res, ticks):
+    """Σ service ticks / (now × capacity)."""
+    busy = sum(released - granted for __, granted, released in ticks)
+    return busy / (sim.now * res.capacity)
+
+
+def mean_queue_length(sim, ticks):
+    """Σ waits / now: Little's law, for a run that drains."""
+    return sum(waits(ticks)) / sim.now
 
 
 class TestInlineFace:
@@ -21,15 +60,14 @@ class TestInlineFace:
 
         sim.process(job())
         sim.run()
+        # A refused inline grant takes nothing and queues nothing; the
+        # caller falls back to ``yield Request``.
         assert grants == [True, True, False]
-        assert res.in_use == 2
-        # A refused inline grant books nothing; the caller falls back
-        # to ``yield Request``, which counts the request.
-        assert res.total_requests == 2
+        assert (res.in_use, res.queued) == (2, 0)
 
     def test_try_acquire_inline_declines_while_another_event_is_queued(self):
         """With capacity free but another event queued, the caller is
-        not provably the next dispatch: the inline grant books nothing."""
+        not provably the next dispatch: the inline grant takes nothing."""
         sim = Simulation()
         res = Resource(sim, "r")
         grants = []
@@ -44,7 +82,7 @@ class TestInlineFace:
         # The first job runs with the second's start queued behind it;
         # the second finds only a later timed event queued.
         assert grants == [False, True]
-        assert (res.in_use, res.total_requests) == (1, 1)
+        assert (res.in_use, res.queued) == (1, 0)
 
     def test_release_inline_restores_capacity(self):
         sim = Simulation()
@@ -80,128 +118,97 @@ class TestInlineFace:
 
 
 class TestStatistics:
+    """Utilization and waits, measured from the ticks the jobs record."""
+
     def test_utilization_half_busy(self):
         sim = Simulation()
         res = Resource(sim, "r")
+        ticks = []
 
         def job():
+            requested = sim.now
             yield Request(res)
+            granted = sim.now
             yield Hold(5.0)
             yield Release(res)
+            ticks.append((requested, granted, sim.now))
             yield Hold(5.0)
 
         sim.process(job())
         sim.run()
-        assert res.utilization() == pytest.approx(0.5)
+        assert ticks == [(0, 0, 5)]
+        assert utilization(sim, res, ticks) == pytest.approx(0.5)
 
     def test_mean_wait_measures_queueing(self):
         sim = Simulation()
         res = Resource(sim, "r")
+        grants = []
 
         def holder():
             yield Request(res)
+            grants.append(sim.now)
             yield Hold(4.0)
             yield Release(res)
 
         def waiter():
             yield Request(res)
+            grants.append(sim.now)
             yield Release(res)
 
         sim.process(holder())
         sim.process(waiter())
         sim.run()
         # holder waits 0, waiter waits 4 -> mean 2
-        assert res.mean_wait() == pytest.approx(2.0)
+        assert grants == [0, 4]
 
     def test_counters(self):
-        sim = Simulation()
-        res = Resource(sim, "r")
-
-        def job():
-            yield Request(res)
-            yield Release(res)
-
-        for _ in range(3):
-            sim.process(job())
-        sim.run()
-        assert res.total_requests == 3
-        assert res.total_served == 3
+        __, res, ticks = run_jobs(capacity=1, holds=[0, 0, 0])
+        # Three requests, three grants, three releases.
+        assert ticks == [(0, 0, 0)] * 3
+        assert (res.in_use, res.queued) == (0, 0)
 
     def test_queue_length_time_average_positive_under_contention(self):
-        sim = Simulation()
-        res = Resource(sim, "r")
-
-        def job():
-            yield Request(res)
-            yield Hold(1.0)
-            yield Release(res)
-
-        for _ in range(5):
-            sim.process(job())
-        sim.run()
-        assert res.mean_queue_length() > 0.0
+        sim, __, ticks = run_jobs(capacity=1, holds=[1.0] * 5)
+        assert waits(ticks) == [0, 1, 2, 3, 4]
+        assert mean_queue_length(sim, ticks) == pytest.approx(10.0 / 5.0)
 
     def test_utilization_full_when_always_busy(self):
-        sim = Simulation()
-        res = Resource(sim, "r")
-
-        def job():
-            yield Request(res)
-            yield Hold(2.0)
-            yield Release(res)
-
-        sim.process(job())
-        sim.process(job())
-        sim.run()
-        assert res.utilization() == pytest.approx(1.0)
+        sim, res, ticks = run_jobs(capacity=1, holds=[2.0, 2.0])
+        assert utilization(sim, res, ticks) == pytest.approx(1.0)
 
 
 class TestContentionStatistics:
-    """Wait-time and queue-length accounting under sustained contention —
-    the exact paths the fast-dispatch rewiring replumbed (grants and
-    wake-ups no longer round-trip through the heap)."""
-
-    def _run_contention(self, capacity, jobs, hold):
-        sim = Simulation()
-        res = Resource(sim, "r", capacity=capacity)
-
-        def job():
-            yield Request(res)
-            yield Hold(hold)
-            yield Release(res)
-
-        for _ in range(jobs):
-            sim.process(job())
-        sim.run()
-        return sim, res
+    """Waits and queue lengths under sustained contention, measured from
+    the jobs' ticks — the exact paths the fast-dispatch rewiring
+    replumbed (grants and wake-ups no longer round-trip through the
+    heap)."""
 
     def test_wait_times_form_arithmetic_ramp(self):
         # capacity 1, 4 jobs of 2.0 arriving together: waits 0, 2, 4, 6.
-        __, res = self._run_contention(capacity=1, jobs=4, hold=2.0)
-        assert res.wait_times.n == 4
-        assert res.mean_wait() == pytest.approx(3.0)
-        assert res.wait_times.minimum == pytest.approx(0.0)
-        assert res.wait_times.maximum == pytest.approx(6.0)
+        __, __, ticks = run_jobs(capacity=1, holds=[2.0] * 4)
+        assert waits(ticks) == [0, 2, 4, 6]
 
     def test_mean_queue_length_matches_littles_law_integral(self):
         # Queue lengths over time: 3 for 2.0, 2 for 2.0, 1 for 2.0, then 0:
-        # integral 12 over horizon 8 -> 1.5.
-        sim, res = self._run_contention(capacity=1, jobs=4, hold=2.0)
-        assert sim.now == pytest.approx(8.0)
-        assert res.mean_queue_length() == pytest.approx(12.0 / 8.0)
+        # integral 12 over horizon 8 -> 1.5, the summed waits over 8.
+        sim, __, ticks = run_jobs(capacity=1, holds=[2.0] * 4)
+        assert sim.now == 8
+        assert mean_queue_length(sim, ticks) == pytest.approx(12.0 / 8.0)
 
     def test_utilization_under_full_contention(self):
-        sim, res = self._run_contention(capacity=2, jobs=6, hold=1.0)
-        assert sim.now == pytest.approx(3.0)
-        assert res.utilization() == pytest.approx(1.0)
-        assert res.total_served == 6
+        sim, res, ticks = run_jobs(capacity=2, holds=[1.0] * 6)
+        assert sim.now == 3
+        assert [granted for __, granted, __ in ticks] == [0, 0, 1, 1, 2, 2]
+        assert utilization(sim, res, ticks) == pytest.approx(1.0)
 
     def test_served_counter_equals_grants_not_requests(self):
         sim = Simulation()
         res = Resource(sim, "r")
+        grants = []
 
         def job():
             yield Request(res)
+            grants.append(sim.now)
             yield Hold(5)
             yield Release(res)
 
@@ -209,15 +216,15 @@ class TestContentionStatistics:
         sim.process(job())
         sim.run(until=1)
         # The second request waits in the queue: a request, not a grant.
-        assert res.total_requests == 2
-        assert res.total_served == 1
+        assert grants == [0]
+        assert (res.in_use, res.queued) == (1, 1)
         sim.run()
-        assert res.total_served == 2
+        assert grants == [0, 5]
 
-    def test_wait_time_recorded_at_grant_not_release(self):
+    def test_waiter_inherits_the_released_unit(self):
         sim = Simulation()
         res = Resource(sim, "r")
-        grant_waits = []
+        seen = []
 
         def holder():
             yield Request(res)
@@ -226,15 +233,16 @@ class TestContentionStatistics:
 
         def waiter():
             yield Request(res)
-            grant_waits.append((sim.now, res.wait_times.n, res.wait_times.mean))
+            seen.append((sim.now, res.in_use, res.queued))
             yield Hold(5.0)
             yield Release(res)
 
         sim.process(holder())
         sim.process(waiter())
         sim.run()
-        # At grant time (t=3) the waiter's 3.0 wait is already recorded.
-        assert grant_waits == [(3.0, 2, pytest.approx(1.5))]
+        # At the grant (t=3) the waiter holds the holder's unit.
+        assert seen == [(3, 1, 0)]
+        assert res.in_use == 0
 
 
 class TestGateReopenCycles:

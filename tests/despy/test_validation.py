@@ -10,8 +10,6 @@ import pytest
 from repro.despy import (
     MS_PER_TICK,
     Hold,
-    Release,
-    Request,
     Simulation,
     confidence_interval,
     mm1_mean_queue_length,
@@ -22,7 +20,7 @@ from repro.despy import (
     mmc_mean_response_time,
 )
 from repro.despy.monitor import OnlineStats
-from repro.despy.resource import Resource
+from tests.despy.station import Station
 
 
 def simulate_mmc(
@@ -34,7 +32,7 @@ def simulate_mmc(
 ) -> dict:
     """Run one replication of an M/M/c queue, returning observed metrics."""
     sim = Simulation(seed=seed)
-    station = Resource(sim, "station", capacity=servers)
+    station = Station(sim, "station", capacity=servers)
     response_times = OnlineStats()
 
     def source():
@@ -46,9 +44,7 @@ def simulate_mmc(
     def job():
         service = sim.stream("service")
         start = sim.now
-        yield Request(station)
-        yield Hold(service.exponential_ticks(1.0 / service_rate))
-        yield Release(station)
+        yield from station.visit(lambda: service.exponential_ticks(1.0 / service_rate))
         response_times.record((sim.now - start) * MS_PER_TICK)
 
     sim.process(source())

@@ -33,6 +33,7 @@ from repro.despy import (
 )
 from repro.despy.monitor import OnlineStats
 from repro.despy.resource import Resource
+from tests.despy.station import Station
 
 
 def simulate_split_cluster(
@@ -51,7 +52,7 @@ def simulate_split_cluster(
     """
     sim = Simulation(seed=seed)
     stations = [
-        Resource(sim, f"node-{i}", capacity=servers_per_node)
+        Station(sim, f"node-{i}", capacity=servers_per_node)
         for i in range(len(split))
     ]
     cumulative = []
@@ -76,11 +77,10 @@ def simulate_split_cluster(
 
     def job(node: int):
         service = sim.stream(f"service-{node}")
-        station = stations[node]
         start = sim.now
-        yield Request(station)
-        yield Hold(service.exponential_ticks(1.0 / service_rate))
-        yield Release(station)
+        yield from stations[node].visit(
+            lambda: service.exponential_ticks(1.0 / service_rate)
+        )
         response_times.record((sim.now - start) * MS_PER_TICK)
 
     sim.process(source())
@@ -102,7 +102,7 @@ def simulate_jackson(
     node 0; ``routing[i][j]`` forwards a job from node i to node j)."""
     sim = Simulation(seed=seed)
     n = len(service_rates)
-    stations = [Resource(sim, f"node-{i}", capacity=1) for i in range(n)]
+    stations = [Station(sim, f"node-{i}") for i in range(n)]
     response_times = OnlineStats()
 
     def source():
@@ -117,10 +117,10 @@ def simulate_jackson(
         start = sim.now
         node = 0
         while node is not None:
-            station = stations[node]
-            yield Request(station)
-            yield Hold(services[node].exponential_ticks(1.0 / service_rates[node]))
-            yield Release(station)
+            service, rate = services[node], service_rates[node]
+            yield from stations[node].visit(
+                lambda: service.exponential_ticks(1.0 / rate)
+            )
             draw = route.random()
             acc = 0.0
             next_node = None
