@@ -318,6 +318,11 @@ class ClusterLockManager(NodeSum):
         self.admission_request = Request(self.admission)
         self.admission_release = Release(self.admission)
         self._home_of = home_of
+        #: each executing transaction's partition, from its acquire
+        #: sweep to its release sweep.  The page map cannot change in
+        #: between: clustering policies are rejected on clusters, and an
+        #: insert only appends its own object.
+        self._parts_of: Dict[int, List[Tuple[int, List[int]]]] = {}
 
     # ------------------------------------------------------------------
     # Transaction-side protocol
@@ -337,7 +342,7 @@ class ClusterLockManager(NodeSum):
         return sorted(parts.items())
 
     def acquire_all_nowait(self, txn_id: int, distinct: Sequence[int], writes: set):
-        parts = self._partition(distinct)
+        parts = self._parts_of[txn_id] = self._partition(distinct)
         for position, (node, part) in enumerate(parts):
             step = self.parts[node].acquire_all_nowait(txn_id, part, writes)
             if step is not None:
@@ -352,8 +357,10 @@ class ClusterLockManager(NodeSum):
                 yield from step
 
     def release_all_nowait(self, txn_id: int, distinct: Sequence[int]):
+        """Release the lock set ``txn_id`` acquired, by the partition its
+        acquire sweep made (``distinct`` is that same lock set)."""
         steps = []
-        for node, part in self._partition(distinct):
+        for node, part in self._parts_of.pop(txn_id):
             step = self.parts[node].release_all_nowait(txn_id, part)
             if step is not None:
                 steps.append(step)

@@ -434,6 +434,22 @@ class TestClusterLockSweeps:
         assert seen == [("held", 0), ("granted", 5, 1)]
         assert (locks.waits, locks.locked_objects) == (1, 0)
 
+    def test_each_execution_partitions_its_lock_set_once(self):
+        # The release sweep reuses the acquire sweep's partition.
+        model = VOODBSimulation(cluster_config(servers=3, nusers=4), seed=1)
+        locks = model.locks
+        partition = locks._partition
+        calls = []
+
+        def counted(distinct):
+            calls.append(distinct)
+            return partition(distinct)
+
+        locks._partition = counted
+        model.run()
+        assert len(calls) == model.tm.transactions_executed == 30
+        assert (locks.locked_objects, locks._parts_of) == (0, {})
+
 
 def _drain(step):
     yield from step
