@@ -16,7 +16,7 @@ parameters are given in ms in Table 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 

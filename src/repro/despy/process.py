@@ -101,12 +101,11 @@ class Process:
     Do not instantiate directly — use :meth:`Simulation.process`.
     """
 
-    __slots__ = ("sim", "name", "_generator", "_send")
+    __slots__ = ("sim", "name", "_send")
 
     def __init__(self, sim: "Simulation", generator: Generator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._generator = generator
         # Bound once: _step is the hottest call site in the kernel.
         self._send = generator.send
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.despy import Hold, Process, Release, Request, Simulation, WaitFor
+from repro.despy import Hold, Release, Request, Simulation, WaitFor
 from repro.despy.errors import SchedulingError
 from repro.despy.resource import Gate, Resource
 
