@@ -23,7 +23,10 @@ A ref may also be the path of another checkout, used as it is.
 is one ``perfbench/run.py --workload W --seed N --seconds 1`` in the
 side's own tree (``--seed``, default 1, checks a claim on a seed it was
 not developed on), and the side that runs first alternates from pair to
-pair.  The report gives, for every end-to-end metric in
+pair.  Every run goes through one symlink in the tool's temporary
+directory, pointed at its side's tree, so both sides run from the same
+path (perfbench's peak RSS follows the checkout path's length).  The
+report gives, for every end-to-end metric in
 ``BENCHMARK.json``, each side's median and quartiles, how many pairs
 side B won, the median ratio (above 1 when B is better) and a verdict
 against the metric's bound; every run's ``correct`` and ``failed`` are
@@ -236,18 +239,25 @@ def _align(rows: List[List[str]]) -> str:
 # ----------------------------------------------------------------------
 # Perfbench mode
 # ----------------------------------------------------------------------
-def _run_perfbench(side: Side, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py`` run in a side's tree: its JSON result."""
+def _run_perfbench(side: Side, workload: str, seed: int, link: Path) -> dict:
+    """One ``perfbench/run.py`` run in a side's tree: its JSON result.
+
+    The run goes through ``link``, a symlink pointed at the side's tree
+    first, so both sides run and import from one path: ``run.py`` takes
+    its root from ``abspath``, which keeps the link, and perfbench's
+    peak RSS follows the length of the checkout path.
+    """
     env = os.environ.copy()
     env.update(side.env)
+    if link.is_symlink():
+        link.unlink()
+    link.symlink_to(side.root, target_is_directory=True)
     cmd = [
-        sys.executable, str(side.root / "perfbench" / "run.py"),
+        sys.executable, str(link / "perfbench" / "run.py"),
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(PERFBENCH_SECONDS),
     ]
-    proc = subprocess.run(
-        cmd, cwd=side.root, env=env, capture_output=True, text=True
-    )
+    proc = subprocess.run(cmd, cwd=link, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
@@ -337,14 +347,16 @@ def compare_perfbench(
     seed: int,
     pairs: int,
     out: Optional[str],
+    link: Path,
 ) -> int:
     """Interleave ``pairs`` perfbench runs per side, alternating which
-    side goes first; exit 1 if any run is incorrect or fails."""
+    side goes first, each through the symlink ``link``; exit 1 if any
+    run is incorrect or fails."""
     sides = (side_a, side_b)
     runs: List[List[dict]] = [[], []]
     for pair in range(pairs):
         for index in (0, 1) if pair % 2 == 0 else (1, 0):
-            result = _run_perfbench(sides[index], workload, seed)
+            result = _run_perfbench(sides[index], workload, seed, link)
             runs[index].append(result)
             print(
                 f"pair {pair + 1}/{pairs}: {sides[index].label}  "
@@ -453,7 +465,13 @@ def main(argv=None) -> int:
             side_b = _parse_env_side(args.envs[1])
         if args.perfbench:
             return compare_perfbench(
-                side_a, side_b, args.perfbench, args.seed, args.pairs, args.out
+                side_a,
+                side_b,
+                args.perfbench,
+                args.seed,
+                args.pairs,
+                args.out,
+                tmpdir / "side",
             )
         for pair in range(args.pairs):
             for side in (side_a, side_b):

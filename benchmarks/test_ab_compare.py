@@ -1,7 +1,9 @@
 """Unit tests for the perfbench mode of the A/B tool (``ab_compare.py``)."""
 
 import json
+import os
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +103,33 @@ def test_seed_reaches_every_run_and_the_report(monkeypatch, tmp_path):
     for cmd in commands:
         assert cmd[cmd.index("--seed") + 1] == "2"
     assert json.loads(out.read_text(encoding="utf-8"))["seed"] == 2
+
+
+def test_both_sides_run_from_one_path(monkeypatch, tmp_path):
+    # Two checkouts whose paths differ in length.
+    roots = [tmp_path / "a", tmp_path / "checkout-b"]
+    for root in roots:
+        root.mkdir()
+    line = runs(
+        setup_s=[0.3], sim_txn_per_s=[900], wall_s=[1.5], peak_rss_mb=[28]
+    )[0]
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs["cwd"], os.path.realpath(kwargs["cwd"])))
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(ab_compare.subprocess, "run", fake_run)
+    status = ab_compare.main(
+        ["--perfbench", "paper-o2", "--refs", *map(str, roots), "-n", "2"]
+    )
+    assert status == 0
+    assert len(calls) == 4
+    commands = {tuple(cmd) for cmd, __, __ in calls}
+    assert len(commands) == 1
+    assert len({cwd for __, cwd, __ in calls}) == 1
+    script = Path(calls[0][0][1])
+    assert script.parent.parent == Path(calls[0][1])
+    # Pairs alternate which side runs first: A, B, then B, A.
+    expected = [str(roots[index].resolve()) for index in (0, 1, 1, 0)]
+    assert [real for __, __, real in calls] == expected
