@@ -34,7 +34,6 @@ from repro.despy.errors import (
     SchedulingError,
 )
 from repro.despy.events import Event, EventList
-from repro.despy.monitor import OnlineStats
 from repro.despy.process import Hold, Process, Request, Release, WaitFor
 from repro.despy.randomstream import RandomStream
 from repro.despy.resource import Gate, Resource
@@ -93,7 +92,6 @@ __all__ = [
     "fixed_interarrivals",
     "poisson_interarrivals",
     "mmpp_interarrivals",
-    "OnlineStats",
     "ConfidenceInterval",
     "ReplicationAnalyzer",
     "SteadyStateEstimate",

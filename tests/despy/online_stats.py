@@ -1,4 +1,4 @@
-"""Observation collector: running moments of discrete observations.
+"""Running moments of discrete observations for the kernel tests.
 
 :class:`OnlineStats` is Welford's streaming mean/variance for discrete
 observations, such as the response times the kernel validation tests

@@ -14,8 +14,8 @@ from repro.despy import (
     mm1_mean_queue_length,
     ms_to_ticks,
 )
-from repro.despy.monitor import OnlineStats
 from repro.despy.resource import Resource
+from tests.despy.online_stats import OnlineStats
 from tests.despy.station import Station
 
 

@@ -1,10 +1,10 @@
-"""Unit tests for the observation collector."""
+"""Unit tests for the validation tests' observation collector."""
 
 import math
 
 import pytest
 
-from repro.despy.monitor import OnlineStats
+from tests.despy.online_stats import OnlineStats
 
 
 class TestOnlineStats:

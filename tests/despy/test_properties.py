@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.despy import Simulation
-from repro.despy.monitor import OnlineStats
 from repro.despy.stats import confidence_interval
 from repro.despy.validation import (
     jackson_arrival_rates,
@@ -15,6 +14,7 @@ from repro.despy.validation import (
     parallel_mmc_mean_response_time,
     parallel_mmc_utilizations,
 )
+from tests.despy.online_stats import OnlineStats
 
 
 @given(

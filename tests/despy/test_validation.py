@@ -19,7 +19,7 @@ from repro.despy import (
     mmc_mean_queue_length,
     mmc_mean_response_time,
 )
-from repro.despy.monitor import OnlineStats
+from tests.despy.online_stats import OnlineStats
 from tests.despy.station import Station
 
 

@@ -31,8 +31,8 @@ from repro.despy import (
     parallel_mmc_mean_response_time,
     parallel_mmc_utilizations,
 )
-from repro.despy.monitor import OnlineStats
 from repro.despy.resource import Resource
+from tests.despy.online_stats import OnlineStats
 from tests.despy.station import Station
 
 
