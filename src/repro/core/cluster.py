@@ -516,12 +516,15 @@ class Cluster:
                 )
                 node.io.failures = node.failures
         self.failures = NodeSum([node.failures for node in self.nodes])
+        #: the async appliers, which loop forever: ``run_replication``
+        #: closes them once the replication's results are in.
+        self.appliers = []
         if self.async_mode:
             for node in self.nodes:
                 node.apply_gate = Gate(sim, f"apply-{node.index}")
-                sim.process(
-                    self._applier(node), name=f"applier-{node.index}"
-                )
+                applier = self._applier(node)
+                self.appliers.append(applier)
+                sim.process(applier, name=f"applier-{node.index}")
 
     # ------------------------------------------------------------------
     # Routing

@@ -499,4 +499,10 @@ def run_replication(
     model = VOODBSimulation(
         config, seed=seed, database=database, clustering_kwargs=clustering_kwargs
     )
-    return model.run()
+    results = model.run()
+    if model.cluster is not None:
+        # Close the suspended appliers now, not whenever the garbage
+        # collector reaches their reference cycle.
+        for applier in model.cluster.appliers:
+            applier.close()
+    return results

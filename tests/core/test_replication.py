@@ -14,6 +14,8 @@ Both are exercised against the real :class:`~repro.core.cluster.Cluster`
 driving full replications, not a toy model.
 """
 
+import gc
+import inspect
 import math
 from dataclasses import replace
 
@@ -21,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ArrivalConfig, ClusterConfig, VOODBConfig
-from repro.core.model import VOODBSimulation
+from repro.core.cluster import Cluster
+from repro.core.model import VOODBSimulation, run_replication
 from repro.core.parameters import ReplicationConfig
 from repro.systems.o2 import o2_config
 
@@ -157,3 +160,29 @@ class TestMonotoneAcks:
         # the W knob only changes who waits, so lag stays comparable
         # while the response-time cost is borne by the writers.
         assert all(lag > 0 for lag in lags)
+
+
+class TestApplierLifetime:
+    def test_run_replication_leaves_no_applier_suspended(self):
+        # With the collector off, an applier left suspended stays
+        # visible until something closes it.
+        def suspended_appliers():
+            return [
+                obj
+                for obj in gc.get_objects()
+                if inspect.isgenerator(obj)
+                and obj.gi_code is Cluster._applier.__code__
+                and inspect.getgeneratorstate(obj) != inspect.GEN_CLOSED
+            ]
+
+        # Models other tests still reference keep theirs suspended.
+        before = suspended_appliers()
+        known = {id(applier) for applier in before}
+        gc.disable()
+        try:
+            results = run_replication(async_config(3, 2, 2), seed=3)
+            left = [a for a in suspended_appliers() if id(a) not in known]
+        finally:
+            gc.enable()
+        assert results.phase.transactions == 25
+        assert left == []
