@@ -125,7 +125,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
@@ -327,13 +327,13 @@ class ClusterLockManager(NodeSum):
     # ------------------------------------------------------------------
     # Transaction-side protocol
     # ------------------------------------------------------------------
-    def _partition(self, distinct: Sequence[int]) -> List[Tuple[int, List[int]]]:
-        """Split the lock set by home node, each part in ascending oid.
+    def _partition(self, distinct: Collection[int]) -> List[Tuple[int, List[int]]]:
+        """Split the lock set by home node, in ascending node order.
 
-        The lock set is sorted and distinct (the Transaction Manager's
-        contract), so the order-preserving split leaves every per-node
-        part canonical too, and the acquisition order is one total order
-        over ``(home node, oid)``.
+        A part keeps the lock set's own order; each node table sorts it
+        where order can be observed (a per-oid sweep, which can wait,
+        and a per-oid release, which can open gates), so the acquisition
+        order is one total order over ``(home node, oid)``.
         """
         home_of = self._home_of
         parts: Dict[int, List[int]] = {}
@@ -341,7 +341,7 @@ class ClusterLockManager(NodeSum):
             parts.setdefault(home_of(oid), []).append(oid)
         return sorted(parts.items())
 
-    def acquire_all_nowait(self, txn_id: int, distinct: Sequence[int], writes: set):
+    def acquire_all_nowait(self, txn_id: int, distinct: Collection[int], writes: set):
         parts = self._parts_of[txn_id] = self._partition(distinct)
         for position, (node, part) in enumerate(parts):
             step = self.parts[node].acquire_all_nowait(txn_id, part, writes)
@@ -356,7 +356,7 @@ class ClusterLockManager(NodeSum):
             if step is not None:
                 yield from step
 
-    def release_all_nowait(self, txn_id: int, distinct: Sequence[int]):
+    def release_all_nowait(self, txn_id: int, distinct: Collection[int]):
         """Release the lock set ``txn_id`` acquired, by the partition its
         acquire sweep made (``distinct`` is that same lock set)."""
         steps = []

@@ -11,11 +11,18 @@ up front, locks are acquired in sorted-OID order (conservative two-phase
 locking), which makes deadlock impossible — a scheduling policy choice,
 not a cheat: it is what a validation model wants, since the paper's
 experiments never exercise deadlock handling (NUSERS=1).
+
+A lock set comes in any order.  Order is observable only where sweeps
+can meet, so only the per-oid acquire sweep (which can wait) and the
+per-oid release (which opens waiters' gates) sort it.  A transaction
+alone on an empty table keeps its lock set as one *lone record*
+instead of one table entry per object; the next transaction to grant
+there writes the record in first, so every grant sees the same table.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Tuple
 
 from repro.despy.process import Hold, Release, Request, WaitFor
 from repro.despy.resource import Gate, Resource
@@ -79,6 +86,10 @@ class LockManager:
         #: the end of their release sweep on this table.  A release by
         #: the only one owns every entry, so it clears the table at once.
         self._sweeping: set[int] = set()
+        #: the lone record, ``(txn_id, lock set, write set)``: the locks
+        #: of a transaction that granted on an empty table with no other
+        #: sweeper, held whole instead of as table entries.
+        self._lone: Optional[Tuple[int, Collection[int], set]] = None
         # GETLOCK/RELLOCK converted to ticks once (the config is frozen).
         self._getlock_ticks = config.getlock_ticks
         self._rellock_ticks = config.rellock_ticks
@@ -97,18 +108,18 @@ class LockManager:
     # Transaction-side protocol (entering and leaving the multiprogramming
     # mix is ``yield admission_request`` / ``yield admission_release``)
     # ------------------------------------------------------------------
-    def acquire_all_nowait(self, txn_id: int, distinct: Sequence[int], writes: set):
-        """Acquire locks on every object of ``distinct``, in order.
+    def acquire_all_nowait(self, txn_id: int, distinct: Collection[int], writes: set):
+        """Acquire locks on every object of ``distinct``.
 
         Pays GETLOCK per lock and blocks while any lock conflicts.
         Returns ``None`` when every lock was granted without paying time
         (GETLOCK = 0) or waiting; otherwise a generator to ``yield from``.
 
-        ``distinct`` is a sorted sequence of distinct ids (the
-        transaction's ``lock_set``, which the release sweep shares), so
-        every transaction acquires in one global order (deadlock-free).
-        A transaction acquires one lock set per table and releases that
-        same set once.
+        ``distinct`` holds distinct ids in any order (the transaction's
+        ``lock_set``, which the release sweep shares); a sweep that can
+        wait runs in ascending oid, so every transaction acquires in one
+        global order (deadlock-free).  A transaction acquires one lock
+        set per table and releases that same set once.
         """
         self._sweeping.add(txn_id)
         lock_cost = self._getlock_ticks * len(distinct)
@@ -126,19 +137,25 @@ class LockManager:
         """Grant conflict-free locks in place; on the first conflict,
         return a generator finishing the rest (waits included)."""
         table = self._table
-        shared = txn_id
-        exclusive = ~txn_id
-        if not table or table.keys().isdisjoint(distinct):
-            # No lock of the set is held (always so with one user):
-            # grant them all in one update, int-encoded single holders.
-            if writes:
-                table.update(
-                    {oid: exclusive if oid in writes else shared for oid in distinct}
-                )
-            else:
-                table.update(dict.fromkeys(distinct, shared))
+        if self._lone is not None:
+            # Another transaction's lone record: write it in first.
+            self._write_in(*self._lone)
+            self._lone = None
+        elif not table and len(self._sweeping) == 1:
+            # Alone on an empty table (always so with one user): nobody
+            # else can hold or wait for a lock here until another
+            # transaction grants, which writes this record in first.
+            self._lone = (txn_id, distinct, writes)
             self.acquisitions += len(distinct)
             return None
+        if not table or table.keys().isdisjoint(distinct):
+            # No lock of the set is held: grant them all in one update.
+            self._write_in(txn_id, distinct, writes)
+            self.acquisitions += len(distinct)
+            return None
+        shared = txn_id
+        exclusive = ~txn_id
+        distinct = sorted(distinct)
         for index, oid in enumerate(distinct):
             want_write = oid in writes
             entry = table.get(oid)
@@ -155,6 +172,17 @@ class LockManager:
             # retry this oid before its first wait.
             return self._acquire_tail(txn_id, distinct, writes, index)
         return None
+
+    def _write_in(self, txn_id, distinct, writes):
+        """Store a lock set as int-encoded single holders: ``txn_id``
+        for a shared lock, ``~txn_id`` for an exclusive one."""
+        if writes:
+            exclusive = ~txn_id
+            self._table.update(
+                {oid: exclusive if oid in writes else txn_id for oid in distinct}
+            )
+        else:
+            self._table.update(dict.fromkeys(distinct, txn_id))
 
     def _acquire_tail(self, txn_id, distinct, writes, start):
         table = self._table
@@ -175,7 +203,7 @@ class LockManager:
                 self.wait_ticks += self.sim.now - started
             self.acquisitions += 1
 
-    def release_all_nowait(self, txn_id: int, distinct: Sequence[int]):
+    def release_all_nowait(self, txn_id: int, distinct: Collection[int]):
         """Release every lock of ``distinct`` (the acquired lock set),
         paying RELLOCK per lock, waking waiters.
 
@@ -194,8 +222,16 @@ class LockManager:
         self._release_sync(txn_id, distinct)
 
     def _release_sync(self, txn_id, distinct):
-        table = self._table
         sweeping = self._sweeping
+        lone = self._lone
+        if lone is not None and lone[0] == txn_id:
+            # Nobody wrote the record in, so no other transaction met
+            # a lock of it: dropping it releases the whole set.
+            self._lone = None
+            sweeping.discard(txn_id)
+            self.releases += len(lone[1])
+            return
+        table = self._table
         if len(sweeping) == 1 and txn_id in sweeping:
             # Alone on the table: nobody else holds or waits for a lock
             # here, so every entry is this transaction's.
@@ -206,7 +242,8 @@ class LockManager:
         sweeping.discard(txn_id)
         shared = txn_id
         exclusive = ~txn_id
-        for oid in distinct:
+        # In ascending oid: a release can open waiters' gates.
+        for oid in sorted(distinct):
             entry = table.get(oid)
             if entry is None:
                 continue
@@ -308,7 +345,8 @@ class LockManager:
     # ------------------------------------------------------------------
     @property
     def locked_objects(self) -> int:
-        return len(self._table)
+        lone = self._lone
+        return len(self._table) + (len(lone[1]) if lone is not None else 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

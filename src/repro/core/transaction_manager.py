@@ -91,9 +91,9 @@ class TransactionManager:
         locks = self.locks
         if not locks.admission.try_acquire_inline():
             yield locks.admission_request
-        # The generator derived the sorted lock set and the write set
-        # with the trace; the acquire and release sweeps both consume
-        # it as it is.
+        # The generator derived the lock set and the write set with
+        # the trace; the acquire and release sweeps both consume them
+        # as they are.
         distinct = txn.lock_set
         step = locks.acquire_all_nowait(txn_id, distinct, txn.write_set)
         if step is not None:

@@ -24,7 +24,7 @@ with probability PWRITE (read-only in the validation experiments).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Collection, Iterator, List, Tuple
 
 from repro.despy.randomstream import RandomStream
 from repro.ocb.database import Database
@@ -42,10 +42,10 @@ class Transaction:
 
     The generator also hands over what the Transaction Manager's
     conservative-2PL sweeps consume: ``lock_set``, the distinct oids in
-    ascending order, and ``write_set``, the oids written at least once.
-    It has both at hand when it draws the trace, so each transaction
-    derives them once, not once per execution.  Left out, they are
-    derived from ``accesses``.
+    any order (the lock layer sorts only where sweeps can meet), and
+    ``write_set``, the oids written at least once.  It has both at hand
+    when it draws the trace, so each transaction derives them once, not
+    once per execution.  Left out, they are derived from ``accesses``.
     """
 
     # Slots and a plain __init__, not a frozen dataclass: its generated
@@ -58,14 +58,14 @@ class Transaction:
         kind: str,
         root: int,
         accesses: tuple[Access, ...],
-        lock_set: tuple[int, ...] | None = None,
+        lock_set: Collection[int] | None = None,
         write_set: frozenset | None = None,
     ) -> None:
         self.kind = kind
         self.root = root
         self.accesses = accesses
         if lock_set is None:
-            lock_set = tuple(sorted({oid for oid, __ in accesses}))
+            lock_set = {oid for oid, __ in accesses}
         if write_set is None:
             write_set = frozenset([oid for oid, is_write in accesses if is_write])
         self.lock_set = lock_set
@@ -98,7 +98,7 @@ def _traced(
     kind: str,
     root: int,
     oids: List[int],
-    lock_set: tuple[int, ...],
+    lock_set: Collection[int],
     pwrite: float,
     rng: RandomStream,
 ) -> Transaction:
@@ -289,29 +289,30 @@ class TransactionGenerator:
         if choice == 5:
             return self._delete_transaction()
         root = self.next_root()
-        # Set-oriented and hierarchy traces visit each object once;
-        # simple and stochastic ones may repeat objects.
+        # Set-oriented and hierarchy traces visit each object once, so
+        # the trace is the lock set; simple and stochastic ones may
+        # repeat objects.
         if choice == 0:
             oids = SetOrientedAccess.trace(self.db, root, config.setdepth)
             kind = SetOrientedAccess.kind
-            lock_set = tuple(sorted(oids))
+            lock_set = oids
         elif choice == 1:
             oids = SimpleTraversal.trace(self.db, root, config.simdepth)
             kind = SimpleTraversal.kind
-            lock_set = tuple(sorted(set(oids)))
+            lock_set = set(oids)
         elif choice == 2:
             ref_type = self.rng.randint(0, config.nreft - 1)
             oids = HierarchyTraversal.trace(
                 self.db, root, config.hiedepth, ref_type
             )
             kind = HierarchyTraversal.kind
-            lock_set = tuple(sorted(oids))
+            lock_set = oids
         else:
             oids = StochasticTraversal.trace(
                 self.db, root, config.stodepth, self.rng
             )
             kind = StochasticTraversal.kind
-            lock_set = tuple(sorted(set(oids)))
+            lock_set = set(oids)
         self.generated += 1
         return _traced(kind, root, oids, lock_set, config.pwrite, self.rng)
 
@@ -373,12 +374,7 @@ class TransactionGenerator:
             if txn is None:
                 oids = HierarchyTraversal.trace(self.db, root, depth, ref_type)
                 txn = _traced(
-                    HierarchyTraversal.kind,
-                    root,
-                    oids,
-                    tuple(sorted(oids)),
-                    pwrite,
-                    self.rng,
+                    HierarchyTraversal.kind, root, oids, oids, pwrite, self.rng
                 )
                 if pwrite <= 0.0:
                     memo[root] = txn

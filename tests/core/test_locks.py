@@ -239,6 +239,81 @@ class TestBulkSweeps:
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
         assert locks.acquire_all_nowait(1, [1, 2], set()) is None
         locks.release_all_nowait(2, [1, 2])
-        assert (locks.releases, locks._table) == (0, {1: 1, 2: 1})
+        assert (locks.releases, locks.locked_objects) == (0, 2)
         locks.release_all_nowait(1, [1, 2])
         assert (locks.releases, locks.locked_objects) == (2, 0)
+
+
+class TestLoneRecord:
+    """A transaction alone on an empty table holds its locks as one
+    record, written into the table when another transaction grants."""
+
+    def test_lone_grant_writes_no_table_entry(self):
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        assert locks.acquire_all_nowait(4, {9, 3, 6}, {6}) is None
+        assert locks._table == {}
+        assert (locks.acquisitions, locks.locked_objects) == (3, 3)
+        assert locks.release_all_nowait(4, {9, 3, 6}) is None
+        assert (locks.releases, locks.locked_objects) == (3, 0)
+
+    def test_next_grant_writes_the_record_in_first(self):
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        assert locks.acquire_all_nowait(3, [2, 1], {1}) is None
+        assert locks.acquire_all_nowait(5, [4], set()) is None
+        assert locks._table == {1: ~3, 2: 3, 4: 5}
+        assert (locks.acquisitions, locks.locked_objects) == (3, 3)
+
+    def test_reader_waits_once_for_a_lone_writer(self):
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        progress = []
+
+        def writer():
+            yield from drive(locks.acquire_all_nowait(0, [8, 7], {7}))
+            assert (locks._table, locks.locked_objects) == ({}, 2)
+            yield Hold(ms_to_ticks(3.0))
+            yield from drive(locks.release_all_nowait(0, [8, 7]))
+
+        def reader():
+            yield Hold(ms_to_ticks(1.0))
+            yield from drive(locks.acquire_all_nowait(1, [7], set()))
+            progress.append(sim.now_ms)
+            yield from drive(locks.release_all_nowait(1, [7]))
+
+        sim.process(writer())
+        sim.process(reader())
+        sim.run()
+        assert progress == [3.0]
+        assert (locks.waits, locks.wait_time_ms) == (1, pytest.approx(2.0))
+        assert (locks.acquisitions, locks.releases, locks.locked_objects) == (3, 3, 0)
+
+    def test_release_opens_gates_in_oid_order_whatever_the_set_order(self):
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        granted = []
+
+        def writer():
+            yield from drive(locks.acquire_all_nowait(0, [3, 1], {1, 3}))
+            yield Hold(ms_to_ticks(4.0))
+            yield from drive(locks.release_all_nowait(0, [3, 1]))
+
+        def reader(txn_id, oid, arrival_ms):
+            yield Hold(ms_to_ticks(arrival_ms))
+            yield from drive(locks.acquire_all_nowait(txn_id, [oid], set()))
+            granted.append((txn_id, sim.now_ms))
+            yield from drive(locks.release_all_nowait(txn_id, [oid]))
+
+        sim.process(writer())
+        sim.process(reader(1, 3, 1.0))
+        sim.process(reader(2, 1, 2.0))
+        sim.run()
+        # Oid 1's waiter resumes first, although it queued last.
+        assert granted == [(2, 4.0), (1, 4.0)]
+
+    def test_release_by_another_transaction_leaves_the_record(self):
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        assert locks.acquire_all_nowait(1, [5, 6], set()) is None
+        locks.release_all_nowait(2, [5, 6])
+        assert (locks.releases, locks.locked_objects) == (0, 2)
+        # The record still blocks a writer: it is written in and met.
+        step = locks.acquire_all_nowait(3, [6], {6})
+        assert step is not None
+        assert locks._table == {5: 1, 6: 1}

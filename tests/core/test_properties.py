@@ -225,17 +225,30 @@ def test_range_router_partitions_the_extent_contiguously(servers, total_pages):
 IDLE_FROM = 41
 
 
-def _lock_trace(schedule, servers: int = 3, idle: bool = False):
+def _sorted_lock_set(raw):
+    return sorted(set(raw))
+
+
+def _first_seen_lock_set(raw):
+    return list(dict.fromkeys(raw))
+
+
+def _reversed_lock_set(raw):
+    return sorted(set(raw), reverse=True)
+
+
+def _lock_trace(schedule, servers: int = 3, idle: bool = False, order=_sorted_lock_set):
     """Drive concurrent conservative-2PL transactions through a fresh
     lock service and record the full grant/release schedule.
 
     ``schedule`` holds one ``(raw oids, written oids)`` pair per
-    transaction.  ``servers=1`` runs the single-server
+    transaction, and ``order`` turns the raw oids into the lock set.
+    ``servers=1`` runs the single-server
     :class:`~repro.core.locks.LockManager`, more the cluster lock
     service, both at O2's GETLOCK = RELLOCK = 0.5 ms.  ``idle`` adds
     transaction 0, which holds shared locks from ``IDLE_FROM`` on, on
-    every node, for the whole run, so no release is ever alone on its
-    table.
+    every node, for the whole run, so no transaction is ever alone on
+    its table: no lone record is made and no release clears a table.
     """
     import math
 
@@ -263,7 +276,7 @@ def _lock_trace(schedule, servers: int = 3, idle: bool = False):
         assert all(part.locked_objects for part in getattr(locks, "parts", [locks]))
 
     def txn(txn_id, raw, writes):
-        ids = sorted(set(raw))
+        ids = order(raw)
         step = locks.acquire_all_nowait(txn_id, ids, writes)
         if step is not None:
             yield from step
@@ -287,31 +300,65 @@ def _lock_trace(schedule, servers: int = 3, idle: bool = False):
     return trace, counters
 
 
-@given(
-    schedule=st.lists(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=40), st.booleans()),
-            min_size=1,
-            max_size=10,
-        ),
+#: Up to six transactions, each a list of ``(oid, written)`` accesses.
+LOCK_SCHEDULES = st.lists(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=40), st.booleans()),
         min_size=1,
-        max_size=6,
+        max_size=10,
     ),
-    servers=st.sampled_from([1, 3]),
+    min_size=1,
+    max_size=6,
 )
-@settings(max_examples=40, deadline=None)
-def test_bulk_lock_sweeps_change_nothing_observable(schedule, servers):
-    """A sole transaction releases its table in one ``clear``; an idle
-    lock holder outside the schedule rules that path out, so every
-    release runs the per-oid sweep instead.  Both runs must grant and
-    release at the same ticks, with the same counters, and drain every
-    table."""
-    schedule = [
+
+
+def _raw_and_writes(schedule):
+    return [
         ([oid for oid, __ in accesses], {oid for oid, write in accesses if write})
         for accesses in schedule
     ]
+
+
+@given(schedule=LOCK_SCHEDULES, servers=st.sampled_from([1, 3]))
+@settings(max_examples=40, deadline=None)
+def test_bulk_lock_sweeps_change_nothing_observable(schedule, servers):
+    """A transaction alone on an empty table keeps a lone record, and a
+    sole transaction releases its table in one ``clear``; an idle lock
+    holder outside the schedule rules both paths out, so every grant
+    and release runs the table sweeps instead.  Both runs must grant
+    and release at the same ticks, with the same counters, and drain
+    every table."""
+    schedule = _raw_and_writes(schedule)
     trace, counters = _lock_trace(schedule, servers=servers)
     idle_trace, idle_counters = _lock_trace(schedule, servers=servers, idle=True)
     assert trace == idle_trace
     assert counters == idle_counters
     assert counters[-1] == 0  # every table drained
+
+
+@given(
+    # Denser than LOCK_SCHEDULES: a release that opens its waiters'
+    # gates out of oid order needs two of its locks contended.
+    schedule=st.lists(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=15), st.booleans()),
+            min_size=2,
+            max_size=10,
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    servers=st.sampled_from([1, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_lock_set_order_changes_nothing_observable(schedule, servers):
+    """A lock set may come in any order: sorted, in first-seen order or
+    reversed, every transaction grants and releases at the same ticks,
+    with the same counters, both with the alone-on-a-table paths open
+    and with an idle holder ruling them out."""
+    schedule = _raw_and_writes(schedule)
+    for idle in (False, True):
+        expected = _lock_trace(schedule, servers=servers, idle=idle)
+        for order in (_first_seen_lock_set, _reversed_lock_set):
+            run = _lock_trace(schedule, servers=servers, idle=idle, order=order)
+            assert run == expected

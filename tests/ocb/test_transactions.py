@@ -246,9 +246,11 @@ MIXES = [
 
 
 def assert_bookkeeping(txn):
-    """The lock set and write set the 2PL sweeps read match the trace."""
-    assert isinstance(txn.lock_set, tuple)
-    assert txn.lock_set == tuple(sorted(txn.distinct_objects))
+    """The lock set and write set the 2PL sweeps read match the trace:
+    the lock set holds each object the trace touches once, in any
+    order."""
+    assert len(txn.lock_set) == len(txn.distinct_objects)
+    assert set(txn.lock_set) == txn.distinct_objects
     assert isinstance(txn.write_set, frozenset)
     assert txn.write_set == {oid for oid, is_write in txn.accesses if is_write}
 
