@@ -65,7 +65,7 @@ class Transaction:
         self.root = root
         self.accesses = accesses
         if lock_set is None:
-            lock_set = {oid for oid, __ in accesses}
+            lock_set = tuple({oid for oid, __ in accesses})
         if write_set is None:
             write_set = frozenset([oid for oid, is_write in accesses if is_write])
         self.lock_set = lock_set
@@ -291,7 +291,9 @@ class TransactionGenerator:
         root = self.next_root()
         # Set-oriented and hierarchy traces visit each object once, so
         # the trace is the lock set; simple and stochastic ones may
-        # repeat objects.
+        # repeat objects.  A lock set lives as long as its transaction,
+        # so it is kept as a tuple: a set of the same oids takes several
+        # times the memory.
         if choice == 0:
             oids = SetOrientedAccess.trace(self.db, root, config.setdepth)
             kind = SetOrientedAccess.kind
@@ -299,7 +301,7 @@ class TransactionGenerator:
         elif choice == 1:
             oids = SimpleTraversal.trace(self.db, root, config.simdepth)
             kind = SimpleTraversal.kind
-            lock_set = set(oids)
+            lock_set = tuple(set(oids))
         elif choice == 2:
             ref_type = self.rng.randint(0, config.nreft - 1)
             oids = HierarchyTraversal.trace(
@@ -312,7 +314,7 @@ class TransactionGenerator:
                 self.db, root, config.stodepth, self.rng
             )
             kind = StochasticTraversal.kind
-            lock_set = set(oids)
+            lock_set = tuple(set(oids))
         self.generated += 1
         return _traced(kind, root, oids, lock_set, config.pwrite, self.rng)
 
