@@ -386,15 +386,15 @@ class TestClusterLockSweeps:
 
     def test_partition_keeps_the_lock_set_order_within_each_node(self):
         locks = self._model().locks
-        distinct = list(range(40))
+        distinct = [oid * 7 % 40 for oid in range(40)]
         parts = locks._partition(distinct)
         nodes = [node for node, _ in parts]
         assert nodes == sorted(set(nodes))
         assert len(nodes) > 1
         for node, part in parts:
-            assert part == sorted(part)
+            assert part == [oid for oid in distinct if oid in part]
             assert {locks._home_of(oid) for oid in part} == {node}
-        assert sorted(oid for _, part in parts for oid in part) == distinct
+        assert sorted(oid for _, part in parts for oid in part) == sorted(distinct)
 
     def test_sweeps_lock_and_unlock_each_oid_on_its_home_node(self):
         locks = self._model().locks
