@@ -15,7 +15,7 @@ experiments never exercise deadlock handling (NUSERS=1).
 A lock set comes in any order.  Order is observable only where sweeps
 can meet, so only the per-oid acquire sweep (which can wait) and the
 per-oid release (which opens waiters' gates) sort it.  A transaction
-alone on an empty table keeps its lock set as one *lone record*
+that grants on an empty table keeps its lock set as one *lone record*
 instead of one table entry per object; the next transaction to grant
 there writes the record in first, so every grant sees the same table.
 """
@@ -82,13 +82,9 @@ class LockManager:
         #: waiters list) per distinct object, so recycling them saves
         #: three allocations per lock on the sole-holder fast path.
         self._entry_pool: List[_LockEntry] = []
-        #: the transactions between the start of their acquire sweep and
-        #: the end of their release sweep on this table.  A release by
-        #: the only one owns every entry, so it clears the table at once.
-        self._sweeping: set[int] = set()
         #: the lone record, ``(txn_id, lock set, write set)``: the locks
-        #: of a transaction that granted on an empty table with no other
-        #: sweeper, held whole instead of as table entries.
+        #: of a transaction that granted on an empty table, held whole
+        #: instead of as table entries until another transaction grants.
         self._lone: Optional[Tuple[int, Collection[int], set]] = None
         # GETLOCK/RELLOCK converted to ticks once (the config is frozen).
         self._getlock_ticks = config.getlock_ticks
@@ -121,7 +117,6 @@ class LockManager:
         global order (deadlock-free).  A transaction acquires one lock
         set per table and releases that same set once.
         """
-        self._sweeping.add(txn_id)
         lock_cost = self._getlock_ticks * len(distinct)
         if lock_cost > 0:
             return self._acquire_timed(txn_id, distinct, writes, lock_cost)
@@ -141,10 +136,10 @@ class LockManager:
             # Another transaction's lone record: write it in first.
             self._write_in(*self._lone)
             self._lone = None
-        elif not table and len(self._sweeping) == 1:
-            # Alone on an empty table (always so with one user): nobody
-            # else can hold or wait for a lock here until another
-            # transaction grants, which writes this record in first.
+        elif not table:
+            # An empty table (always so with one user): nobody holds or
+            # waits for a lock here, and the next transaction to grant
+            # writes this record in first, so it sees the same table.
             self._lone = (txn_id, distinct, writes)
             self.acquisitions += len(distinct)
             return None
@@ -222,24 +217,14 @@ class LockManager:
         self._release_sync(txn_id, distinct)
 
     def _release_sync(self, txn_id, distinct):
-        sweeping = self._sweeping
         lone = self._lone
         if lone is not None and lone[0] == txn_id:
             # Nobody wrote the record in, so no other transaction met
             # a lock of it: dropping it releases the whole set.
             self._lone = None
-            sweeping.discard(txn_id)
             self.releases += len(lone[1])
             return
         table = self._table
-        if len(sweeping) == 1 and txn_id in sweeping:
-            # Alone on the table: nobody else holds or waits for a lock
-            # here, so every entry is this transaction's.
-            sweeping.clear()
-            self.releases += len(table)
-            table.clear()
-            return
-        sweeping.discard(txn_id)
         shared = txn_id
         exclusive = ~txn_id
         # In ascending oid: a release can open waiters' gates.

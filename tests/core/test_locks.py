@@ -245,8 +245,9 @@ class TestBulkSweeps:
 
 
 class TestLoneRecord:
-    """A transaction alone on an empty table holds its locks as one
-    record, written into the table when another transaction grants."""
+    """A transaction that grants on an empty table holds its locks as
+    one record, written into the table when another transaction
+    grants."""
 
     def test_lone_grant_writes_no_table_entry(self):
         sim, locks = make_locks(getlock=0.0, rellock=0.0)

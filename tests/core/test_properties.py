@@ -247,8 +247,8 @@ def _lock_trace(schedule, servers: int = 3, idle: bool = False, order=_sorted_lo
     :class:`~repro.core.locks.LockManager`, more the cluster lock
     service, both at O2's GETLOCK = RELLOCK = 0.5 ms.  ``idle`` adds
     transaction 0, which holds shared locks from ``IDLE_FROM`` on, on
-    every node, for the whole run, so no transaction is ever alone on
-    its table: no lone record is made and no release clears a table.
+    every node, for the whole run, so no table of the schedule's
+    transactions is ever empty and none of them makes a lone record.
     """
     import math
 
@@ -322,12 +322,11 @@ def _raw_and_writes(schedule):
 @given(schedule=LOCK_SCHEDULES, servers=st.sampled_from([1, 3]))
 @settings(max_examples=40, deadline=None)
 def test_bulk_lock_sweeps_change_nothing_observable(schedule, servers):
-    """A transaction alone on an empty table keeps a lone record, and a
-    sole transaction releases its table in one ``clear``; an idle lock
-    holder outside the schedule rules both paths out, so every grant
-    and release runs the table sweeps instead.  Both runs must grant
-    and release at the same ticks, with the same counters, and drain
-    every table."""
+    """A transaction that grants on an empty table keeps a lone record;
+    an idle lock holder outside the schedule rules that path out, so
+    every grant and release runs the table sweeps instead.  Both runs must
+    grant and release at the same ticks, with the same counters, and
+    drain every table."""
     schedule = _raw_and_writes(schedule)
     trace, counters = _lock_trace(schedule, servers=servers)
     idle_trace, idle_counters = _lock_trace(schedule, servers=servers, idle=True)
@@ -354,8 +353,8 @@ def test_bulk_lock_sweeps_change_nothing_observable(schedule, servers):
 def test_lock_set_order_changes_nothing_observable(schedule, servers):
     """A lock set may come in any order: sorted, in first-seen order or
     reversed, every transaction grants and releases at the same ticks,
-    with the same counters, both with the alone-on-a-table paths open
-    and with an idle holder ruling them out."""
+    with the same counters, both with the lone record open and with an
+    idle holder ruling it out."""
     schedule = _raw_and_writes(schedule)
     for idle in (False, True):
         expected = _lock_trace(schedule, servers=servers, idle=idle)
