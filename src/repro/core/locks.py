@@ -143,7 +143,7 @@ class LockManager:
             self._lone = (txn_id, distinct, writes)
             self.acquisitions += len(distinct)
             return None
-        if not table or table.keys().isdisjoint(distinct):
+        if table.keys().isdisjoint(distinct):
             # No lock of the set is held: grant them all in one update.
             self._write_in(txn_id, distinct, writes)
             self.acquisitions += len(distinct)
