@@ -17,7 +17,8 @@ can meet, so only the per-oid acquire sweep (which can wait) and the
 per-oid release (which opens waiters' gates) sort it.  A transaction
 that grants on an empty table keeps its lock set as one *lone record*
 instead of one table entry per object; the next transaction to grant
-there writes the record in first, so every grant sees the same table.
+there, or a woken waiter when it resumes, writes the record in first,
+so every grant sees the same table.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class LockManager:
         self._entry_pool: List[_LockEntry] = []
         #: the lone record, ``(txn_id, lock set, write set)``: the locks
         #: of a transaction that granted on an empty table, held whole
-        #: instead of as table entries until another transaction grants.
+        #: instead of as table entries until another transaction grants
+        #: or resumes from a lock wait.
         self._lone: Optional[Tuple[int, Collection[int], set]] = None
         # GETLOCK/RELLOCK converted to ticks once (the config is frozen).
         self._getlock_ticks = config.getlock_ticks
@@ -137,9 +139,9 @@ class LockManager:
             self._write_in(*self._lone)
             self._lone = None
         elif not table:
-            # An empty table (always so with one user): nobody holds or
-            # waits for a lock here, and the next transaction to grant
-            # writes this record in first, so it sees the same table.
+            # An empty table (always so with one user): nobody holds a
+            # lock here or is queued for one, and the next transaction
+            # to read the table writes this record in first.
             self._lone = (txn_id, distinct, writes)
             self.acquisitions += len(distinct)
             return None
@@ -196,6 +198,12 @@ class LockManager:
                 started = self.sim.now
                 yield WaitFor(gate)
                 self.wait_ticks += self.sim.now - started
+                if self._lone is not None:
+                    # A record made between this waiter's wake-up and its
+                    # resume (the woken entry taken and released, the
+                    # table emptied): write it in before the retry.
+                    self._write_in(*self._lone)
+                    self._lone = None
             self.acquisitions += 1
 
     def release_all_nowait(self, txn_id: int, distinct: Collection[int]):

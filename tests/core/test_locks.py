@@ -309,6 +309,32 @@ class TestLoneRecord:
         # Oid 1's waiter resumes first, although it queued last.
         assert granted == [(2, 4.0), (1, 4.0)]
 
+    def test_woken_waiter_writes_in_a_record_made_before_it_resumes(self):
+        # 1 holds 7 and releases it at 2 ms, opening waiter 2's gate.
+        # 3's and 4's timed events run at 2 ms before 2 resumes: 3
+        # grants 7 and releases it in one step, emptying the table, so
+        # 4 makes a record holding 7; 2 must meet it and wait again.
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        granted = []
+
+        def txn(txn_id, arrival_ms, writes, hold_ms):
+            if arrival_ms:
+                yield Hold(ms_to_ticks(arrival_ms))
+            yield from drive(locks.acquire_all_nowait(txn_id, [7], writes))
+            granted.append((txn_id, sim.now_ms))
+            if hold_ms:
+                yield Hold(ms_to_ticks(hold_ms))
+            yield from drive(locks.release_all_nowait(txn_id, [7]))
+
+        sim.process(txn(1, 0.0, {7}, 2.0))
+        sim.process(txn(2, 1.0, {7}, 0.0))
+        sim.process(txn(3, 2.0, set(), 0.0))
+        sim.process(txn(4, 2.0, {7}, 2.0))
+        sim.run()
+        assert granted == [(1, 0.0), (3, 2.0), (4, 2.0), (2, 4.0)]
+        assert (locks.waits, locks.wait_time_ms) == (2, pytest.approx(3.0))
+        assert (locks.acquisitions, locks.releases, locks.locked_objects) == (4, 4, 0)
+
     def test_release_by_another_transaction_leaves_the_record(self):
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
         assert locks.acquire_all_nowait(1, [5, 6], set()) is None
