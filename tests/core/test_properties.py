@@ -237,18 +237,22 @@ def _reversed_lock_set(raw):
     return sorted(set(raw), reverse=True)
 
 
-def _lock_trace(schedule, servers: int = 3, idle: bool = False, order=_sorted_lock_set):
+def _lock_trace(
+    schedule, servers: int = 3, idle: bool = False, order=_sorted_lock_set, rellock=0.5
+):
     """Drive concurrent conservative-2PL transactions through a fresh
     lock service and record the full grant/release schedule.
 
-    ``schedule`` holds one ``(raw oids, written oids)`` pair per
-    transaction, and ``order`` turns the raw oids into the lock set.
-    ``servers=1`` runs the single-server
+    ``schedule`` holds one ``(raw oids, written oids, arrival, hold)``
+    tuple per transaction, times in ticks, and ``order`` turns the raw
+    oids into the lock set.  ``servers=1`` runs the single-server
     :class:`~repro.core.locks.LockManager`, more the cluster lock
-    service, both at O2's GETLOCK = RELLOCK = 0.5 ms.  ``idle`` adds
-    transaction 0, which holds shared locks from ``IDLE_FROM`` on, on
-    every node, for the whole run, so no table of the schedule's
-    transactions is ever empty and none of them makes a lone record.
+    service, both at O2's GETLOCK = 0.5 ms and at ``rellock`` ms.
+    ``idle`` adds transaction 0, which holds shared locks from
+    ``IDLE_FROM`` on, on every node, for the whole run, so no table of
+    the schedule's transactions is ever empty and none of them makes a
+    lone record.  Every grant is checked against the locks of the other
+    transactions that have not begun to release them.
     """
     import math
 
@@ -257,7 +261,9 @@ def _lock_trace(schedule, servers: int = 3, idle: bool = False, order=_sorted_lo
     from repro.core.model import VOODBSimulation
     from repro.systems.o2 import o2_config
 
-    config = o2_config(nc=10, no=500, cache_mb=0.25, hotn=30).with_changes(multilvl=8)
+    config = o2_config(nc=10, no=500, cache_mb=0.25, hotn=30).with_changes(
+        multilvl=8, rellock=rellock
+    )
     if servers > 1:
         config = config.with_changes(
             cluster=ClusterConfig(
@@ -267,6 +273,7 @@ def _lock_trace(schedule, servers: int = 3, idle: bool = False, order=_sorted_lo
     model = VOODBSimulation(config, seed=1)
     locks = model.locks
     trace = []
+    holding = {}  # oid -> {txn_id: written}
     held = range(IDLE_FROM, 500) if idle else range(0)
     if idle:
         step = locks.acquire_all_nowait(0, held, set())
@@ -275,20 +282,31 @@ def _lock_trace(schedule, servers: int = 3, idle: bool = False, order=_sorted_lo
             pass
         assert all(part.locked_objects for part in getattr(locks, "parts", [locks]))
 
-    def txn(txn_id, raw, writes):
+    def txn(txn_id, raw, writes, arrival, hold):
+        if arrival:
+            yield Hold(arrival)
         ids = order(raw)
         step = locks.acquire_all_nowait(txn_id, ids, writes)
         if step is not None:
             yield from step
         trace.append(("granted", txn_id, model.sim.now))
-        yield Hold(5)
+        for oid in ids:
+            others = holding.setdefault(oid, {})
+            assert not others or (oid not in writes and not any(others.values()))
+            others[txn_id] = oid in writes
+        if hold:
+            yield Hold(hold)
+        # Forgotten as the release starts: a cluster release frees one
+        # node's part at a time.
+        for oid in ids:
+            del holding[oid][txn_id]
         step = locks.release_all_nowait(txn_id, ids)
         if step is not None:
             yield from step
         trace.append(("released", txn_id, model.sim.now))
 
-    for txn_id, (raw, writes) in enumerate(schedule, start=1):
-        model.sim.process(txn(txn_id, raw, writes), name=f"txn-{txn_id}")
+    for txn_id, spec in enumerate(schedule, start=1):
+        model.sim.process(txn(txn_id, *spec), name=f"txn-{txn_id}")
     model.sim.run()
     counters = (
         locks.acquisitions - len(held),
@@ -312,10 +330,19 @@ LOCK_SCHEDULES = st.lists(
 )
 
 
-def _raw_and_writes(schedule):
+def _raw_and_writes(schedule, timing=None):
+    """Turn each transaction's accesses into ``(raw oids, written oids,
+    arrival, hold)``: all arrive at 0 and hold for 5 ticks, unless
+    ``timing`` gives each one's ``(arrival, hold)``."""
+    timing = timing or [(0, 5)] * len(schedule)
     return [
-        ([oid for oid, __ in accesses], {oid for oid, write in accesses if write})
-        for accesses in schedule
+        (
+            [oid for oid, __ in accesses],
+            {oid for oid, write in accesses if write},
+            arrival,
+            hold,
+        )
+        for accesses, (arrival, hold) in zip(schedule, timing)
     ]
 
 
@@ -361,3 +388,34 @@ def test_lock_set_order_changes_nothing_observable(schedule, servers):
         for order in (_first_seen_lock_set, _reversed_lock_set):
             run = _lock_trace(schedule, servers=servers, idle=idle, order=order)
             assert run == expected
+
+
+@given(rng=st.randoms(use_true_random=True), servers=st.sampled_from([1, 3]))
+@settings(max_examples=200, deadline=None)
+def test_free_releases_and_zero_holds_change_nothing_observable(rng, servers):
+    """At RELLOCK = 0 a release takes no time, so with a zero-length
+    hold a transaction grants and releases in one step and can empty a
+    table between a waiter's wake-up and its resume.  Four to eight
+    transactions each lock one hot object, reading or writing it, and
+    arrive and hold for 0-2 whole GETLOCK steps, so that a release and
+    other transactions' grants often fall on one tick.  The schedule is
+    drawn uniformly from a seeded stream: a waiter woken, its entry
+    taken and released and a new grant all before it resumes took a
+    hypothesis-drawn schedule in 8 of 10 runs of 300 examples, uniform
+    draws in 10 of 10 runs of 200.  The lone-record run must grant and
+    release at the same ticks, with the same counters, as the
+    idle-holder run, and no two transactions may hold conflicting locks
+    at once."""
+    from repro.despy import ms_to_ticks
+
+    step = ms_to_ticks(0.5)  # O2's GETLOCK
+    drawn = [
+        ([(0, rng.random() < 0.5)], rng.randint(0, 2), rng.randint(0, 2))
+        for __ in range(rng.randint(4, 8))
+    ]
+    timing = [(arrival * step, hold * step) for __, arrival, hold in drawn]
+    schedule = _raw_and_writes([accesses for accesses, __, __ in drawn], timing)
+    trace, counters = _lock_trace(schedule, servers=servers, rellock=0.0)
+    idle_run = _lock_trace(schedule, servers=servers, idle=True, rellock=0.0)
+    assert (trace, counters) == idle_run
+    assert counters[-1] == 0  # every table drained
