@@ -26,12 +26,13 @@ the client network.  The object-server organization additionally
 assembles multi-node objects at the object's *home* node, paying an
 interconnect round trip per remotely owned page.
 
-Locking shards with the data: :class:`ClusterLockManager` keeps one
-MULTILVL admission scheduler for the whole cluster (transactions are
-global) but routes each object lock to the lock table of the object's
-home node, acquiring node partitions in node order — a total order over
-``(home node, oid)``, so the conservative-2PL deadlock-freedom argument
-of :mod:`repro.core.locks` carries over unchanged.
+Locking shards with the data: :class:`ClusterLockManager` routes each
+object lock to the lock table of the object's home node, acquiring node
+partitions in node order — a total order over ``(home node, oid)``, so
+the conservative-2PL deadlock-freedom argument of
+:mod:`repro.core.locks` carries over unchanged.  Transactions are
+global, so the one MULTILVL scheduler is the Transaction Manager's, as
+on a single server.
 
 The model's counter table reads a cluster through one summing view,
 :class:`NodeSum`: ``cluster.io``, ``cluster.memory`` and
@@ -127,8 +128,8 @@ from collections import deque
 from itertools import islice
 from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Set, Tuple
 
-from repro.despy.process import Hold, Release, Request, WaitFor
-from repro.despy.resource import Gate, Resource
+from repro.despy.process import Hold, WaitFor
+from repro.despy.resource import Gate
 from repro.despy.timebase import ms_to_ticks
 from repro.core.buffering import BufferManager
 from repro.core.failures import (
@@ -236,9 +237,8 @@ class ClusterNode:
         self.index = index
         self.memory = BufferManager(config, sim.stream(f"memory-{index}"))
         self.io = IOSubsystem(sim, config)
-        #: this node's object-lock table; admission is cluster-global
-        #: (the ClusterLockManager's scheduler), hence no per-node one.
-        self.locks = LockManager(sim, config, with_admission=False)
+        #: this node's object-lock table.
+        self.locks = LockManager(sim, config)
         #: page/object service operations this node performed.
         self.accesses = 0
         # --- extended-mode state (async replication / per-node hazards);
@@ -291,10 +291,9 @@ class NodeSum:
 
 
 class ClusterLockManager(NodeSum):
-    """Global MULTILVL admission + per-node sharded object lock tables.
+    """Per-node sharded object lock tables.
 
-    Implements the Transaction Manager's locking interface
-    (``admission_request``/``admission_release`` commands and the
+    Implements the Transaction Manager's locking interface (the
     ``acquire_all_nowait``/``release_all_nowait`` pair) by partitioning
     the lock set by each object's home node and delegating to the
     node-local :class:`~repro.core.locks.LockManager` tables **strictly
@@ -304,19 +303,8 @@ class ClusterLockManager(NodeSum):
     (``waits``, ``wait_ticks``, ...) sum the node tables'.
     """
 
-    def __init__(
-        self,
-        sim: "Simulation",
-        config: VOODBConfig,
-        nodes: List[ClusterNode],
-        home_of,
-    ) -> None:
+    def __init__(self, nodes: List[ClusterNode], home_of) -> None:
         super().__init__([node.locks for node in nodes])
-        self.sim = sim
-        self.config = config
-        self.admission = Resource(sim, "scheduler", capacity=config.multilvl)
-        self.admission_request = Request(self.admission)
-        self.admission_release = Release(self.admission)
         self._home_of = home_of
         #: each executing transaction's partition, from its acquire
         #: sweep to its release sweep.  The page map cannot change in
@@ -369,7 +357,7 @@ class ClusterLockManager(NodeSum):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ClusterLockManager nodes={len(self.parts)} "
-            f"locked={self.locked_objects} mpl={self.config.multilvl}>"
+            f"locked={self.locked_objects}>"
         )
 
 
@@ -419,7 +407,7 @@ class Cluster:
         )
         self.io = NodeSum([node.io for node in self.nodes])
         self.memory = NodeSum([node.memory for node in self.nodes])
-        self.locks = ClusterLockManager(sim, config, self.nodes, self.home_of)
+        self.locks = ClusterLockManager(self.nodes, self.home_of)
         self._page_bytes = config.pgsize
         self._message_bytes = config.message_bytes
         self._rr = 0

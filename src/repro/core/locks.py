@@ -1,33 +1,34 @@
-"""The transaction scheduler: multiprogramming admission + object locks.
+"""The object lock table of Table 1's database scheduler.
 
 Table 1's last passive resource: "Database.  Its concurrent access is
 managed by a scheduler that applies a transaction scheduling policy that
 depends on the multiprogramming level."  Table 3 contributes MULTILVL
 (max concurrent transactions) and the per-lock GETLOCK/RELLOCK times.
+The MULTILVL admission resource belongs to the Transaction Manager,
+its only user; this module is the lock table.
 
-Admission is a despy Resource of capacity MULTILVL.  Object locks are
-shared/exclusive; because OCB transactions know their full access trace
-up front, locks are acquired in sorted-OID order (conservative two-phase
-locking), which makes deadlock impossible — a scheduling policy choice,
-not a cheat: it is what a validation model wants, since the paper's
-experiments never exercise deadlock handling (NUSERS=1).
+Object locks are shared/exclusive; because OCB transactions know their
+full access trace up front, locks are acquired in sorted-OID order
+(conservative two-phase locking), which makes deadlock impossible — a
+scheduling policy choice, not a cheat: it is what a validation model
+wants, since the paper's experiments never exercise deadlock handling
+(NUSERS=1).
 
-A lock set comes in any order.  Order is observable only where sweeps
-can meet, so only the per-oid acquire sweep (which can wait) and the
-per-oid release (which opens waiters' gates) sort it.  A transaction
-that grants on an empty table keeps its lock set as one *lone record*
-instead of one table entry per object; the next transaction to grant
-there, or a woken waiter when it resumes, writes the record in first,
-so every grant sees the same table.
+A lock set comes in any order.  A grant sorts it and sends each oid
+through one grant rule; a release runs one per-oid loop in ascending
+oid, since it can open waiters' gates.  A transaction that grants on
+an empty table keeps its lock set as one *lone record* instead of one
+table entry per object; the next transaction to grant there, or a
+woken waiter when it resumes, writes the record in first, so every
+grant sees the same table.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Collection, Dict, List, Optional, Tuple
 
-from repro.despy.process import Hold, Release, Request, WaitFor
-from repro.despy.resource import Gate, Resource
-from repro.despy.timebase import MS_PER_TICK
+from repro.despy.process import Hold, WaitFor
+from repro.despy.resource import Gate
 from repro.core.parameters import VOODBConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,39 +51,16 @@ class _LockEntry:
     def __init__(self) -> None:
         self.exclusive = False
         self.holders: set[int] = set()  # transaction ids
-        self.waiters: List[Tuple[int, bool, Gate]] = []  # (txn, write, gate)
+        self.waiters: List[Gate] = []  # one gate per queued transaction
 
 
 class LockManager:
-    """MULTILVL admission plus shared/exclusive object locking."""
+    """Shared/exclusive object locking over one lock table."""
 
-    def __init__(
-        self,
-        sim: "Simulation",
-        config: VOODBConfig,
-        with_admission: bool = True,
-    ) -> None:
+    def __init__(self, sim: "Simulation", config: VOODBConfig) -> None:
         self.sim = sim
         self.config = config
-        if with_admission:
-            self.admission = Resource(sim, "scheduler", capacity=config.multilvl)
-            #: shared immutable commands for the admission resource, so the
-            #: per-transaction enter/leave pair allocates nothing.
-            self.admission_request = Request(self.admission)
-            self.admission_release = Release(self.admission)
-        else:
-            # Cluster nodes shard only the object-lock table; admission
-            # stays a cluster-global scheduler (ClusterLockManager's),
-            # so per-node instances skip the resource entirely.
-            self.admission = None
-            self.admission_request = None
-            self.admission_release = None
         self._table: Dict[int, _LockEntry] = {}
-        #: free list of lock entries — a transaction's conservative-2PL
-        #: sweep creates and drops one entry (plus its holders set and
-        #: waiters list) per distinct object, so recycling them saves
-        #: three allocations per lock on the sole-holder fast path.
-        self._entry_pool: List[_LockEntry] = []
         #: the lone record, ``(txn_id, lock set, write set)``: the locks
         #: of a transaction that granted on an empty table, held whole
         #: instead of as table entries until another transaction grants
@@ -97,14 +75,8 @@ class LockManager:
         self.waits = 0
         self.wait_ticks = 0
 
-    @property
-    def wait_time_ms(self) -> float:
-        """Accumulated lock-wait time, reported in milliseconds."""
-        return self.wait_ticks * MS_PER_TICK
-
     # ------------------------------------------------------------------
-    # Transaction-side protocol (entering and leaving the multiprogramming
-    # mix is ``yield admission_request`` / ``yield admission_release``)
+    # Transaction-side protocol
     # ------------------------------------------------------------------
     def acquire_all_nowait(self, txn_id: int, distinct: Collection[int], writes: set):
         """Acquire locks on every object of ``distinct``.
@@ -114,10 +86,10 @@ class LockManager:
         (GETLOCK = 0) or waiting; otherwise a generator to ``yield from``.
 
         ``distinct`` holds distinct ids in any order (the transaction's
-        ``lock_set``, which the release sweep shares); a sweep that can
-        wait runs in ascending oid, so every transaction acquires in one
-        global order (deadlock-free).  A transaction acquires one lock
-        set per table and releases that same set once.
+        ``lock_set``, which the release sweep shares); the sweep runs in
+        ascending oid, so every transaction acquires in one global order
+        (deadlock-free).  A transaction acquires one lock set per table
+        and releases that same set once.
         """
         lock_cost = self._getlock_ticks * len(distinct)
         if lock_cost > 0:
@@ -133,45 +105,29 @@ class LockManager:
     def _acquire_sync(self, txn_id, distinct, writes):
         """Grant conflict-free locks in place; on the first conflict,
         return a generator finishing the rest (waits included)."""
-        table = self._table
         if self._lone is not None:
             # Another transaction's lone record: write it in first.
             self._write_in(*self._lone)
             self._lone = None
-        elif not table:
+        elif not self._table:
             # An empty table (always so with one user): nobody holds a
             # lock here or is queued for one, and the next transaction
             # to read the table writes this record in first.
             self._lone = (txn_id, distinct, writes)
             self.acquisitions += len(distinct)
             return None
-        if table.keys().isdisjoint(distinct):
-            # No lock of the set is held: grant them all in one update.
-            self._write_in(txn_id, distinct, writes)
-            self.acquisitions += len(distinct)
-            return None
-        shared = txn_id
-        exclusive = ~txn_id
         distinct = sorted(distinct)
+        grant = self._grant
         for index, oid in enumerate(distinct):
-            want_write = oid in writes
-            entry = table.get(oid)
-            if entry is None:
-                # Unlocked object (the common case): grant inline with
-                # the int-encoded single-holder state.
-                table[oid] = exclusive if want_write else shared
-                self.acquisitions += 1
-                continue
-            if self._grant(txn_id, oid, want_write):
-                self.acquisitions += 1
-                continue
-            # A failed _grant mutates nothing, so the tail may simply
-            # retry this oid before its first wait.
-            return self._acquire_tail(txn_id, distinct, writes, index)
+            if not grant(txn_id, oid, oid in writes):
+                # A failed _grant mutates nothing, so the tail may
+                # simply retry this oid before its first wait.
+                return self._acquire_tail(txn_id, distinct, writes, index)
+            self.acquisitions += 1
         return None
 
     def _write_in(self, txn_id, distinct, writes):
-        """Store a lock set as int-encoded single holders: ``txn_id``
+        """Store a lone record as int-encoded single holders: ``txn_id``
         for a shared lock, ``~txn_id`` for an exclusive one."""
         if writes:
             exclusive = ~txn_id
@@ -193,7 +149,7 @@ class LockManager:
                 entry = table[oid]
                 if entry.__class__ is int:
                     entry = self._promote(oid, entry)
-                entry.waiters.append((txn_id, want_write, gate))
+                entry.waiters.append(gate)
                 self.waits += 1
                 started = self.sim.now
                 yield WaitFor(gate)
@@ -233,7 +189,6 @@ class LockManager:
             self.releases += len(lone[1])
             return
         table = self._table
-        shared = txn_id
         exclusive = ~txn_id
         # In ascending oid: a release can open waiters' gates.
         for oid in sorted(distinct):
@@ -242,30 +197,35 @@ class LockManager:
                 continue
             if entry.__class__ is int:
                 # Int-encoded single holder (the common case).
-                if entry == shared or entry == exclusive:
+                if entry == txn_id or entry == exclusive:
                     self.releases += 1
                     del table[oid]
                 continue
-            if txn_id not in entry.holders:
+            holders = entry.holders
+            if txn_id not in holders:
                 continue
-            if len(entry.holders) == 1 and not entry.waiters:
-                # Sole holder, nobody queued: drop the whole entry
-                # inline and recycle it.
-                self.releases += 1
+            holders.discard(txn_id)
+            self.releases += 1
+            if holders:
+                continue
+            entry.exclusive = False
+            waiters = entry.waiters
+            if not waiters:
                 del table[oid]
-                entry.holders.clear()
-                entry.exclusive = False
-                self._entry_pool.append(entry)
                 continue
-            self._release(txn_id, oid)
+            # Wake every waiter; each re-checks its grant on resume.
+            # Waking all (rather than the head) keeps the policy simple
+            # and live.
+            entry.waiters = []
+            for gate in waiters:
+                gate.open()
 
     # ------------------------------------------------------------------
     # Lock table mechanics
     # ------------------------------------------------------------------
     def _promote(self, oid: int, value: int) -> _LockEntry:
         """Expand an int-encoded single-holder state to a full entry."""
-        pool = self._entry_pool
-        entry = pool.pop() if pool else _LockEntry()
+        entry = _LockEntry()
         if value >= 0:
             entry.holders.add(value)
         else:
@@ -309,32 +269,6 @@ class LockManager:
         entry.holders.add(txn_id)
         return True
 
-    def _release(self, txn_id: int, oid: int) -> None:
-        entry = self._table.get(oid)
-        if entry is None:
-            return
-        if entry.__class__ is int:
-            if entry == txn_id or entry == ~txn_id:
-                self.releases += 1
-                del self._table[oid]
-            return
-        if txn_id not in entry.holders:
-            return
-        entry.holders.discard(txn_id)
-        self.releases += 1
-        if entry.holders:
-            return
-        entry.exclusive = False
-        # Wake every waiter; each re-checks its grant on resume.  Waking
-        # all (rather than the head) keeps the policy simple and live.
-        waiters, entry.waiters = entry.waiters, []
-        if not waiters:
-            del self._table[oid]
-            self._entry_pool.append(entry)
-            return
-        for __, __, gate in waiters:
-            gate.open()
-
     # ------------------------------------------------------------------
     @property
     def locked_objects(self) -> int:
@@ -342,7 +276,4 @@ class LockManager:
         return len(self._table) + (len(lone[1]) if lone is not None else 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<LockManager locked={self.locked_objects} "
-            f"waits={self.waits} mpl={self.config.multilvl}>"
-        )
+        return f"<LockManager locked={self.locked_objects} waits={self.waits}>"

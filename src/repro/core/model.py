@@ -11,8 +11,9 @@ Passive resources (Table 1) in this assembly:
 * server processor and main memory — the memory model (BUFFSIZE frames);
 * server disk controller and secondary storage — the IOSubsystem's
   capacity-1 disk resource;
-* database scheduler — the LockManager's MULTILVL admission resource
-  plus the object lock table.
+* database scheduler — the Transaction Manager's MULTILVL admission
+  resource plus the LockManager's object lock table (one table per
+  node on a cluster, under the same one scheduler).
 
 Phase metrics come from one counter table, the
 :class:`~repro.core.results.PhaseResults` fields declared with a model

@@ -7,7 +7,8 @@ necessary operations on these objects."
 
 Execution of one transaction:
 
-1. enter the multiprogramming mix (Table 1's scheduler, MULTILVL);
+1. enter the multiprogramming mix (Table 1's scheduler, MULTILVL:
+   the admission resource this manager owns);
 2. acquire locks on every distinct object of the trace (GETLOCK each,
    shared for reads / exclusive for writes, sorted order);
 3. replay the access trace through the architecture's object path,
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.despy.process import PARK, Hold
+from repro.despy.process import PARK, Hold, Request
+from repro.despy.resource import Resource
 from repro.core.architectures import Architecture
 from repro.core.failures import NoFailures
 from repro.core.clustering_manager import ClusteringManager
@@ -49,6 +51,12 @@ class TransactionManager:
         self.config = config
         self.architecture = architecture
         self.locks = locks
+        #: Table 1's database scheduler: at most MULTILVL transactions
+        #: execute at once, on one server or across a whole cluster.
+        self.admission = Resource(sim, "scheduler", capacity=config.multilvl)
+        #: shared immutable command for a contended admission, so the
+        #: per-transaction enter allocates nothing.
+        self.admission_request = Request(self.admission)
         self.clustering = clustering
         self.failures = failures if failures is not None else NoFailures()
         self._cpu_ticks = config.cpu_per_object_ticks
@@ -88,13 +96,14 @@ class TransactionManager:
                 txn.root, self.config.usable_page_bytes
             )
 
-        locks = self.locks
-        if not locks.admission.try_acquire_inline():
-            yield locks.admission_request
+        admission = self.admission
+        if not admission.try_acquire_inline():
+            yield self.admission_request
         # The generator derived the lock set and the write set with
         # the trace; the acquire and release sweeps both consume them
         # as they are.
         distinct = txn.lock_set
+        locks = self.locks
         step = locks.acquire_all_nowait(txn_id, distinct, txn.write_set)
         if step is not None:
             yield from step
@@ -128,7 +137,7 @@ class TransactionManager:
         step = locks.release_all_nowait(txn_id, distinct)
         if step is not None:
             yield from step
-        if not locks.admission.release_inline():
+        if not admission.release_inline():
             yield PARK
 
         self.transactions_executed += 1

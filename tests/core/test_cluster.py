@@ -371,10 +371,14 @@ class TestNowaitFastPath:
         model.sim.run()
 
     def test_node_lock_tables_have_no_admission(self):
-        model = VOODBSimulation(cluster_config(), seed=1)
+        # One MULTILVL scheduler for the whole cluster: the Transaction
+        # Manager's.  Neither the lock service nor a node has one.
+        config = cluster_config()
+        model = VOODBSimulation(config, seed=1)
         for node in model.cluster.nodes:
-            assert node.locks.admission is None
-        assert model.locks.admission is not None
+            assert not hasattr(node.locks, "admission")
+        assert not hasattr(model.locks, "admission")
+        assert model.tm.admission.capacity == config.multilvl
 
 
 class TestClusterLockSweeps:

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.despy import Hold, Simulation, ms_to_ticks
+from repro.despy import Hold, Release, Simulation, ms_to_ticks
 from repro.core import LockManager, VOODBConfig
+from repro.core.model import VOODBSimulation
+from repro.systems.o2 import o2_config
 
 
-def make_locks(multilvl=10, getlock=0.5, rellock=0.5):
+def make_locks(getlock=0.5, rellock=0.5):
     sim = Simulation()
-    config = VOODBConfig(multilvl=multilvl, getlock=getlock, rellock=rellock)
+    config = VOODBConfig(getlock=getlock, rellock=rellock)
     return sim, LockManager(sim, config)
 
 
@@ -20,16 +22,18 @@ def drive(step):
 
 class TestAdmission:
     def test_multiprogramming_level_caps_concurrency(self):
-        sim, locks = make_locks(multilvl=2, getlock=0.0, rellock=0.0)
+        config = o2_config(nc=10, no=500, cache_mb=0.25, hotn=4)
+        model = VOODBSimulation(config.with_changes(multilvl=2), seed=1)
+        sim, tm = model.sim, model.tm
         inside = []
         peak = [0]
 
         def txn(tag):
-            yield locks.admission_request
+            yield tm.admission_request
             inside.append(tag)
-            peak[0] = max(peak[0], locks.admission.in_use)
+            peak[0] = max(peak[0], tm.admission.in_use)
             yield Hold(ms_to_ticks(5.0))
-            yield locks.admission_release
+            yield Release(tm.admission)
 
         for tag in range(4):
             sim.process(txn(tag))
@@ -113,7 +117,7 @@ class TestSharing:
         sim.run()
         assert progress == [4.0]
         assert locks.waits == 1
-        assert locks.wait_time_ms == pytest.approx(3.0)
+        assert locks.wait_ticks == ms_to_ticks(3.0)
 
     def test_reader_blocks_writer(self):
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
@@ -178,15 +182,13 @@ class TestSharing:
 
 class TestContention:
     def test_writers_serialize_on_hot_object(self):
-        sim, locks = make_locks(multilvl=10, getlock=0.0, rellock=0.0)
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
         finished = []
 
         def writer(tag):
-            yield locks.admission_request
             yield from drive(locks.acquire_all_nowait(tag, [99], {99}))
             yield Hold(ms_to_ticks(1.0))
             yield from drive(locks.release_all_nowait(tag, [99]))
-            yield locks.admission_release
             finished.append(sim.now_ms)
 
         for tag in range(3):
@@ -195,7 +197,7 @@ class TestContention:
         assert finished == [1.0, 2.0, 3.0]
 
 
-class TestBulkSweeps:
+class TestSweepsOnAHeldTable:
     def test_disjoint_sweep_on_a_held_table_stores_each_mode(self):
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
         assert locks.acquire_all_nowait(3, [1], set()) is None
@@ -232,8 +234,34 @@ class TestBulkSweeps:
         sim.process(contender())
         sim.run()
         assert granted == [2.0]
-        assert (locks.waits, locks.wait_time_ms) == (1, pytest.approx(2.0))
+        assert (locks.waits, locks.wait_ticks) == (1, ms_to_ticks(2.0))
         assert (locks.acquisitions, locks.releases, locks.locked_objects) == (4, 4, 0)
+
+    def test_an_emptied_entry_stays_for_its_woken_waiters(self):
+        # The release opens the reader's gate and keeps the entry, with
+        # no holder and nobody queued: the object stays locked until
+        # the woken reader resumes and takes it.
+        sim, locks = make_locks(getlock=0.0, rellock=0.0)
+        seen = []
+
+        def writer():
+            yield from drive(locks.acquire_all_nowait(0, [42], {42}))
+            yield Hold(ms_to_ticks(2.0))
+            yield from drive(locks.release_all_nowait(0, [42]))
+            entry = locks._table[42]
+            seen.append((entry.holders, entry.waiters, locks.locked_objects))
+
+        def reader():
+            yield Hold(ms_to_ticks(1.0))
+            yield from drive(locks.acquire_all_nowait(1, [42], set()))
+            seen.append(("granted", sim.now_ms))
+            yield from drive(locks.release_all_nowait(1, [42]))
+
+        sim.process(writer())
+        sim.process(reader())
+        sim.run()
+        assert seen == [(set(), [], 1), ("granted", 2.0)]
+        assert (locks.waits, locks.locked_objects) == (1, 0)
 
     def test_release_without_an_acquire_keeps_the_holders_locks(self):
         sim, locks = make_locks(getlock=0.0, rellock=0.0)
@@ -284,7 +312,7 @@ class TestLoneRecord:
         sim.process(reader())
         sim.run()
         assert progress == [3.0]
-        assert (locks.waits, locks.wait_time_ms) == (1, pytest.approx(2.0))
+        assert (locks.waits, locks.wait_ticks) == (1, ms_to_ticks(2.0))
         assert (locks.acquisitions, locks.releases, locks.locked_objects) == (3, 3, 0)
 
     def test_release_opens_gates_in_oid_order_whatever_the_set_order(self):
@@ -332,7 +360,7 @@ class TestLoneRecord:
         sim.process(txn(4, 2.0, {7}, 2.0))
         sim.run()
         assert granted == [(1, 0.0), (3, 2.0), (4, 2.0), (2, 4.0)]
-        assert (locks.waits, locks.wait_time_ms) == (2, pytest.approx(3.0))
+        assert (locks.waits, locks.wait_ticks) == (2, ms_to_ticks(3.0))
         assert (locks.acquisitions, locks.releases, locks.locked_objects) == (4, 4, 0)
 
     def test_release_by_another_transaction_leaves_the_record(self):

@@ -220,8 +220,8 @@ def test_range_router_partitions_the_extent_contiguously(servers, total_pages):
 # Lock services: every sweep path replays the same schedule
 # ---------------------------------------------------------------------------
 
-#: The bulk-sweep schedules lock oids below this; the idle transaction
-#: holds a shared lock on each oid from it up to the base's 500.
+#: The lock schedules lock oids below this; the idle transaction holds
+#: a shared lock on each oid from it up to the base's 500.
 IDLE_FROM = 41
 
 
@@ -348,7 +348,7 @@ def _raw_and_writes(schedule, timing=None):
 
 @given(schedule=LOCK_SCHEDULES, servers=st.sampled_from([1, 3]))
 @settings(max_examples=40, deadline=None)
-def test_bulk_lock_sweeps_change_nothing_observable(schedule, servers):
+def test_lone_record_changes_nothing_observable(schedule, servers):
     """A transaction that grants on an empty table keeps a lone record;
     an idle lock holder outside the schedule rules that path out, so
     every grant and release runs the table sweeps instead.  Both runs must
