@@ -183,6 +183,7 @@ def pilot_response_time_ms(config: VOODBConfig, rate_tps: float) -> float:
     phase = pilot.run_phase(
         aggregation.pilot_transactions, stream_label=PILOT_STREAM_LABEL
     )
+    pilot.close()
     if phase.has_steady_state:
         return phase.steady_state().point
     return phase.mean_response_time_ms

@@ -504,8 +504,8 @@ class Cluster:
                 )
                 node.io.failures = node.failures
         self.failures = NodeSum([node.failures for node in self.nodes])
-        #: the async appliers, which loop forever: ``run_replication``
-        #: closes them once the replication's results are in.
+        #: the async appliers, which loop forever:
+        #: ``VOODBSimulation.close`` closes them once its run is over.
         self.appliers = []
         if self.async_mode:
             for node in self.nodes:

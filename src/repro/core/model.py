@@ -389,6 +389,14 @@ class VOODBSimulation:
             kernel=kernel,
         )
 
+    def close(self) -> None:
+        """Close the cluster's suspended async appliers, which loop
+        forever, now rather than whenever the garbage collector reaches
+        their reference cycle.  Call it once the last phase has run."""
+        if self.cluster is not None:
+            for applier in self.cluster.appliers:
+                applier.close()
+
     # ------------------------------------------------------------------
     # Counter snapshots
     # ------------------------------------------------------------------
@@ -501,9 +509,5 @@ def run_replication(
         config, seed=seed, database=database, clustering_kwargs=clustering_kwargs
     )
     results = model.run()
-    if model.cluster is not None:
-        # Close the suspended appliers now, not whenever the garbage
-        # collector reaches their reference cycle.
-        for applier in model.cluster.appliers:
-            applier.close()
+    model.close()
     return results

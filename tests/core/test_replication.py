@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ArrivalConfig, ClusterConfig, VOODBConfig
+from repro.core.aggregation import clear_calibration_cache
 from repro.core.cluster import Cluster
 from repro.core.model import VOODBSimulation, run_replication
-from repro.core.parameters import ReplicationConfig
+from repro.core.parameters import AggregationConfig, ReplicationConfig
 from repro.systems.o2 import o2_config
 
 
@@ -162,27 +163,47 @@ class TestMonotoneAcks:
         assert all(lag > 0 for lag in lags)
 
 
+def _suspended_appliers():
+    return [
+        obj
+        for obj in gc.get_objects()
+        if inspect.isgenerator(obj)
+        and obj.gi_code is Cluster._applier.__code__
+        and inspect.getgeneratorstate(obj) != inspect.GEN_CLOSED
+    ]
+
+
+def _appliers_left_by(config: VOODBConfig, seed: int):
+    """Run one replication with the collector off, so an applier left
+    suspended stays visible until something closes it, and return the
+    run's results and the appliers it left suspended."""
+    # Models other tests still reference keep theirs suspended.
+    known = {id(applier) for applier in _suspended_appliers()}
+    gc.disable()
+    try:
+        results = run_replication(config, seed=seed)
+        left = [a for a in _suspended_appliers() if id(a) not in known]
+    finally:
+        gc.enable()
+    return results, left
+
+
 class TestApplierLifetime:
     def test_run_replication_leaves_no_applier_suspended(self):
-        # With the collector off, an applier left suspended stays
-        # visible until something closes it.
-        def suspended_appliers():
-            return [
-                obj
-                for obj in gc.get_objects()
-                if inspect.isgenerator(obj)
-                and obj.gi_code is Cluster._applier.__code__
-                and inspect.getgeneratorstate(obj) != inspect.GEN_CLOSED
-            ]
-
-        # Models other tests still reference keep theirs suspended.
-        before = suspended_appliers()
-        known = {id(applier) for applier in before}
-        gc.disable()
-        try:
-            results = run_replication(async_config(3, 2, 2), seed=3)
-            left = [a for a in suspended_appliers() if id(a) not in known]
-        finally:
-            gc.enable()
+        results, left = _appliers_left_by(async_config(3, 2, 2), seed=3)
         assert results.phase.transactions == 25
+        assert left == []
+
+    def test_aggregation_pilots_leave_no_applier_suspended(self):
+        # The calibration pilots build and run their own models.
+        config = o2_config(nc=10, no=500, cache_mb=0.25, hotn=20)
+        config = config.with_changes(
+            cluster=ClusterConfig(servers=3, placement="hash", replication=2),
+            replication=ReplicationConfig(mode="async"),
+            aggregation=AggregationConfig(population=1000, pilot_transactions=50),
+            ocb=config.ocb.with_changes(thinktime=1000.0),
+        )
+        clear_calibration_cache()
+        results, left = _appliers_left_by(config, seed=1)
+        assert results.phase.calibration_iterations > 0
         assert left == []
