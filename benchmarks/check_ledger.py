@@ -18,7 +18,12 @@ Usage (what CI's 3.11 leg runs, once per pinned workload)::
 The pin file maps each workload to its counts (the committed pins are
 all four workloads at perfbench's default seed 1).  Re-pin
 after an intended change with ``--out benchmarks/ledger_counts.json``,
-which replaces only the ledger's workload entry.
+which replaces only the ledger's workload entry and prints each count
+that moved as ``name: old -> new``.  A refactor moves only call counts,
+so ``--out`` writes nothing and exits 1 when a count whose name does
+not end in ``.calls`` (a simulated counter, or a kernel one such as
+``despy.kernel.wheel_pushed``) moves; pass ``--allow-counters`` with it
+to re-pin an intended change of the simulation.
 """
 
 from __future__ import annotations
@@ -60,20 +65,53 @@ def load_pins(path: str) -> Dict[str, Dict[str, int]]:
     return pins
 
 
+def moved_counts(
+    pinned: Dict[str, int], counts: Dict[str, int]
+) -> List[Tuple[str, object, object]]:
+    """``(name, pinned value, new value)`` of every count that differs."""
+    return [
+        (name, pinned.get(name, "<missing>"), counts.get(name, "<missing>"))
+        for name in sorted(set(counts) | set(pinned))
+        if pinned.get(name, "<missing>") != counts.get(name, "<missing>")
+    ]
+
+
 def compare_counts(
     workload: str, counts: Dict[str, int], pins: Dict[str, Dict[str, int]]
 ) -> List[str]:
     """Problems found (empty = every count matches), one per name."""
     if workload not in pins:
         return [f"workload: {workload} has no pin (pinned: {', '.join(pins)})"]
-    problems = []
-    pinned = pins[workload]
-    for name in sorted(set(counts) | set(pinned)):
-        value = counts.get(name, "<missing>")
-        expected = pinned.get(name, "<missing>")
-        if value != expected:
-            problems.append(f"{name}: {value}, pinned {expected}")
-    return problems
+    return [
+        f"{name}: {value}, pinned {expected}"
+        for name, expected, value in moved_counts(pins[workload], counts)
+    ]
+
+
+def repin(
+    path: str, workload: str, counts: Dict[str, int], allow_counters: bool
+) -> int:
+    """Replace ``workload``'s entry in the pin file at ``path``; an exit
+    code.  A moved count that is not a call count is refused unless
+    ``allow_counters``."""
+    pins = load_pins(path) if os.path.exists(path) else {}
+    moved = moved_counts(pins[workload], counts) if workload in pins else []
+    for name, old, new in moved:
+        print(f"  {name}: {old} -> {new}")
+    refused = [name for name, __, __ in moved if not name.endswith(".calls")]
+    if refused and not allow_counters:
+        print(
+            f"FAIL: {len(refused)} count(s) other than calls moved "
+            f"({', '.join(refused)}); {path} is unchanged. Pass "
+            "--allow-counters to re-pin an intended change of the simulation."
+        )
+        return 1
+    pins[workload] = counts
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(pins, handle, indent=2)
+        handle.write("\n")
+    print(f"pinned {len(counts)} {workload} counts to {path} ({len(moved)} moved)")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -84,17 +122,16 @@ def main(argv=None) -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--compare", metavar="FILE", help="pinned counts JSON")
     action.add_argument("--out", metavar="FILE", help="write (re-pin) the counts")
+    parser.add_argument(
+        "--allow-counters",
+        action="store_true",
+        help="with --out, also re-pin moved counts that are not call counts",
+    )
     args = parser.parse_args(argv)
     try:
         workload, counts = load_ledger(args.ledger)
         if args.out:
-            pins = load_pins(args.out) if os.path.exists(args.out) else {}
-            pins[workload] = counts
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(pins, handle, indent=2)
-                handle.write("\n")
-            print(f"pinned {len(counts)} {workload} counts to {args.out}")
-            return 0
+            return repin(args.out, workload, counts, args.allow_counters)
         pins = load_pins(args.compare)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -82,6 +82,37 @@ class TestCheckLedger:
         assert pins["paper-o2"]["despy.kernel.calls"] == 500
         assert main([other, "--compare", path]) == 0
 
+    def test_repin_prints_each_moved_count(self, tmp_path, capsys):
+        path = pin(tmp_path, capsys)
+        changed = ledger(tmp_path, calls=990, name="changed.txt")
+        assert main([changed, "--out", path]) == 0
+        out = capsys.readouterr().out
+        assert "  despy.kernel.calls: 1000 -> 990\n" in out
+        assert "stale_reads" not in out
+        assert "(1 moved)" in out
+
+    def test_repin_of_a_moved_counter_writes_nothing(self, tmp_path, capsys):
+        path = pin(tmp_path, capsys)
+        with open(path, encoding="utf-8") as handle:
+            before = handle.read()
+        changed = ledger(tmp_path, calls=990, stale=29, name="changed.txt")
+        assert main([changed, "--out", path]) == 1
+        out = capsys.readouterr().out
+        assert "  core.cluster.stale_reads: 28 -> 29\n" in out
+        assert "  despy.kernel.calls: 1000 -> 990\n" in out
+        assert "FAIL: 1 count(s) other than calls moved" in out
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == before
+        # An intended change of the simulation is re-pinned on request.
+        assert main([changed, "--out", path, "--allow-counters"]) == 0
+        assert main([changed, "--compare", path]) == 0
+
+    def test_a_new_workload_entry_moves_nothing(self, tmp_path, capsys):
+        path = pin(tmp_path, capsys)
+        other = ledger(tmp_path, stale=3, name="o2.txt", workload="paper-o2")
+        assert main([other, "--out", path]) == 0
+        assert "pinned 2 paper-o2 counts" in capsys.readouterr().out
+
     def test_untraced_output_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "plain.txt"
         path.write_text('{"correct": true}\n', encoding="utf-8")
