@@ -59,7 +59,6 @@ class LockManager:
 
     def __init__(self, sim: "Simulation", config: VOODBConfig) -> None:
         self.sim = sim
-        self.config = config
         self._table: Dict[int, _LockEntry] = {}
         #: the lone record, ``(txn_id, lock set, write set)``: the locks
         #: of a transaction that granted on an empty table, held whole
