@@ -22,8 +22,9 @@ which replaces only the ledger's workload entry and prints each count
 that moved as ``name: old -> new``.  A refactor moves only call counts,
 so ``--out`` writes nothing and exits 1 when a count whose name does
 not end in ``.calls`` (a simulated counter, or a kernel one such as
-``despy.kernel.wheel_pushed``) moves; pass ``--allow-counters`` with it
-to re-pin an intended change of the simulation.
+``despy.kernel.wheel_pushed``) moves.  An intended change of the
+simulation deletes the workload's entry from the pin file first: a new
+entry has nothing to move.
 """
 
 from __future__ import annotations
@@ -88,22 +89,18 @@ def compare_counts(
     ]
 
 
-def repin(
-    path: str, workload: str, counts: Dict[str, int], allow_counters: bool
-) -> int:
+def repin(path: str, workload: str, counts: Dict[str, int]) -> int:
     """Replace ``workload``'s entry in the pin file at ``path``; an exit
-    code.  A moved count that is not a call count is refused unless
-    ``allow_counters``."""
+    code.  A moved count that is not a call count is refused."""
     pins = load_pins(path) if os.path.exists(path) else {}
     moved = moved_counts(pins[workload], counts) if workload in pins else []
     for name, old, new in moved:
         print(f"  {name}: {old} -> {new}")
     refused = [name for name, __, __ in moved if not name.endswith(".calls")]
-    if refused and not allow_counters:
+    if refused:
         print(
             f"FAIL: {len(refused)} count(s) other than calls moved "
-            f"({', '.join(refused)}); {path} is unchanged. Pass "
-            "--allow-counters to re-pin an intended change of the simulation."
+            f"({', '.join(refused)}); {path} is unchanged."
         )
         return 1
     pins[workload] = counts
@@ -122,16 +119,11 @@ def main(argv=None) -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--compare", metavar="FILE", help="pinned counts JSON")
     action.add_argument("--out", metavar="FILE", help="write (re-pin) the counts")
-    parser.add_argument(
-        "--allow-counters",
-        action="store_true",
-        help="with --out, also re-pin moved counts that are not call counts",
-    )
     args = parser.parse_args(argv)
     try:
         workload, counts = load_ledger(args.ledger)
         if args.out:
-            return repin(args.out, workload, counts, args.allow_counters)
+            return repin(args.out, workload, counts)
         pins = load_pins(args.compare)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
