@@ -1,8 +1,9 @@
-"""Model-equivalence digests: 35 pinned configs, one hex digest each.
+"""Model-equivalence digests: 36 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
-counters included) to canonical JSON, and hash it.  Two kernels are
+counters included) and the counter rows the metrics leave out to
+canonical JSON, and hash it.  Two kernels are
 *equivalent* exactly when every digest matches — the check that lets
 a kernel or event-list rewrite be swapped in with confidence.
 
@@ -25,10 +26,11 @@ classes behind a client cache on free and throttled networks, and
 anti-entropy sweeps that yield on a throttled interconnect while
 partitions or crashes move versions underneath them, automatic
 DSTC reorganizations that rebuild the page map while other users'
-transactions are in flight, and the rarest fault-layer paths: the
-coordinator fetch's retry ladder and abandoned wait, the applier's
-negative ack, a throttled sync fan-out skipping a crashed replica, and
-the monotonic-reads floor and its primary fallback.
+transactions are in flight (on the O2 page server and on Texas), and
+the rarest fault-layer paths: the coordinator fetch's retry ladder and
+abandoned wait, the applier's negative ack, a throttled sync fan-out
+skipping a crashed replica, and the monotonic-reads floor and its
+primary fallback.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from repro.core.parameters import (
     SystemClass,
     VOODBConfig,
 )
+from repro.core.results import COUNTERS
 from repro.ocb.parameters import OCBConfig
 from repro.systems.o2 import o2_config
 from repro.systems.texas import texas_config
@@ -63,7 +66,7 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 35 pinned (name -> config) equivalence points."""
+    """The 36 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
@@ -144,6 +147,11 @@ def pinned_configs() -> dict:
         "o2-dstc-auto-4u": o2_config(
             nc=20, no=5000, cache_mb=4, hotn=_HOTN
         ).with_changes(clustp="dstc", nusers=4, multilvl=4),
+        # The same on Texas: 6 reorganizations, five of which begin while
+        # another user's transaction is suspended inside an object access.
+        "texas-dstc-auto-4u": texas_config(
+            nc=20, no=5000, memory_mb=16, hotn=_HOTN
+        ).with_changes(clustp="dstc", nusers=4, multilvl=4),
         "cluster-sync-r2": shared.with_changes(cluster=cluster()),
         "cluster-sync-r2-25mbps": shared.with_changes(cluster=cluster(25.0)),
         "cluster-async-r2-failures": shared.with_changes(
@@ -216,17 +224,24 @@ def pinned_configs() -> dict:
 #: Clustering-policy keyword arguments of the points that need them.
 CLUSTERING_KWARGS = {
     "o2-dstc-auto-4u": {"observation_period": 50, "auto_trigger": True},
+    "texas-dstc-auto-4u": {"observation_period": 50, "auto_trigger": True},
 }
 
 
 def digest_config(
     config: VOODBConfig, seed: int = 1, clustering_kwargs: dict | None = None
 ) -> str:
-    """Hex digest of one replication's complete metric dictionary."""
-    metrics = run_replication(
-        config, seed=seed, clustering_kwargs=clustering_kwargs
-    ).to_metrics()
-    canonical = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
+    """Hex digest of one replication's complete metric dictionary and of
+    the counter rows :meth:`PhaseResults.to_metrics` leaves out
+    (prefetch hits, buffer hits and misses, swap traffic, ...)."""
+    results = run_replication(config, seed=seed, clustering_kwargs=clustering_kwargs)
+    unflattened = {
+        row.name: getattr(results.phase, row.name)
+        for row in COUNTERS
+        if not row.metadata["metric"]
+    }
+    payload = {"metrics": results.to_metrics(), "counters": unflattened}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -242,7 +257,7 @@ def run_digests(seed: int = 1) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 35 pinned model-equivalence configs."
+        description="Hex-digest the 36 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")
