@@ -26,6 +26,7 @@ class GreedyGraphClustering(ClusteringPolicy):
     """Static breadth-first greedy clustering over the reference graph."""
 
     name = "greedy"
+    tracks_accesses = False
 
     def __init__(self, max_cluster_size: int = 50, use_weights: bool = True) -> None:
         if max_cluster_size < 2:

@@ -1,6 +1,6 @@
 """Integration tests for the Clustering Manager inside the model."""
 
-from repro.clustering import DSTCParameters
+from repro.clustering import DSTCParameters, GreedyGraphClustering
 from repro.core import SystemClass, VOODBConfig, VOODBSimulation
 from repro.core.architectures import Architecture
 from repro.ocb import OCBConfig
@@ -150,3 +150,22 @@ class TestGreedyPolicy:
         report = model.demand_clustering()
         assert report.reorganizations == 1
         assert report.clusters > 0
+
+    def test_greedy_runs_without_the_access_hook(self, monkeypatch):
+        # The hook is a no-op, so the Transaction Manager never calls it.
+        calls = []
+
+        def recording(policy, oid, previous_oid):
+            calls.append(oid)
+
+        monkeypatch.setattr(GreedyGraphClustering, "on_object_access", recording)
+        config = VOODBConfig(
+            sysclass=SystemClass.CENTRALIZED,
+            buffsize=256,
+            clustp="greedy",
+            ocb=HOT_OCB,
+        )
+        model = VOODBSimulation(config, seed=3)
+        model.run_phase(20, stream_label="usage")
+        assert model.tm.objects_accessed > 0
+        assert calls == []
