@@ -20,6 +20,15 @@ organization:
 * :class:`DBServer` — the whole transaction ships to the server and only
   request/result messages cross the network.
 
+Each strategy walks a transaction's whole access trace in one generator,
+:meth:`Architecture.access_steps`.  The walk does every in-place part of
+an access itself (client-cache hits, round trips on a free network,
+server-buffer hits, prefetch-hit bookkeeping) and yields only what owes
+simulated time (a miss's disk work, a throttled crossing, a node's timed
+page service) for the Transaction Manager to ``yield from``; it goes on
+once that step has run.  A timed command therefore never crosses the
+walk's frame, and an access that owes no time costs no generator.
+
 Every strategy serves a buffer miss on one path: the base class's
 ``_miss_io`` hands the miss's outcome to
 :meth:`~repro.core.io_subsystem.IOSubsystem.serve_miss` (dirty
@@ -31,10 +40,11 @@ decides what a disk access costs (Figure 5).
 Requests and responses likewise cross the client network only through
 :meth:`~repro.core.network.Network.transfer_nowait`.  On a free network
 (NETTHRU = +inf) a transfer only counts and returns ``None``, so each
-client/server class runs one access loop and one tail on both networks;
-on a throttled one the server is reached only after the request has
-crossed.  The page server's free-network hit loop, the model's inner
-loop, books its round trips in place.
+client/server class runs one walk on both networks; on a throttled one
+the server is reached only after the request has crossed.  The page
+server's free-network hits, the model's inner loop, book their round
+trips in bulk, before each yield and at the walk's end: only phase
+snapshots read the network counters.
 """
 
 from __future__ import annotations
@@ -92,15 +102,20 @@ class Architecture(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def access_object_nowait(self, oid: int, write: bool):
-        """One object access, synchronous when no simulated time passes.
+    def access_steps(self, accesses):
+        """Walk a transaction's access trace, yielding only what owes time.
 
-        This is the face subclasses implement (and the one the
-        Transaction Manager calls): return ``None`` when the access
-        completed entirely in place (client/buffer hits, free network) —
-        the dominant outcome once the working set is resident — or a
-        generator to ``yield from`` for the part that needs the event
-        loop.  Pure cache hits then cost zero generator round-trips.
+        ``accesses`` holds the trace's ``(oid, write)`` pairs, or is the
+        Clustering Manager's generator over them.  Each yielded step is
+        a generator for the Transaction Manager to ``yield from``; the
+        walk continues once it has run, so an all-hit trace yields
+        nothing.
+
+        A walk reads ``object_manager.page_ranges`` when an object's
+        access begins and again after each step it yields: another
+        transaction's reorganization can install a new table while the
+        walk is suspended.  An object's remaining pages keep the range
+        they started with.
         """
 
     def begin_transaction_nowait(self):
@@ -141,48 +156,27 @@ class Architecture(ABC):
             self._prefetched_unused.add(extra)
             self.prefetched_pages += 1
 
-    def _server_object_access_nowait(self, oid: int, write: bool):
-        """Synchronous server-side object access, handing off on a miss.
+    def _server_steps(self, accesses):
+        """The server-page walk: each object's pages through the memory
+        model, yielding each miss's :meth:`_miss_io`.
 
-        Walks the object's pages through the memory model in place; on
-        the first miss it returns a generator that finishes that miss's
-        disk work and the remaining pages.  Returns ``None`` when every
-        page hit — no simulated time passed, so there is nothing to
-        yield.
+        Centralized and DB-server runs walk their traces with it; the
+        object server runs it for each object's server part.
         """
-        memory = self.memory
-        prefetched = self._prefetched_unused
-        pages = iter(self.object_manager.page_ranges[oid])
-        for page in pages:
-            outcome = memory.access(page, write)
-            if outcome.hit:
-                if page in prefetched:
-                    prefetched.discard(page)
-                    self.prefetch_hits += 1
-                continue
-            return self._object_access_tail(outcome, page, pages, write)
-        return None
-
-    def _object_access_tail(self, outcome, page, pages, write):
-        """Finish an object access from its first missing page on.
-
-        Each miss goes through :meth:`_miss_io`; the walk over the
-        object's remaining pages stays in this one frame, so the hits
-        between misses cost no generator.
-        """
+        object_manager = self.object_manager
         memory_access = self.memory.access
+        miss_io = self._miss_io
         prefetched = self._prefetched_unused
-        while True:
-            yield from self._miss_io(outcome, page)
-            for page in pages:
+        page_ranges = object_manager.page_ranges
+        for oid, write in accesses:
+            for page in page_ranges[oid]:
                 outcome = memory_access(page, write)
                 if not outcome.hit:
-                    break
-                if page in prefetched:
+                    yield miss_io(outcome, page)
+                    page_ranges = object_manager.page_ranges
+                elif page in prefetched:
                     prefetched.discard(page)
                     self.prefetch_hits += 1
-            else:
-                return
 
     def notify_reorganized(self) -> None:
         """Clustering moved objects: client/prefetch state is stale."""
@@ -227,9 +221,7 @@ class Centralized(Architecture):
     """SYSCLASS = Centralized (Texas): everything is local."""
 
     name = "centralized"
-
-    def access_object_nowait(self, oid: int, write: bool):
-        return self._server_object_access_nowait(oid, write)
+    access_steps = Architecture._server_steps
 
 
 class PageServer(Architecture):
@@ -240,69 +232,57 @@ class PageServer(Architecture):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.client_cache = self._page_client_cache()
-        #: request + page response, booked together by the free-net loop
-        self._round_trip_bytes = self.config.message_bytes + self.config.pgsize
 
-    def access_object_nowait(self, oid: int, write: bool):
+    def access_steps(self, accesses):
+        object_manager = self.object_manager
         client_cache = self.client_cache
         network = self.network
+        transfer = network.transfer_nowait
         free = network.infinite
+        memory_access = self.memory.access
+        miss_io = self._miss_io
         prefetched = self._prefetched_unused
-        pages = iter(self.object_manager.page_ranges[oid])
-        for page in pages:
-            if client_cache is not None and client_cache.access(page, False).hit:
-                continue
-            if not free:
-                return self._page_server_tail(page, pages, write)
-            # Free network (Table 4's NETTHRU = +inf): the request
-            # arrives at once.  This is the model's inner loop, so a
-            # server-buffer hit books its round trip here in place.
-            outcome = self.memory.access(page, write)
-            if not outcome.hit:
-                return self._page_server_tail(page, pages, write, outcome)
-            network.messages += 2
-            network.bytes_sent += self._round_trip_bytes
-            if page in prefetched:
-                prefetched.discard(page)
-                self.prefetch_hits += 1
-        return None
-
-    def _page_server_tail(self, page, pages, write: bool, outcome=None):
-        """Finish an access from its first page that owes simulated time.
-
-        ``page`` has missed the client cache.  On a throttled network its
-        request has yet to cross (``outcome`` is ``None``); on a free one
-        the access loop has already read the server buffer, which missed.
-        A request crosses before the server buffer is read, and a miss
-        goes through :meth:`_miss_io`.
-        """
-        client_cache = self.client_cache
-        transfer = self.network.transfer_nowait
         message_bytes = self.config.message_bytes
         pgsize = self.config.pgsize
-        memory_access = self.memory.access
-        prefetched = self._prefetched_unused
-        while True:
-            step = transfer(message_bytes)
-            if step is not None:
-                yield from step
-            if outcome is None:
-                outcome = memory_access(page, write)
-            if not outcome.hit:
-                yield from self._miss_io(outcome, page)
-            elif page in prefetched:
-                prefetched.discard(page)
-                self.prefetch_hits += 1
-            step = transfer(pgsize)
-            if step is not None:
-                yield from step
-            outcome = None
-            for page in pages:
+        page_ranges = object_manager.page_ranges
+        trips = 0  # free-network round trips not yet booked
+        for oid, write in accesses:
+            for page in page_ranges[oid]:
                 if client_cache is not None and client_cache.access(page, False).hit:
                     continue
-                break
-            else:
-                return
+                if free:
+                    # Table 4's NETTHRU = +inf: the request arrives at
+                    # once.  This is the model's inner loop, so a
+                    # server-buffer hit only counts its round trip.
+                    outcome = memory_access(page, write)
+                    if outcome.hit:
+                        trips += 1
+                        if page in prefetched:
+                            prefetched.discard(page)
+                            self.prefetch_hits += 1
+                        continue
+                    if trips:
+                        network.messages += 2 * trips
+                        network.bytes_sent += trips * (message_bytes + pgsize)
+                        trips = 0
+                request = transfer(message_bytes)
+                if request is not None:
+                    # A throttled request crosses before the server
+                    # buffer is read.
+                    yield request
+                    outcome = memory_access(page, write)
+                if not outcome.hit:
+                    yield miss_io(outcome, page)
+                elif page in prefetched:
+                    prefetched.discard(page)
+                    self.prefetch_hits += 1
+                response = transfer(pgsize)
+                if response is not None:
+                    yield response
+                page_ranges = object_manager.page_ranges
+        if trips:
+            network.messages += 2 * trips
+            network.bytes_sent += trips * (message_bytes + pgsize)
 
 
 class ObjectServer(Architecture):
@@ -314,32 +294,25 @@ class ObjectServer(Architecture):
         super().__init__(*args, **kwargs)
         self.client_cache = self._object_client_cache()
 
-    def access_object_nowait(self, oid: int, write: bool):
+    def access_steps(self, accesses):
         client_cache = self.client_cache
-        if client_cache is not None and client_cache.access(oid, False).hit:
-            return None
-        request = self.network.transfer_nowait(self.config.message_bytes)
-        if request is not None:
-            return self._object_server_tail(request, None, oid, write)
-        step = self._server_object_access_nowait(oid, write)
-        if step is not None:
-            return self._object_server_tail(None, step, oid, write)
-        self.network.transfer_nowait(self.db.size(oid))
-        return None
-
-    def _object_server_tail(self, request, step, oid: int, write: bool):
-        """Finish an access from the request crossing a throttled
-        network, or from the server work a free network's request
-        started.  The object ships after the server work: a concurrent
-        OCB delete can change its size meanwhile."""
-        if request is not None:
-            yield from request
-            step = self._server_object_access_nowait(oid, write)
-        if step is not None:
-            yield from step
-        response = self.network.transfer_nowait(self.db.size(oid))
-        if response is not None:
-            yield from response
+        transfer = self.network.transfer_nowait
+        message_bytes = self.config.message_bytes
+        size = self.db.size
+        server_steps = self._server_steps
+        for access in accesses:
+            oid = access[0]
+            if client_cache is not None and client_cache.access(oid, False).hit:
+                continue
+            request = transfer(message_bytes)
+            if request is not None:
+                yield request
+            yield from server_steps((access,))
+            # The object ships after the server work: a concurrent OCB
+            # delete can change its size meanwhile.
+            response = transfer(size(oid))
+            if response is not None:
+                yield response
 
 
 class DBServer(Architecture):
@@ -353,8 +326,7 @@ class DBServer(Architecture):
     def end_transaction_nowait(self):
         return self.network.transfer_nowait(self.config.message_bytes)
 
-    def access_object_nowait(self, oid: int, write: bool):
-        return self._server_object_access_nowait(oid, write)
+    access_steps = Architecture._server_steps
 
 
 class ClusterArchitecture(Architecture):
@@ -363,10 +335,9 @@ class ClusterArchitecture(Architecture):
     The server side is a :class:`~repro.core.cluster.Cluster`: every
     page access routes to its owning node through the shard router, and
     all disk work happens on that node's private disk.  Like the
-    single-server classes, the nowait faces return ``None`` when the
-    whole access resolved in place (client-cache hits, buffer hits that
-    owe no network time) — the PR-2 fast-path contract, extended per
-    node.
+    single-server classes, the walks yield no step for an access that
+    resolves in place (client-cache hits, node-buffer hits that owe no
+    network time).
     """
 
     def __init__(self, *args, cluster=None, **kwargs) -> None:
@@ -393,53 +364,37 @@ class ClusterPageServer(ClusterArchitecture):
         super().__init__(*args, **kwargs)
         self.client_cache = self._page_client_cache()
 
-    def access_object_nowait(self, oid: int, write: bool):
+    def access_steps(self, accesses):
+        object_manager = self.object_manager
         client_cache = self.client_cache
-        pages = iter(self.object_manager.page_ranges[oid])
-        for page in pages:
-            if client_cache is not None and client_cache.access(page, False).hit:
-                continue
-            step = self._round_trip(page, write)
-            if step is not None:
-                return self._page_tail(step, page, pages, write)
-        return None
-
-    def _round_trip(self, page: int, write: bool):
-        """Start ``page``'s round trip: request, node service, response.
-
-        On a free client network all three happen in place, and the
-        result is the node's step (disk misses, a throttled interconnect,
-        crash downtime, quorum waits), ``None`` when it owes no time.  On
-        a throttled one the result is the request's crossing: the node
-        serves the page only once it has arrived, in :meth:`_page_tail`.
-        """
-        network = self.network
-        request = network.transfer_nowait(self.config.message_bytes)
-        if request is not None:
-            return request
-        step = self.cluster.serve_page(page, write)
-        network.transfer_nowait(self.config.pgsize)
-        return step
-
-    def _page_tail(self, step, page: int, pages, write: bool):
-        """Finish an access from its first round trip that owes time."""
-        client_cache = self.client_cache
-        network = self.network
-        while True:
-            yield from step
-            if not network.infinite:
-                step = self.cluster.serve_page(page, write)
-                if step is not None:
-                    yield from step
-                yield from network.transfer_nowait(self.config.pgsize)
-            for page in pages:
+        transfer = self.network.transfer_nowait
+        serve_page = self.cluster.serve_page
+        message_bytes = self.config.message_bytes
+        pgsize = self.config.pgsize
+        page_ranges = object_manager.page_ranges
+        for oid, write in accesses:
+            for page in page_ranges[oid]:
                 if client_cache is not None and client_cache.access(page, False).hit:
                     continue
-                step = self._round_trip(page, write)
-                if step is not None:
-                    break
-            else:
-                return
+                request = transfer(message_bytes)
+                if request is None:
+                    # Free client network: the request and the response
+                    # are booked around the page service, and only the
+                    # node's step (disk misses, a throttled interconnect,
+                    # crash downtime, quorum waits) can owe time.
+                    step = serve_page(page, write)
+                    transfer(pgsize)
+                    if step is None:
+                        continue
+                    yield step
+                else:
+                    # The node serves the page once the request arrived.
+                    yield request
+                    step = serve_page(page, write)
+                    if step is not None:
+                        yield step
+                    yield transfer(pgsize)
+                page_ranges = object_manager.page_ranges
 
 
 class ClusterObjectServer(ClusterArchitecture):
@@ -460,35 +415,28 @@ class ClusterObjectServer(ClusterArchitecture):
         super().__init__(*args, **kwargs)
         self.client_cache = self._object_client_cache()
 
-    def access_object_nowait(self, oid: int, write: bool):
+    def access_steps(self, accesses):
         client_cache = self.client_cache
-        if client_cache is not None and client_cache.access(oid, False).hit:
-            return None
         cluster = self.cluster
-        pages = iter(self.object_manager.page_ranges[oid])
-        home = cluster.next_coordinator()
-        request = self.network.transfer_nowait(self.config.message_bytes)
-        if request is not None:
-            return self._object_tail(request, pages, write, home, oid)
-        for page in pages:
-            step = cluster.serve_page(page, write, home)
-            if step is not None:
-                return self._object_tail(step, pages, write, home, oid)
-        self.network.transfer_nowait(self.db.size(oid))
-        return None
-
-    def _object_tail(self, step, pages, write: bool, home: int, oid: int):
-        """Finish an access from the request crossing a throttled network,
-        or from the first page service that owes time on a free one."""
-        cluster = self.cluster
-        yield from step
-        for page in pages:
-            step = cluster.serve_page(page, write, home)
-            if step is not None:
-                yield from step
-        response = self.network.transfer_nowait(self.db.size(oid))
-        if response is not None:
-            yield from response
+        serve_page = cluster.serve_page
+        transfer = self.network.transfer_nowait
+        message_bytes = self.config.message_bytes
+        size = self.db.size
+        for oid, write in accesses:
+            if client_cache is not None and client_cache.access(oid, False).hit:
+                continue
+            pages = self.object_manager.page_ranges[oid]
+            home = cluster.next_coordinator()
+            request = transfer(message_bytes)
+            if request is not None:
+                yield request
+            for page in pages:
+                step = serve_page(page, write, home)
+                if step is not None:
+                    yield step
+            response = transfer(size(oid))
+            if response is not None:
+                yield response
 
 
 _ARCHITECTURES: Dict[SystemClass, type] = {

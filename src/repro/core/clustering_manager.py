@@ -10,7 +10,7 @@ The algorithm-specific pieces live in the plugged
 :class:`~repro.clustering.base.ClusteringPolicy`; this manager owns the
 mechanism every policy shares:
 
-* routing the per-access statistics hook,
+* routing the per-access statistics hook, through :meth:`tracked`,
 * the automatic trigger (policy says "reorganize" at a transaction
   boundary) and the external demand (§4.4's experiment protocol),
 * the physical reorganization: read the pages currently holding the
@@ -72,6 +72,19 @@ class ClusteringManager:
     # ------------------------------------------------------------------
     def on_object_access(self, oid: int, previous_oid: Optional[int]) -> None:
         self.policy.on_object_access(oid, previous_oid)
+
+    def tracked(self, accesses):
+        """The trace's ``(oid, write)`` accesses, each reported to the
+        statistics hook once the architecture's walk asks for the next
+        one, i.e. after the access has finished, with the prior object
+        of the trace as ``previous_oid``."""
+        on_access = self.on_object_access
+        previous = None
+        for access in accesses:
+            yield access
+            oid = access[0]
+            on_access(oid, previous)
+            previous = oid
 
     def _rebind_access_hook(self) -> None:
         # The hook runs once per object access; aliasing the policy's

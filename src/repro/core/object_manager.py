@@ -43,10 +43,10 @@ class ObjectManager:
     def _install(self, page_map: PageMap) -> None:
         self._page_map = page_map
         #: per-oid page spans of the installed map.  The architectures'
-        #: per-object faces index it directly (the hottest lookup in the
-        #: model, once per object access) and must read the attribute at
-        #: each access: :meth:`rebuild` replaces it, while an OCB insert
-        #: extends the same list in place.
+        #: trace walks index it directly (the hottest lookup in the
+        #: model, once per object access) and must read the attribute
+        #: again after each step they yield: :meth:`rebuild` replaces it,
+        #: while an OCB insert extends the same list in place.
         self.page_ranges = page_map.page_ranges
         # Bound here (and again on rebuild) so page_of skips two
         # attribute hops per lookup.

@@ -11,8 +11,9 @@ Execution of one transaction:
    the admission resource this manager owns);
 2. acquire locks on every distinct object of the trace (GETLOCK each,
    shared for reads / exclusive for writes, sorted order);
-3. replay the access trace through the architecture's object path,
-   feeding the Clustering Manager's statistics hook;
+3. replay the access trace through the architecture's walk, which
+   yields only what owes simulated time, feeding the Clustering
+   Manager's statistics hook after each access;
 4. pay the CPU time of the object operations;
 5. release locks (RELLOCK each) and leave the mix;
 6. let the Clustering Manager's automatic trigger run (Figure 4).
@@ -108,26 +109,16 @@ class TransactionManager:
         if step is not None:
             yield from step
 
-        # The access loop is the whole simulation's inner loop: use the
-        # architecture's nowait face so resident-object accesses (the
-        # common case) never leave this frame, and skip the statistics
-        # hook entirely when the policy collects nothing.
+        # The access loop is the whole simulation's inner loop: the
+        # architecture walks the trace and yields only what owes time.
+        # A policy that collects statistics sees each access through
+        # the Clustering Manager once the access has finished.
+        accesses = txn.accesses
         clustering = self.clustering
-        access_nowait = self.architecture.access_object_nowait
         if clustering.policy.tracks_accesses:
-            on_access = clustering.on_object_access
-            previous = None
-            for oid, is_write in txn.accesses:
-                step = access_nowait(oid, is_write)
-                if step is not None:
-                    yield from step
-                on_access(oid, previous)
-                previous = oid
-        else:
-            for oid, is_write in txn.accesses:
-                step = access_nowait(oid, is_write)
-                if step is not None:
-                    yield from step
+            accesses = clustering.tracked(accesses)
+        for step in self.architecture.access_steps(accesses):
+            yield from step
         self.objects_accessed += len(txn.accesses)
 
         cpu_time = self._cpu_ticks * len(txn.accesses)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.clustering import DSTCParameters
+from repro.clustering.placement import relocation_placement
 from repro.core import (
     Centralized,
     ClusterConfig,
@@ -17,9 +18,14 @@ from repro.core import (
 )
 from repro.core.architectures import ClusterObjectServer, ClusterPageServer
 from repro.core.buffering import BufferManager
+from repro.core.network import Network
+from repro.despy import Hold
 from repro.ocb import OCBConfig
+from repro.ocb.transactions import Transaction
 
 SMALL_OCB = OCBConfig(nc=5, no=200, hotn=50)
+#: Objects of 3-9 KB, so many of them span two or three 4 KB pages.
+MULTI_PAGE_OCB = OCBConfig(nc=5, no=200, hotn=50, basesize=3000, maxsizemult=3)
 
 
 def build_model(sysclass, **overrides) -> VOODBSimulation:
@@ -31,6 +37,22 @@ def build_model(sysclass, **overrides) -> VOODBSimulation:
         **overrides,
     )
     return VOODBSimulation(config, seed=7)
+
+
+def walk(arch, accesses) -> int:
+    """Run the walk of ``accesses`` in one simulated process, each step
+    as the Transaction Manager runs it; return how many steps it
+    yielded."""
+    steps = []
+
+    def work():
+        for step in arch.access_steps(accesses):
+            steps.append(step)
+            yield from step
+
+    arch.sim.process(work())
+    arch.sim.run()
+    return len(steps)
 
 
 class TestFactory:
@@ -160,10 +182,8 @@ class TestOneRoundTrip:
 
         monkeypatch.setattr(BufferManager, "access", recording_access)
 
-        step = arch.access_object_nowait(oid, False)
-        assert step is not None  # the cold buffer misses: the disk owes time
-        sim.process(step)
-        sim.run()
+        # The cold buffer misses: the disk owes time.
+        assert walk(arch, [(oid, False)]) > 0
 
         config = model.config
         ships_pages = cls in (PageServer, ClusterPageServer)
@@ -183,10 +203,118 @@ class TestOneRoundTrip:
         assert sim.now == net.busy_ticks + disk_ticks
 
 
+class TestInPlaceWalk:
+    """A trace whose every access resolves in place yields no step: server
+    buffer hits on a free network, client-cache hits on a throttled one,
+    for every system class."""
+
+    @pytest.mark.parametrize(
+        "sysclass,cluster,netthru,client_buffsize",
+        [
+            (SystemClass.CENTRALIZED, False, math.inf, 0),
+            (SystemClass.DB_SERVER, False, math.inf, 0),
+            (SystemClass.PAGE_SERVER, False, math.inf, 0),
+            (SystemClass.OBJECT_SERVER, False, math.inf, 0),
+            (SystemClass.PAGE_SERVER, True, math.inf, 0),
+            (SystemClass.OBJECT_SERVER, True, math.inf, 0),
+            (SystemClass.PAGE_SERVER, False, 1.0, 64),
+            (SystemClass.OBJECT_SERVER, False, 1.0, 64),
+            (SystemClass.PAGE_SERVER, True, 1.0, 64),
+            (SystemClass.OBJECT_SERVER, True, 1.0, 64),
+        ],
+        ids=[
+            "centralized",
+            "db",
+            "page-free",
+            "object-free",
+            "cluster-page-free",
+            "cluster-object-free",
+            "page-client-hits",
+            "object-client-hits",
+            "cluster-page-client-hits",
+            "cluster-object-client-hits",
+        ],
+    )
+    def test_all_hit_trace_yields_no_step(
+        self, sysclass, cluster, netthru, client_buffsize
+    ):
+        changes = {"client_buffsize": client_buffsize}
+        if cluster:
+            changes["cluster"] = ClusterConfig(
+                servers=3, placement="hash", interconnect_mbps=math.inf
+            )
+        model = build_model(
+            sysclass, netthru=netthru, ocb=MULTI_PAGE_OCB, **changes
+        )
+        trace = [(oid, oid % 2 == 0) for oid in (3, 4, 5, 3)]
+        assert walk(model.architecture, trace) > 0  # cold: the misses owe time
+        messages = model.network.messages
+        assert list(model.architecture.access_steps(trace)) == []
+        # A free network's round trips are booked by the walk's end.
+        if client_buffsize or sysclass in (
+            SystemClass.CENTRALIZED,
+            SystemClass.DB_SERVER,
+        ):
+            round_trips = 0
+        elif sysclass is SystemClass.OBJECT_SERVER:
+            round_trips = len(trace)
+        else:
+            ranges = model.object_manager.page_ranges
+            round_trips = sum(len(ranges[oid]) for oid, __ in trace)
+        assert model.network.messages == messages + 2 * round_trips
+
+
+class TestStatisticsHook:
+    def test_hook_runs_after_each_access_has_crossed(self, monkeypatch):
+        """On a throttled page server, each object's statistics hook runs
+        once its last page has crossed back, in trace order, with the
+        prior object of the trace as ``previous``."""
+        model = build_model(
+            SystemClass.PAGE_SERVER, netthru=1.0, ocb=MULTI_PAGE_OCB, clustp="dstc"
+        )
+        sim, ranges = model.sim, model.object_manager.page_ranges
+        assert model.clustering.policy.tracks_accesses
+        log = []
+        transfer = Network.transfer_nowait
+
+        def recording_transfer(network, nbytes):
+            step = transfer(network, nbytes)
+
+            def crossing():
+                yield from step
+                log.append(("crossed", nbytes, sim.now))
+
+            return crossing()
+
+        def recording_hook(oid, previous):
+            log.append(("hook", oid, previous, sim.now))
+
+        monkeypatch.setattr(Network, "transfer_nowait", recording_transfer)
+        model.clustering.on_object_access = recording_hook
+        oids = (3, 5, 4, 3)
+        assert len(ranges[3]) == 2 and len(ranges[5]) == 1
+        accesses = tuple((oid, False) for oid in oids)
+        sim.process(model.tm.execute(Transaction("simple", oids[0], accesses)))
+        sim.run()
+
+        message_bytes, pgsize = model.config.message_bytes, model.config.pgsize
+        expected = []
+        previous = None
+        for oid in oids:
+            for __ in ranges[oid]:
+                expected += [("crossed", message_bytes), ("crossed", pgsize)]
+            expected.append(("hook", oid, previous))
+            previous = oid
+        assert [entry[:-1] for entry in log] == expected
+        for before, entry in zip(log, log[1:]):
+            if entry[0] == "hook":
+                assert entry[-1] == before[-1]  # no time passes in between
+
+
 class TestPageRangeTable:
-    """The per-object faces index ``object_manager.page_ranges`` at each
-    access: a reorganization installs a new table, and an OCB insert
-    extends the installed one in place."""
+    """The walks index ``object_manager.page_ranges`` as each object's
+    access begins and again after each step: a reorganization installs
+    a new table, and an OCB insert extends the installed one in place."""
 
     @staticmethod
     def _page_server(clustp="none", **model_kwargs) -> VOODBSimulation:
@@ -211,10 +339,7 @@ class TestPageRangeTable:
             return access(buffer, page, write)
 
         monkeypatch.setattr(BufferManager, "access", recording_access)
-        step = model.architecture.access_object_nowait(oid, False)
-        if step is not None:
-            model.sim.process(step)
-            model.sim.run()
+        walk(model.architecture, [(oid, False)])
         return pages
 
     def test_moved_object_is_read_from_its_new_page(self, monkeypatch):
@@ -242,3 +367,40 @@ class TestPageRangeTable:
         page = om.allocate(oid, model.config.usable_page_bytes)
         assert page > last_page
         assert self._server_reads(monkeypatch, model, oid) == [page]
+
+    def test_walk_suspended_in_an_object_keeps_its_range(self, monkeypatch):
+        """A page map installed while the walk waits on an object's first
+        miss: that object's remaining pages come from its old range, and
+        the next object reads its new one."""
+        model = build_model(
+            SystemClass.PAGE_SERVER, netthru=math.inf, ocb=MULTI_PAGE_OCB
+        )
+        om = model.object_manager
+        first, second = 3, 5
+        old_first, old_second = om.page_ranges[first], om.page_ranges[second]
+        new_map = relocation_placement(
+            model.db, model.config.usable_page_bytes, [[second, first]], om.page_map
+        )
+        new_first, new_second = new_map.page_ranges[first], new_map.page_ranges[second]
+        assert len(old_first) == 2
+        assert not set(old_first) & set(new_first)
+        assert not set(old_second) & set(new_second)
+        pages = []
+        access = BufferManager.access
+
+        def recording_access(buffer, page, write=False):
+            if buffer is model.memory:
+                pages.append((page, model.sim.now))
+            return access(buffer, page, write)
+
+        def reorganize():
+            yield Hold(1)
+            om.rebuild(new_map)
+
+        monkeypatch.setattr(BufferManager, "access", recording_access)
+        model.sim.process(reorganize())
+        walk(model.architecture, [(first, False), (second, False)])
+        assert om.rebuilds == 1
+        assert [page for page, __ in pages] == list(old_first) + list(new_second)
+        # The walk read the first page before the rebuild, the rest after.
+        assert [now > 1 for __, now in pages] == [False, True, True]

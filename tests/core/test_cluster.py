@@ -311,11 +311,21 @@ class TestClusterRun:
         second = run_replication(config, seed=11).to_metrics()
         assert first == second
 
+    def test_node_lock_tables_have_no_admission(self):
+        # One MULTILVL scheduler for the whole cluster: the Transaction
+        # Manager's.  Neither the lock service nor a node has one.
+        config = cluster_config()
+        model = VOODBSimulation(config, seed=1)
+        for node in model.cluster.nodes:
+            assert not hasattr(node.locks, "admission")
+        assert not hasattr(model.locks, "admission")
+        assert model.tm.admission.capacity == config.multilvl
 
-class TestNowaitFastPath:
-    """The PR-2 contract on clusters: accesses that resolve entirely in
-    place return ``None`` from the nowait face, even when a network in
-    the fabric is throttled (reads never owe interconnect time)."""
+
+class TestInPlaceWalk:
+    """On clusters too, a walk yields no step for accesses that resolve
+    entirely in place, even when a network in the fabric is throttled
+    (reads never owe interconnect time)."""
 
     def _warm_model(self, consistency=None, **changes):
         config = cluster_config(**changes)
@@ -326,28 +336,27 @@ class TestNowaitFastPath:
         # loop first — twice each, so under replication the round-robin
         # read balancing has populated *every* replica's buffer and the
         # next touch is a pure hit wherever it routes.
-        def touch(oid):
-            step = model.architecture.access_object_nowait(oid, False)
-            if step is not None:
-                yield from step
-
         for _round in range(2):
             for oid in (0, 1, 2):
-                model.sim.process(touch(oid))
+                model.sim.process(_walk(model, [(oid, False)], []))
         model.sim.run()
         return model
 
-    def test_free_fabric_hit_returns_none(self):
+    @staticmethod
+    def _steps(model, write):
+        return list(model.architecture.access_steps([(0, write)]))
+
+    def test_free_fabric_hit_yields_no_step(self):
         model = self._warm_model()
-        assert model.architecture.access_object_nowait(0, False) is None
+        assert self._steps(model, False) == []
 
-    def test_throttled_interconnect_read_hit_returns_none(self):
+    def test_throttled_interconnect_read_hit_yields_no_step(self):
         model = self._warm_model(interconnect_mbps=1.0, replication=2)
-        assert model.architecture.access_object_nowait(0, False) is None
+        assert self._steps(model, False) == []
 
-    def test_async_throttled_interconnect_read_hit_returns_none(self):
+    def test_async_throttled_interconnect_read_hit_yields_no_step(self):
         # No downtime, no forwarding and no quorum probe: nothing timed
-        # to add, so an async R=1 read hit stays on the inline loop.
+        # to add, so an async R=1 read hit stays in the walk.
         from repro.core.parameters import ReplicationConfig
 
         model = self._warm_model(
@@ -356,29 +365,19 @@ class TestNowaitFastPath:
             replication=2,
         )
         assert model.cluster.async_mode
-        assert model.architecture.access_object_nowait(0, False) is None
+        assert self._steps(model, False) == []
 
-    def test_replication1_write_hit_returns_none(self):
+    def test_replication1_write_hit_yields_no_step(self):
         model = self._warm_model(interconnect_mbps=1.0, replication=1)
-        assert model.architecture.access_object_nowait(0, True) is None
+        assert self._steps(model, True) == []
 
-    def test_replicated_write_on_throttled_interconnect_defers(self):
-        # Propagation must pass through the event loop: a generator.
+    def test_replicated_write_on_throttled_interconnect_yields_a_step(self):
+        # Propagation must pass through the event loop: a yielded step.
         model = self._warm_model(interconnect_mbps=1.0, replication=2)
-        step = model.architecture.access_object_nowait(0, True)
-        assert step is not None
-        model.sim.process(_drain(step))
+        steps = []
+        model.sim.process(_walk(model, [(0, True)], steps))
         model.sim.run()
-
-    def test_node_lock_tables_have_no_admission(self):
-        # One MULTILVL scheduler for the whole cluster: the Transaction
-        # Manager's.  Neither the lock service nor a node has one.
-        config = cluster_config()
-        model = VOODBSimulation(config, seed=1)
-        for node in model.cluster.nodes:
-            assert not hasattr(node.locks, "admission")
-        assert not hasattr(model.locks, "admission")
-        assert model.tm.admission.capacity == config.multilvl
+        assert len(steps) == 1
 
 
 class TestClusterLockSweeps:
@@ -455,5 +454,9 @@ class TestClusterLockSweeps:
         assert (locks.locked_objects, locks._parts_of) == (0, {})
 
 
-def _drain(step):
-    yield from step
+def _walk(model, accesses, steps):
+    """Run the architecture's walk of ``accesses`` as the Transaction
+    Manager does, collecting the steps it yields."""
+    for step in model.architecture.access_steps(accesses):
+        steps.append(step)
+        yield from step

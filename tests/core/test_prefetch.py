@@ -51,10 +51,8 @@ def _touch(arch, *oids):
     """Read the objects one after another in one simulated process."""
 
     def work():
-        for oid in oids:
-            step = arch.access_object_nowait(oid, False)
-            if step is not None:
-                yield from step
+        for step in arch.access_steps([(oid, False) for oid in oids]):
+            yield from step
 
     arch.sim.process(work())
     arch.sim.run()
