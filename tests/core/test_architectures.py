@@ -368,13 +368,27 @@ class TestPageRangeTable:
         assert page > last_page
         assert self._server_reads(monkeypatch, model, oid) == [page]
 
-    def test_walk_suspended_in_an_object_keeps_its_range(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "sysclass,cluster",
+        [
+            (SystemClass.CENTRALIZED, False),
+            (SystemClass.PAGE_SERVER, False),
+            (SystemClass.PAGE_SERVER, True),
+        ],
+        ids=["centralized", "page", "cluster-page"],
+    )
+    def test_walk_suspended_in_an_object_keeps_its_range(
+        self, monkeypatch, sysclass, cluster
+    ):
         """A page map installed while the walk waits on an object's first
         miss: that object's remaining pages come from its old range, and
         the next object reads its new one."""
-        model = build_model(
-            SystemClass.PAGE_SERVER, netthru=math.inf, ocb=MULTI_PAGE_OCB
-        )
+        changes = {}
+        if cluster:
+            changes["cluster"] = ClusterConfig(
+                servers=3, placement="hash", interconnect_mbps=math.inf
+            )
+        model = build_model(sysclass, netthru=math.inf, ocb=MULTI_PAGE_OCB, **changes)
         om = model.object_manager
         first, second = 3, 5
         old_first, old_second = om.page_ranges[first], om.page_ranges[second]
@@ -389,8 +403,7 @@ class TestPageRangeTable:
         access = BufferManager.access
 
         def recording_access(buffer, page, write=False):
-            if buffer is model.memory:
-                pages.append((page, model.sim.now))
+            pages.append((page, model.sim.now))  # no client cache: server reads
             return access(buffer, page, write)
 
         def reorganize():
