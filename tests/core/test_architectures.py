@@ -243,9 +243,7 @@ class TestInPlaceWalk:
             changes["cluster"] = ClusterConfig(
                 servers=3, placement="hash", interconnect_mbps=math.inf
             )
-        model = build_model(
-            sysclass, netthru=netthru, ocb=MULTI_PAGE_OCB, **changes
-        )
+        model = build_model(sysclass, netthru=netthru, ocb=MULTI_PAGE_OCB, **changes)
         trace = [(oid, oid % 2 == 0) for oid in (3, 4, 5, 3)]
         assert walk(model.architecture, trace) > 0  # cold: the misses owe time
         messages = model.network.messages
