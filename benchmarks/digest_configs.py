@@ -1,4 +1,4 @@
-"""Model-equivalence digests: 36 pinned configs, one hex digest each.
+"""Model-equivalence digests: 39 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -26,7 +26,8 @@ classes behind a client cache on free and throttled networks, and
 anti-entropy sweeps that yield on a throttled interconnect while
 partitions or crashes move versions underneath them, automatic
 DSTC reorganizations that rebuild the page map while other users'
-transactions are in flight (on the O2 page server and on Texas), and
+transactions are in flight (on the O2 page server and on Texas, also
+with multi-page objects), prefetching through the server-page walk, and
 the rarest fault-layer paths: the coordinator fetch's retry ladder and
 abandoned wait, the applier's negative ack, a throttled sync fan-out
 skipping a crashed replica, and the monotonic-reads floor and its
@@ -66,7 +67,7 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 36 pinned (name -> config) equivalence points."""
+    """The 39 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
@@ -152,6 +153,21 @@ def pinned_configs() -> dict:
         "texas-dstc-auto-4u": texas_config(
             nc=20, no=5000, memory_mb=16, hotn=_HOTN
         ).with_changes(clustp="dstc", nusers=4, multilvl=4),
+        # BASESIZE 300 spreads objects over several pages, and DSTC
+        # reorganizes every 10 transactions with zero thresholds, so a
+        # walk suspended inside an object meets a new page table and
+        # must read the object's remaining pages from its old range.
+        "texas-dstc-auto-4u-multipage": texas_config(
+            nc=20, no=5000, memory_mb=8, hotn=_HOTN, basesize=300
+        ).with_changes(clustp="dstc", nusers=4, multilvl=4),
+        "o2-dstc-auto-4u-multipage-1mbps": o2_config(
+            nc=20, no=5000, cache_mb=4, hotn=_HOTN, basesize=300
+        ).with_changes(clustp="dstc", nusers=4, multilvl=4, netthru=1.0),
+        # Prefetching through the server-page walk (the only other
+        # prefetching points run the page server).
+        "centralized-prefetch": served.with_changes(
+            sysclass=SystemClass.CENTRALIZED, prefetch="one_ahead"
+        ),
         "cluster-sync-r2": shared.with_changes(cluster=cluster()),
         "cluster-sync-r2-25mbps": shared.with_changes(cluster=cluster(25.0)),
         "cluster-async-r2-failures": shared.with_changes(
@@ -221,10 +237,23 @@ def pinned_configs() -> dict:
     }
 
 
+#: DSTC with every threshold at zero, observed every 10 transactions:
+#: with the default thresholds no multi-page run reorganizes while a
+#: walk is suspended inside an object that the reorganization moves.
+_MULTIPAGE_DSTC = {
+    "observation_period": 10,
+    "auto_trigger": True,
+    "tfa": 0.0,
+    "tfe": 0.0,
+    "tfc": 0.0,
+}
+
 #: Clustering-policy keyword arguments of the points that need them.
 CLUSTERING_KWARGS = {
     "o2-dstc-auto-4u": {"observation_period": 50, "auto_trigger": True},
     "texas-dstc-auto-4u": {"observation_period": 50, "auto_trigger": True},
+    "texas-dstc-auto-4u-multipage": _MULTIPAGE_DSTC,
+    "o2-dstc-auto-4u-multipage-1mbps": _MULTIPAGE_DSTC,
 }
 
 
@@ -257,7 +286,7 @@ def run_digests(seed: int = 1) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 36 pinned model-equivalence configs."
+        description="Hex-digest the 39 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")
