@@ -90,11 +90,7 @@ class Architecture(ABC):
         self.io = io
         self.network = network
         self.prefetcher = prefetcher
-        self._admit_prefetched = getattr(memory, "admit_prefetched", None)
-        self._prefetch_enabled = (
-            self._admit_prefetched is not None
-            and not isinstance(prefetcher, NoPrefetch)
-        )
+        self._prefetch_enabled = not isinstance(prefetcher, NoPrefetch)
         self._prefetched_unused: set[int] = set()
         # Counters
         self.prefetched_pages = 0
@@ -144,7 +140,7 @@ class Architecture(ABC):
 
     def _prefetch_after_miss(self, page: int):
         """Stage the prefetcher's pages, each served like a miss."""
-        admit = self._admit_prefetched
+        admit = self.memory.admit_prefetched
         serve_miss = self.io.serve_miss
         for extra in self.prefetcher.pages_after_miss(
             page, self.object_manager.total_pages

@@ -587,6 +587,12 @@ class VOODBConfig:
             raise ValueError("client_buffsize must be >= 0")
         if self.message_bytes < 0:
             raise ValueError("message_bytes must be >= 0")
+        if self.memory_model is MemoryModel.VIRTUAL_MEMORY and self.prefetch != "none":
+            raise ValueError(
+                "prefetching stages pages into a database buffer; the "
+                "virtual-memory model has none, got "
+                f"prefetch={self.prefetch!r} (did you mean prefetch 'none'?)"
+            )
         if self.cluster.enabled:
             self._check_cluster_combination()
         elif self.replication != ReplicationConfig():

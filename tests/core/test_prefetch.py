@@ -132,13 +132,13 @@ class TestIntegration:
         assert arch.prefetched_pages == 3
         assert arch.prefetch_hits == 0
 
-    def test_prefetch_skipped_under_virtual_memory(self):
-        config = VOODBConfig(
-            sysclass=SystemClass.CENTRALIZED,
-            memory_model="virtual_memory",
-            buffsize=64,
-            prefetch="one_ahead",
-            ocb=OCBConfig(nc=5, no=300, hotn=60),
-        )
-        results = VOODBSimulation(config, seed=3).run()
-        assert results.phase.prefetched_pages == 0
+    @pytest.mark.parametrize("prefetch", ["one_ahead", "cluster"])
+    def test_prefetch_rejected_under_virtual_memory(self, prefetch):
+        with pytest.raises(ValueError, match="virtual-memory model"):
+            VOODBConfig(
+                sysclass=SystemClass.CENTRALIZED,
+                memory_model="virtual_memory",
+                buffsize=64,
+                prefetch=prefetch,
+                ocb=OCBConfig(nc=5, no=300, hotn=60),
+            )
