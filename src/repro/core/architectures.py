@@ -29,10 +29,11 @@ page service) for the Transaction Manager to ``yield from``; it goes on
 once that step has run.  A timed command therefore never crosses the
 walk's frame, and an access that owes no time costs no generator.
 
-Every strategy serves a buffer miss on one path: the base class's
-``_miss_io`` hands the miss's outcome to
+Every strategy serves a buffer miss on one path, ``_miss_io``, which
+the base class binds once:
 :meth:`~repro.core.io_subsystem.IOSubsystem.serve_miss` (dirty
-write-backs, swap traffic, the read itself), then runs the prefetcher.
+write-backs, swap traffic, the read itself), followed by the
+prefetcher's staging when PREFETCH is set.
 Architectures therefore differ *only* in where requests travel — the
 point of the paper's genericity claim — while the I/O Subsystem alone
 decides what a disk access costs (Figure 5).
@@ -90,8 +91,14 @@ class Architecture(ABC):
         self.io = io
         self.network = network
         self.prefetcher = prefetcher
-        self._prefetch_enabled = not isinstance(prefetcher, NoPrefetch)
         self._prefetched_unused: set[int] = set()
+        #: What the walks yield for one demand miss: the I/O Subsystem's
+        #: service alone, or followed by prefetching.  The cluster
+        #: classes have no server ``io``: their nodes serve the misses.
+        if not isinstance(prefetcher, NoPrefetch):
+            self._miss_io = self._miss_then_prefetch
+        elif io is not None:
+            self._miss_io = io.serve_miss
         # Counters
         self.prefetched_pages = 0
         self.prefetch_hits = 0
@@ -126,22 +133,20 @@ class Architecture(ABC):
     # ------------------------------------------------------------------
     # Shared server-side page path
     # ------------------------------------------------------------------
-    def _miss_io(self, outcome, page: int):
-        """One demand miss on ``page``: the disk work its outcome owes
-        (:meth:`IOSubsystem.serve_miss`), then any prefetching.
+    def _miss_then_prefetch(self, outcome):
+        """One demand miss's disk work
+        (:meth:`IOSubsystem.serve_miss`), then the prefetcher's pages,
+        each served like a miss.
 
         A prefetched page that was evicted unused is demand-read now, so
         its next hit is no prefetch hit.
         """
-        self._prefetched_unused.discard(page)
-        yield from self.io.serve_miss(outcome)
-        if self._prefetch_enabled:
-            yield from self._prefetch_after_miss(page)
-
-    def _prefetch_after_miss(self, page: int):
-        """Stage the prefetcher's pages, each served like a miss."""
-        admit = self.memory.admit_prefetched
+        page = outcome.read_page
+        prefetched = self._prefetched_unused
+        prefetched.discard(page)
         serve_miss = self.io.serve_miss
+        yield from serve_miss(outcome)
+        admit = self.memory.admit_prefetched
         for extra in self.prefetcher.pages_after_miss(
             page, self.object_manager.total_pages
         ):
@@ -149,12 +154,12 @@ class Architecture(ABC):
             if outcome is None:
                 continue
             yield from serve_miss(outcome)
-            self._prefetched_unused.add(extra)
+            prefetched.add(extra)
             self.prefetched_pages += 1
 
     def _server_steps(self, accesses):
         """The server-page walk: each object's pages through the memory
-        model, yielding each miss's :meth:`_miss_io`.
+        model, yielding each miss's ``_miss_io``.
 
         Centralized and DB-server runs walk their traces with it; the
         object server runs it for each object's server part.
@@ -168,7 +173,7 @@ class Architecture(ABC):
             for page in page_ranges[oid]:
                 outcome = memory_access(page, write)
                 if not outcome.hit:
-                    yield miss_io(outcome, page)
+                    yield miss_io(outcome)
                     page_ranges = object_manager.page_ranges
                 elif page in prefetched:
                     prefetched.discard(page)
@@ -268,7 +273,7 @@ class PageServer(Architecture):
                     yield request
                     outcome = memory_access(page, write)
                 if not outcome.hit:
-                    yield miss_io(outcome, page)
+                    yield miss_io(outcome)
                 elif page in prefetched:
                     prefetched.discard(page)
                     self.prefetch_hits += 1
