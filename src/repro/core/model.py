@@ -28,6 +28,8 @@ Public entry points:
 
 * :class:`VOODBSimulation` — one replication, with the multi-phase API
   the DSTC experiments need (``run_phase`` / ``demand_clustering``);
+  each phase starts the transaction sources the config's arrival
+  process names (:meth:`~repro.core.users.Users.launch`);
 * :func:`run_replication` — the standard COLDN-warm-up + HOTN-measured
   run of §4.3, returning :class:`SimulationResults`;
 * :func:`build_database` — cached OCB base construction (the base is a
@@ -53,7 +55,7 @@ from repro.core.io_subsystem import IOSubsystem
 from repro.core.locks import LockManager
 from repro.core.network import Network
 from repro.core.object_manager import ObjectManager
-from repro.core.parameters import ArrivalConfig, MemoryModel, VOODBConfig
+from repro.core.parameters import MemoryModel, VOODBConfig
 from repro.core.prefetch import make_prefetch_policy
 from repro.core.results import (
     ALWAYS,
@@ -237,9 +239,6 @@ class VOODBSimulation:
         self.clustering.on_reorganized = self.architecture.notify_reorganized
         self.users = Users(self.sim, config, self.db, self.tm)
         self._phase_counter = 0
-        # Calibration of the phase being collected (aggregated tier
-        # only); stashed by run_phase, consumed by _collect.
-        self._phase_calibration = None
         # The counter rows this run reads; a row whose gate is shut
         # keeps its PhaseResults default.
         gates = {ALWAYS}
@@ -265,9 +264,6 @@ class VOODBSimulation:
         hierarchy_type: int = 0,
         hierarchy_depth: Optional[int] = None,
         ocb_override: Optional[OCBConfig] = None,
-        arrivals: Optional[ArrivalConfig] = None,
-        thinktime: Optional[float] = None,
-        nusers: Optional[int] = None,
     ) -> PhaseResults:
         """Run one batch of transactions and return its metrics.
 
@@ -275,13 +271,9 @@ class VOODBSimulation:
         reads/writes performed inside the phase (automatic triggering)
         are reported in the clustering report, not in the phase's I/Os.
         ``ocb_override`` swaps the workload definition for this phase
-        only (churn phases, workload-drift studies).
-
-        ``arrivals`` selects the arrival process for this phase: by
-        default the config's (closed NUSERS loop unless the scenario
-        configured an open source).  ``thinktime`` and ``nusers``
-        override the closed loop's think time / user population for this
-        phase only (ignored in open modes).
+        only (churn phases, workload-drift studies).  The config's
+        arrival process decides the phase's transaction sources
+        (:meth:`~repro.core.users.Users.launch`).
         """
         if transactions is None:
             transactions = self.config.ocb.hotn
@@ -290,48 +282,14 @@ class VOODBSimulation:
         self._phase_counter += 1
         snapshot = self._snapshot()
         self.tm.begin_phase()
-        if arrivals is None:
-            arrivals = self.config.arrivals
-        aggregation = self.config.aggregation
-        if aggregation.enabled and not arrivals.open:
-            # Flow-aggregated tier: the closed population collapsed to a
-            # calibrated open stream plus the probe cohort.  Calibration
-            # is memoized per config, so replications share one solve.
-            from repro.core.aggregation import calibrate_aggregate_rate
-
-            calibration = calibrate_aggregate_rate(self.config)
-            self._phase_calibration = calibration
-            self.users.launch_aggregated(
-                transactions,
-                calibration.rate_tps,
-                aggregation,
-                workload=workload,
-                stream_label=stream_label,
-                hierarchy_type=hierarchy_type,
-                hierarchy_depth=hierarchy_depth,
-                ocb_override=ocb_override,
-            )
-        elif arrivals.open:
-            self.users.launch_open(
-                transactions,
-                arrivals,
-                workload=workload,
-                stream_label=stream_label,
-                hierarchy_type=hierarchy_type,
-                hierarchy_depth=hierarchy_depth,
-                ocb_override=ocb_override,
-            )
-        else:
-            self.users.launch(
-                transactions,
-                workload=workload,
-                stream_label=stream_label,
-                hierarchy_type=hierarchy_type,
-                hierarchy_depth=hierarchy_depth,
-                ocb_override=ocb_override,
-                thinktime=thinktime,
-                nusers=nusers,
-            )
+        self.users.launch(
+            transactions,
+            workload=workload,
+            stream_label=stream_label,
+            hierarchy_type=hierarchy_type,
+            hierarchy_depth=hierarchy_depth,
+            ocb_override=ocb_override,
+        )
         self.sim.run()
         if self.cluster is not None and self.cluster.drain_repairs():
             # Fault layer with anti-entropy: run the staleness out of
@@ -445,9 +403,12 @@ class VOODBSimulation:
         reads_after, writes_after = current["overhead"]
         values["reads"] -= reads_after - reads_before
         values["writes"] -= writes_after - writes_before
-        calibration = self._phase_calibration
-        if calibration is not None:
-            self._phase_calibration = None
+        if self.config.aggregation.enabled:
+            # The calibration is memoized per config: this reads the
+            # solve the phase's launch ran at.
+            from repro.core.aggregation import calibrate_aggregate_rate
+
+            calibration = calibrate_aggregate_rate(self.config)
             users = self.users
             values.update(
                 aggregation_population=calibration.population,

@@ -5,18 +5,25 @@ Transaction Manager.  The Transaction Manager determines which objects
 need to be accessed for the current transaction, and performs the
 necessary operations on these objects."
 
-Execution of one transaction:
+Execution of one transaction, inside the architecture's transaction
+envelope (a DB server's request and response messages; no work on the
+other classes):
 
-1. enter the multiprogramming mix (Table 1's scheduler, MULTILVL:
+1. the envelope's request crosses;
+2. enter the multiprogramming mix (Table 1's scheduler, MULTILVL:
    the admission resource this manager owns);
-2. acquire locks on every distinct object of the trace (GETLOCK each,
+3. acquire locks on every distinct object of the trace (GETLOCK each,
    shared for reads / exclusive for writes, sorted order);
-3. replay the access trace through the architecture's walk, which
+4. replay the access trace through the architecture's walk, which
    yields only what owes simulated time, feeding the Clustering
    Manager's statistics hook after each access;
-4. pay the CPU time of the object operations;
-5. release locks (RELLOCK each) and leave the mix;
-6. let the Clustering Manager's automatic trigger run (Figure 4).
+5. pay the CPU time of the object operations;
+6. release locks (RELLOCK each) and leave the mix;
+7. let the Clustering Manager's automatic trigger run (Figure 4);
+8. the envelope's response crosses.
+
+A transaction's response time runs from the end of step 1 to the end
+of step 6, so it excludes both envelope crossings.
 """
 
 from __future__ import annotations
@@ -79,7 +86,13 @@ class TransactionManager:
 
     # ------------------------------------------------------------------
     def execute(self, txn: Transaction):
-        """Process-generator running one transaction end to end."""
+        """Process-generator running one transaction end to end, inside
+        the architecture's transaction envelope: every source submits
+        through here."""
+        architecture = self.architecture
+        step = architecture.begin_transaction_nowait()
+        if step is not None:
+            yield from step
         txn_id = self._next_txn_id
         self._next_txn_id += 1
         started = self.sim.now
@@ -93,7 +106,7 @@ class TransactionManager:
         # OCB inserts create their object at draw time; give it disk
         # space before its first access resolves a page.
         if txn.kind == "insert":
-            self.architecture.object_manager.allocate(
+            architecture.object_manager.allocate(
                 txn.root, self.config.usable_page_bytes
             )
 
@@ -117,7 +130,7 @@ class TransactionManager:
         clustering = self.clustering
         if clustering.policy.tracks_accesses:
             accesses = clustering.tracked(accesses)
-        for step in self.architecture.access_steps(accesses):
+        for step in architecture.access_steps(accesses):
             yield from step
         self.objects_accessed += len(txn.accesses)
 
@@ -141,16 +154,7 @@ class TransactionManager:
         step = clustering.after_transaction_nowait()
         if step is not None:
             yield from step
-
-    def execute_with_envelope(self, txn: Transaction):
-        """Transaction wrapped in the architecture's transaction hooks
-        (the DB-server request/response messages)."""
-        arch = self.architecture
-        step = arch.begin_transaction_nowait()
-        if step is not None:
-            yield from step
-        yield from self.execute(txn)
-        step = arch.end_transaction_nowait()
+        step = architecture.end_transaction_nowait()
         if step is not None:
             yield from step
 

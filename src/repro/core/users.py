@@ -1,25 +1,30 @@
 """The Users (knowledge model, Figure 4): transaction sources.
 
-Closed system (the paper's Table 3 population model): NUSERS user
-processes each draw transactions from their own OCB generator (common
-random numbers: user *u* of phase *p* always sees the same stream for a
-given replication seed) and submit them to the Transaction Manager,
-thinking ``thinktime`` between transactions.
+:meth:`Users.launch` starts one phase's sources, and the config's
+arrival process decides which:
 
-Open system (:meth:`Users.launch_open`): one arrival source draws
-interarrival gaps from a named random stream
-(:mod:`repro.despy.arrivals`) and spawns an independent submission
-process per arrival — transactions enter at the configured rate whether
-or not earlier ones have finished, with MULTILVL still bounding how
-many execute concurrently.
+* closed system (the paper's Table 3 population model, the default):
+  NUSERS user processes each draw transactions from their own OCB
+  generator (common random numbers: user *u* of phase *p* always sees
+  the same stream for a given replication seed) and submit them to the
+  Transaction Manager, thinking THINKTIME between transactions;
+* open system (``arrivals`` mode poisson or mmpp): one arrival source
+  draws interarrival gaps from a named random stream
+  (:mod:`repro.despy.arrivals`) and spawns an independent submission
+  process per arrival — transactions enter at the configured rate
+  whether or not earlier ones have finished, with MULTILVL still
+  bounding how many execute concurrently;
+* aggregated hybrid (``aggregation`` enabled): a large closed
+  population collapsed into one calibrated Poisson aggregate source
+  plus a small *probe cohort* of real closed-loop user processes — the
+  aggregate stream carries the population's load, the probes observe
+  the per-user latency the stream cannot.  Probe and aggregate draws
+  live on disjoint named streams, so resizing the cohort never perturbs
+  the aggregate arrival sequence.
 
-Aggregated hybrid (:meth:`Users.launch_aggregated`): a large closed
-population collapsed into one calibrated Poisson aggregate source plus
-a small *probe cohort* of real closed-loop user processes — the
-aggregate stream carries the population's load, the probes observe the
-per-user latency the stream cannot.  Probe and aggregate draws live on
-disjoint named streams, so resizing the cohort never perturbs the
-aggregate arrival sequence.
+Every source submits each transaction to
+:meth:`~repro.core.transaction_manager.TransactionManager.execute`,
+which also carries the architecture's transaction envelope.
 
 Users are also where Figure 4's *external clustering demand* comes from;
 the model surfaces that as
@@ -34,7 +39,7 @@ from repro.despy.arrivals import poisson_interarrivals, probe_rescaled_rate
 from repro.despy.process import Hold, Process
 from repro.despy.randomstream import RandomStream
 from repro.despy.timebase import ms_to_ticks
-from repro.core.parameters import AggregationConfig, ArrivalConfig, VOODBConfig
+from repro.core.parameters import VOODBConfig
 from repro.core.transaction_manager import TransactionManager
 from repro.ocb.database import Database
 from repro.ocb.transactions import Transaction, TransactionGenerator
@@ -44,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Users:
-    """Spawns NUSERS transaction-submitting processes per phase."""
+    """Starts each phase's transaction sources."""
 
     def __init__(
         self,
@@ -58,7 +63,8 @@ class Users:
         self.db = db
         self.tm = tm
         self.transactions_submitted = 0
-        # Per-phase aggregated-tier trackers (reset by launch_aggregated).
+        # Per-phase aggregated-tier trackers (reset by each aggregated
+        # launch).
         #: Response times (ticks) of probe-cohort transactions, in
         #: completion order — the per-user latency series of a hybrid
         #: phase.
@@ -74,184 +80,111 @@ class Users:
         hierarchy_type: int = 0,
         hierarchy_depth: Optional[int] = None,
         ocb_override=None,
-        thinktime: Optional[float] = None,
-        nusers: Optional[int] = None,
     ) -> List[Process]:
-        """Start the user processes for one phase (closed system).
+        """Start one phase's sources and return their processes.
+
+        The config's arrival process names the sources: the closed
+        NUSERS loop, one open arrival source, or the aggregated tier
+        (the calibrated stream plus its probe cohort).
 
         ``workload`` is ``"mix"`` (the Table 5 transaction mix) or
         ``"hierarchy"`` (§4.4's pure depth-``hierarchy_depth`` hierarchy
         traversals over reference type ``hierarchy_type``).
 
-        ``stream_label`` names the workload random stream: two phases
-        launched with the same label replay the identical transaction
-        sequence — how §4.4 measures the same usage before and after
-        clustering.
+        ``stream_label`` prefixes every random stream of the phase: two
+        phases launched with the same label replay the identical
+        transaction sequence — how §4.4 measures the same usage before
+        and after clustering.
 
-        ``ocb_override`` substitutes a different OCB workload definition
-        for this phase only (e.g. a churn phase of pure inserts/deletes
-        between two measured phases); ``thinktime`` overrides the OCB
-        think time for this phase only, and ``nusers`` the configured
-        user population (multiprogramming-ramp phases).
+        ``ocb_override`` substitutes a different OCB workload definition,
+        think time included, for this phase only (e.g. a churn phase of
+        pure inserts/deletes between two measured phases).
         """
         if total_transactions < 0:
             raise ValueError("total_transactions must be >= 0")
         if workload not in ("mix", "hierarchy"):
             raise ValueError(f"unknown workload {workload!r}")
-        ocb = ocb_override if ocb_override is not None else self.config.ocb
-        nusers = self.config.nusers if nusers is None else nusers
+        config = self.config
+        ocb = ocb_override if ocb_override is not None else config.ocb
+        if hierarchy_depth is None:
+            hierarchy_depth = config.ocb.hiedepth
+        seed = self.sim.seed
+        db = self.db
+
+        def source(stream: str, count: int) -> Iterator[Transaction]:
+            """``count`` transactions drawn from ``{stream_label}/{stream}``."""
+            rng = RandomStream(seed, f"{stream_label}/{stream}")
+            generator = TransactionGenerator(db, ocb, rng)
+            if workload == "hierarchy":
+                return generator.hierarchy_only(count, hierarchy_type, hierarchy_depth)
+            return generator.transactions(count)
+
+        if config.aggregation.enabled:
+            return self._launch_aggregated(
+                total_transactions, source, ocb.thinktime, stream_label
+            )
+        if config.arrivals.open:
+            # The gaps draw from ``{stream_label}/arrivals`` and the
+            # transactions from ``{stream_label}/source``, independently:
+            # two configs compared under common random numbers see the
+            # same arrival instants *and* the same transaction sequence.
+            gaps = config.arrivals.interarrivals(
+                RandomStream(seed, f"{stream_label}/arrivals")
+            )
+            arrivals = self._arrival_source(
+                source("source", total_transactions),
+                gaps,
+                self.tm.execute,
+                "txn",
+                stream_label,
+            )
+            return [self.sim.process(arrivals, name=f"arrivals/{stream_label}")]
+        nusers = config.nusers
         if nusers < 1:
             raise ValueError(
                 f"nusers must be >= 1, got {nusers}: a closed system needs at "
                 "least one user process to submit transactions"
             )
-        if thinktime is not None and thinktime < 0:
-            raise ValueError(f"thinktime must be >= 0, got {thinktime}")
-        share = total_transactions // nusers
-        remainder = total_transactions % nusers
+        share, remainder = divmod(total_transactions, nusers)
         processes: List[Process] = []
         for user in range(nusers):
             count = share + (1 if user < remainder else 0)
             if count == 0:
                 continue
-            rng = RandomStream(self.sim.seed, f"{stream_label}/user-{user}")
-            generator = TransactionGenerator(self.db, ocb, rng)
             processes.append(
                 self.sim.process(
-                    self._user_process(
-                        generator,
-                        count,
-                        workload,
-                        hierarchy_type,
-                        hierarchy_depth,
-                        thinktime,
-                    ),
+                    self._user_process(source(f"user-{user}", count), ocb.thinktime),
                     name=f"user-{user}/{stream_label}",
                 )
             )
         return processes
 
-    def _materialize(
-        self,
-        generator: TransactionGenerator,
-        count: int,
-        workload: str,
-        hierarchy_type: int,
-        hierarchy_depth: Optional[int],
-    ):
-        """The phase's transaction stream (shared by closed and open
-        launches, so the workload dispatch can never diverge)."""
-        if workload == "hierarchy":
-            depth = hierarchy_depth
-            if depth is None:
-                depth = self.config.ocb.hiedepth
-            return generator.hierarchy_only(count, hierarchy_type, depth)
-        return generator.transactions(count)
-
-    def _user_process(
-        self,
-        generator: TransactionGenerator,
-        count: int,
-        workload: str,
-        hierarchy_type: int,
-        hierarchy_depth: Optional[int],
-        thinktime: Optional[float] = None,
-    ):
-        think = generator.config.thinktime if thinktime is None else thinktime
-        transactions = self._materialize(
-            generator, count, workload, hierarchy_type, hierarchy_depth
-        )
+    def _user_process(self, transactions: Iterator[Transaction], think: float):
+        """One closed-loop user: submit each transaction, then think."""
         # THINKTIME is quoted in ms (Table 3); the closed loop holds the
         # tick-rounded duration.
         think_hold = Hold(ms_to_ticks(think)) if think > 0 else None
-        # The architecture envelope is spliced inline rather than
-        # delegated to ``execute_with_envelope``: every yielded command
-        # bubbles through each ``yield from`` frame on the way to the
-        # kernel, so one less frame on the hottest chain is measurable.
-        tm = self.tm
-        execute = tm.execute
-        arch = tm.architecture
-        begin = arch.begin_transaction_nowait
-        end = arch.end_transaction_nowait
+        execute = self.tm.execute
         for txn in transactions:
             self.transactions_submitted += 1
-            step = begin()
-            if step is not None:
-                yield from step
             yield from execute(txn)
-            step = end()
-            if step is not None:
-                yield from step
             if think_hold is not None:
                 yield think_hold
 
-    # ------------------------------------------------------------------
-    # Open-system arrivals
-    # ------------------------------------------------------------------
-    def launch_open(
-        self,
-        total_transactions: int,
-        arrivals: ArrivalConfig,
-        workload: str = "mix",
-        stream_label: str = "open",
-        hierarchy_type: int = 0,
-        hierarchy_depth: Optional[int] = None,
-        ocb_override=None,
-    ) -> List[Process]:
-        """Start one arrival source feeding ``total_transactions`` in.
-
-        The source draws interarrival gaps from the
-        ``{stream_label}/arrivals`` stream and the transactions
-        themselves from ``{stream_label}/source`` — both pure functions
-        of the replication seed, and independent of each other, so two
-        configs compared under common random numbers see the same
-        arrival instants *and* the same transaction sequence.
-
-        Each arrival is submitted by its own process; the think time
-        does not apply (there is no closed submit/think loop), and
-        MULTILVL admission still bounds how many transactions execute
-        concurrently once submitted.
-        """
-        if total_transactions < 0:
-            raise ValueError("total_transactions must be >= 0")
-        if workload not in ("mix", "hierarchy"):
-            raise ValueError(f"unknown workload {workload!r}")
-        if not arrivals.open:
-            raise ValueError(
-                "launch_open needs an open arrival mode (poisson or mmpp); "
-                "use launch() for the closed NUSERS loop"
-            )
-        ocb = ocb_override if ocb_override is not None else self.config.ocb
-        rng = RandomStream(self.sim.seed, f"{stream_label}/source")
-        generator = TransactionGenerator(self.db, ocb, rng)
-        transactions = self._materialize(
-            generator, total_transactions, workload, hierarchy_type, hierarchy_depth
-        )
-        gaps = arrivals.interarrivals(
-            RandomStream(self.sim.seed, f"{stream_label}/arrivals")
-        )
-        return [
-            self.sim.process(
-                self._arrival_source(
-                    transactions,
-                    gaps,
-                    self.tm.execute_with_envelope,
-                    "txn",
-                    stream_label,
-                ),
-                name=f"arrivals/{stream_label}",
-            )
-        ]
-
     def _arrival_source(
         self,
-        transactions,
+        transactions: Iterator[Transaction],
         gaps: Iterator[int],
         submit: Callable[[Transaction], Iterator],
         prefix: str,
         stream_label: str,
     ):
-        """Hold each gap, then start ``submit(txn)`` as its own process."""
+        """Hold each gap, then start ``submit(txn)`` as its own process.
+
+        The think time does not apply (there is no closed submit/think
+        loop), and MULTILVL admission still bounds how many transactions
+        execute concurrently once submitted.
+        """
         for index, txn in enumerate(transactions):
             yield Hold(next(gaps))
             self.transactions_submitted += 1
@@ -260,27 +193,24 @@ class Users:
     # ------------------------------------------------------------------
     # Aggregated hybrid: calibrated open stream + probe cohort
     # ------------------------------------------------------------------
-    def launch_aggregated(
+    def _launch_aggregated(
         self,
         total_transactions: int,
-        rate_tps: float,
-        aggregation: AggregationConfig,
-        workload: str = "mix",
-        stream_label: str = "aggregated",
-        hierarchy_type: int = 0,
-        hierarchy_depth: Optional[int] = None,
-        ocb_override=None,
+        source: Callable[[str, int], Iterator[Transaction]],
+        thinktime: float,
+        stream_label: str,
     ) -> List[Process]:
         """Start the hybrid tier: aggregate source + probe cohort.
 
-        ``rate_tps`` is the calibrated population rate (the fixed point
-        of λ = N/(Z+R), see :mod:`repro.core.aggregation`); the
-        aggregate source emits Poisson arrivals at the probe-rescaled
-        share of it so the cohort's own closed-loop load keeps the total
-        offered rate at λ.  Poisson gaps are what justifies collapsing
-        the population in the first place: a superposition of many
-        independent, sparse per-user renewal processes converges to a
-        Poisson stream (Palm–Khintchine).
+        The calibrated population rate λ is the fixed point of
+        λ = N/(Z+R) (:func:`~repro.core.aggregation.calibrate_aggregate_rate`,
+        memoized per config); the aggregate source emits Poisson
+        arrivals at the probe-rescaled share of it so the cohort's own
+        closed-loop load keeps the total offered rate at λ.  Poisson
+        gaps are what justifies collapsing the population in the first
+        place: a superposition of many independent, sparse per-user
+        renewal processes converges to a Poisson stream
+        (Palm–Khintchine).
 
         The phase's transactions are split so every probe user gets at
         least one (at 10⁶ users a proportional share would starve the
@@ -297,18 +227,12 @@ class Users:
         transactions, and never hold a trailing think — so a hybrid
         phase's elapsed time tracks the aggregate window, not Z.
         """
-        if total_transactions < 0:
-            raise ValueError("total_transactions must be >= 0")
-        if workload not in ("mix", "hierarchy"):
-            raise ValueError(f"unknown workload {workload!r}")
-        if not aggregation.enabled:
-            raise ValueError(
-                "launch_aggregated needs an enabled AggregationConfig "
-                "(population > 0); use launch() for the closed NUSERS loop"
-            )
+        from repro.core.aggregation import calibrate_aggregate_rate
+
+        aggregation = self.config.aggregation
+        rate_tps = calibrate_aggregate_rate(self.config).rate_tps
         self.probe_response_ticks = []
         self.aggregate_completions = 0
-        ocb = ocb_override if ocb_override is not None else self.config.ocb
         population = aggregation.population
         probe_users = min(aggregation.probe_cohort, total_transactions)
         if probe_users > 0:
@@ -327,34 +251,19 @@ class Users:
         )
         processes: List[Process] = []
         if aggregate_total > 0:
-            rng = RandomStream(
-                self.sim.seed, f"{stream_label}/aggregate-source"
-            )
-            generator = TransactionGenerator(self.db, ocb, rng)
-            transactions = self._materialize(
-                generator,
-                aggregate_total,
-                workload,
-                hierarchy_type,
-                hierarchy_depth,
-            )
             gaps = poisson_interarrivals(
-                RandomStream(
-                    self.sim.seed, f"{stream_label}/aggregate-arrivals"
-                ),
+                RandomStream(self.sim.seed, f"{stream_label}/aggregate-arrivals"),
                 aggregate_rate,
             )
+            aggregate = self._arrival_source(
+                source("aggregate-source", aggregate_total),
+                gaps,
+                self._aggregate_submission,
+                "agg-txn",
+                stream_label,
+            )
             processes.append(
-                self.sim.process(
-                    self._arrival_source(
-                        transactions,
-                        gaps,
-                        self._aggregate_submission,
-                        "agg-txn",
-                        stream_label,
-                    ),
-                    name=f"aggregate/{stream_label}",
-                )
+                self.sim.process(aggregate, name=f"aggregate/{stream_label}")
             )
         # Stagger probe starts over one closed-loop think time — in
         # steady state the population's cycle phases are uniform — but
@@ -364,7 +273,7 @@ class Users:
             if aggregate_total > 0
             else 0
         )
-        think_ticks = ms_to_ticks(ocb.thinktime)
+        think_ticks = ms_to_ticks(thinktime)
         spread_ticks = min(think_ticks, window_ticks)
         share = probe_total // probe_users if probe_users else 0
         remainder = probe_total % probe_users if probe_users else 0
@@ -372,16 +281,10 @@ class Users:
             count = share + (1 if user < remainder else 0)
             if count == 0:
                 continue
-            rng = RandomStream(self.sim.seed, f"{stream_label}/probe-{user}")
-            generator = TransactionGenerator(self.db, ocb, rng)
             processes.append(
                 self.sim.process(
                     self._probe_process(
-                        generator,
-                        count,
-                        workload,
-                        hierarchy_type,
-                        hierarchy_depth,
+                        source(f"probe-{user}", count),
                         think_ticks,
                         spread_ticks * user // probe_users,
                     ),
@@ -391,22 +294,15 @@ class Users:
         return processes
 
     def _aggregate_submission(self, txn: Transaction):
-        yield from self.tm.execute_with_envelope(txn)
+        yield from self.tm.execute(txn)
         self.aggregate_completions += 1
 
     def _probe_process(
         self,
-        generator: TransactionGenerator,
-        count: int,
-        workload: str,
-        hierarchy_type: int,
-        hierarchy_depth: Optional[int],
+        transactions: Iterator[Transaction],
         think_ticks: int,
         offset_ticks: int,
     ):
-        transactions = self._materialize(
-            generator, count, workload, hierarchy_type, hierarchy_depth
-        )
         if offset_ticks > 0:
             yield Hold(offset_ticks)
         think_hold = Hold(think_ticks) if think_ticks > 0 else None
@@ -418,5 +314,5 @@ class Users:
             first = False
             self.transactions_submitted += 1
             started = sim.now
-            yield from self.tm.execute_with_envelope(txn)
+            yield from self.tm.execute(txn)
             self.probe_response_ticks.append(sim.now - started)

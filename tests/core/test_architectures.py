@@ -121,6 +121,32 @@ class TestNetworkBehaviour:
         assert slow.mean_response_time_ms > fast.mean_response_time_ms
 
 
+class TestTransactionEnvelope:
+    """A DB server's request and response cross inside
+    ``TransactionManager.execute``, outside the response time."""
+
+    def test_execute_books_both_crossings_outside_the_response(self):
+        model = build_model(SystemClass.DB_SERVER, netthru=1.0)
+        network, tm = model.network, model.tm
+        accesses = ((3, False), (5, True))
+        model.sim.process(tm.execute(Transaction("simple", 3, accesses)))
+        model.sim.run()
+        assert network.messages == 2
+        assert network.bytes_sent == 2 * model.config.message_bytes
+        (response,) = tm.phase_response_series
+        assert response > 0 and network.busy_ticks > 0
+        assert model.sim.now == response + network.busy_ticks
+
+    def test_phase_response_series_excludes_both_crossings(self):
+        model = build_model(SystemClass.DB_SERVER, netthru=1.0)
+        phase = model.run_phase(20)
+        network, series = model.network, model.tm.phase_response_series
+        assert network.messages == 2 * phase.transactions == 40
+        # One user, no think time: the phase is its transactions and
+        # their crossings back to back.
+        assert model.sim.now == sum(series) + network.busy_ticks
+
+
 class TestClientCache:
     def test_page_server_client_cache_absorbs_repeats(self):
         without = build_model(SystemClass.PAGE_SERVER)

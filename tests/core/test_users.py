@@ -10,6 +10,7 @@ from repro.core import (
     VOODBSimulation,
     run_replication,
 )
+from repro.core.parameters import AggregationConfig
 from repro.ocb import OCBConfig
 
 SMALL = OCBConfig(nc=5, no=300, hotn=60)
@@ -126,37 +127,6 @@ class TestOcbOverride:
         assert (model.sim.now - before) * MS_PER_TICK >= 4 * 50.0
 
 
-class TestPhaseOverrides:
-    def test_thinktime_override_beats_ocb_value(self):
-        model = make_model(ocb=SMALL.with_changes(thinktime=100.0))
-        before = model.sim.now
-        model.run_phase(10, stream_label="fast", thinktime=0.0)
-        fast_elapsed = (model.sim.now - before) * MS_PER_TICK
-        assert fast_elapsed < 10 * 100.0
-
-    def test_nusers_override_ramps_population(self):
-        model = make_model(nusers=1)
-        processes = model.users.launch(12, stream_label="ramp", nusers=4)
-        assert len(processes) == 4
-        model.sim.run()
-        assert model.tm.transactions_executed == 12
-
-    def test_nusers_zero_raises_clear_error(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="nusers must be >= 1"):
-            model.users.launch(10, nusers=0)
-
-    def test_negative_nusers_raises(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="nusers must be >= 1"):
-            model.users.launch(10, nusers=-3)
-
-    def test_negative_thinktime_raises(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="thinktime"):
-            model.users.launch(10, thinktime=-1.0)
-
-
 class TestPopulationValidation:
     """``nusers``/``multilvl`` are validated even for configs mutated
     past ``__post_init__`` (the ramp-scenario regression)."""
@@ -189,25 +159,20 @@ class TestPopulationValidation:
 
 
 class TestOpenSystem:
-    def test_launch_open_submits_everything(self):
-        model = make_model()
-        arrivals = ArrivalConfig(mode="poisson", rate_tps=100.0)
-        processes = model.users.launch_open(25, arrivals, stream_label="open")
+    def test_open_launch_submits_everything(self):
+        model = make_model(arrivals=ArrivalConfig(mode="poisson", rate_tps=100.0))
+        processes = model.users.launch(25, stream_label="open")
         assert len(processes) == 1  # one arrival source
         model.sim.run()
         assert model.users.transactions_submitted == 25
         assert model.tm.transactions_executed == 25
 
-    def test_launch_open_rejects_closed_mode(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="open arrival mode"):
-            model.users.launch_open(5, ArrivalConfig())
-
     def test_open_phase_is_deterministic(self):
         def run_once():
-            model = make_model()
-            arrivals = ArrivalConfig(mode="poisson", rate_tps=50.0)
-            model.users.launch_open(30, arrivals, stream_label="open")
+            model = make_model(
+                arrivals=ArrivalConfig(mode="poisson", rate_tps=50.0)
+            )
+            model.users.launch(30, stream_label="open")
             model.sim.run()
             return model.sim.now, model.tm.objects_accessed
 
@@ -253,3 +218,52 @@ class TestOpenSystem:
         )
         result = run_replication(config, seed=2)
         assert result.phase.transactions == SMALL.hotn
+
+
+class TestPhaseSources:
+    """A phase starts its sources through one ``Users.launch``, and the
+    config's arrival process names them."""
+
+    @staticmethod
+    def launched(monkeypatch, model, transactions) -> list:
+        """Run one phase; return the process names of each launch."""
+        names = []
+        launch = model.users.launch
+
+        def recording_launch(*args, **kwargs):
+            processes = launch(*args, **kwargs)
+            names.append([process.name for process in processes])
+            return processes
+
+        monkeypatch.setattr(model.users, "launch", recording_launch)
+        model.run_phase(transactions, stream_label="p")
+        return names
+
+    def test_closed_phase_starts_each_busy_user(self, monkeypatch):
+        model = make_model(nusers=4)
+        assert self.launched(monkeypatch, model, 3) == [
+            ["user-0/p", "user-1/p", "user-2/p"]
+        ]
+        assert model.tm.transactions_executed == 3
+
+    def test_open_phase_starts_one_arrival_source(self, monkeypatch):
+        model = make_model(
+            nusers=3, arrivals=ArrivalConfig(mode="poisson", rate_tps=100.0)
+        )
+        assert self.launched(monkeypatch, model, 12) == [["arrivals/p"]]
+        assert model.tm.transactions_executed == 12
+
+    def test_aggregated_phase_starts_the_source_then_the_probes(
+        self, monkeypatch
+    ):
+        model = make_model(
+            ocb=SMALL.with_changes(thinktime=100 * 25.0),
+            aggregation=AggregationConfig(
+                population=100, probe_cohort=2, pilot_transactions=60
+            ),
+        )
+        assert self.launched(monkeypatch, model, 30) == [
+            ["aggregate/p", "probe-0/p", "probe-1/p"]
+        ]
+        assert model.tm.transactions_executed == 30
+        assert model.users.aggregate_completions == 28
