@@ -1,4 +1,4 @@
-"""Model-equivalence digests: 39 pinned configs, one hex digest each.
+"""Model-equivalence digests: 41 pinned configs, one hex digest each.
 
 The PR-5/PR-6 equivalence methodology: run one replication of each
 pinned configuration, flatten its full metric dictionary (kernel
@@ -27,11 +27,12 @@ anti-entropy sweeps that yield on a throttled interconnect while
 partitions or crashes move versions underneath them, automatic
 DSTC reorganizations that rebuild the page map while other users'
 transactions are in flight (on the O2 page server and on Texas, also
-with multi-page objects), prefetching through the server-page walk, and
-the rarest fault-layer paths: the coordinator fetch's retry ladder and
-abandoned wait, the applier's negative ack, a throttled sync fan-out
-skipping a crashed replica, and the monotonic-reads floor and its
-primary fallback.
+with multi-page objects), prefetching through the server-page walk,
+the page server's free-network walk over the virtual-memory model, a
+k-phase MMPP arrival process, and the rarest fault-layer paths: the
+coordinator fetch's retry ladder and abandoned wait, the applier's
+negative ack, a throttled sync fan-out skipping a crashed replica, and
+the monotonic-reads floor and its primary fallback.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _ocb(**overrides) -> OCBConfig:
 
 
 def pinned_configs() -> dict:
-    """The 39 pinned (name -> config) equivalence points."""
+    """The 41 pinned (name -> config) equivalence points."""
     base = VOODBConfig(ocb=_ocb())
     writes = VOODBConfig(ocb=_ocb(pwrite=0.3))
     # Cluster page-service points: 4 concurrent users, so requests meet
@@ -234,6 +235,22 @@ def pinned_configs() -> dict:
             ),
             failures=FailureConfig(crash_mtbf_ms=1000.0, recovery_time_ms=300.0),
         ),
+        # The page server's free-network walk over the virtual-memory
+        # model: every other VM point runs Centralized (Texas), and at
+        # the default 1 MB/s the page server takes its throttled branch.
+        "page-server-vm-free-net": served.with_changes(
+            memory_model="virtual_memory", netthru=math.inf
+        ),
+        # A k-phase MMPP: three phases with their own rates and dwells
+        # (the library's bursty scenario uses the two-state form).
+        "mmpp-3-phase": base.with_changes(
+            multilvl=4,
+            arrivals=ArrivalConfig(
+                mode="mmpp",
+                phase_rates_tps=(2.0, 12.0, 6.0),
+                phase_dwell_ms=(2000.0, 500.0, 1000.0),
+            ),
+        ),
     }
 
 
@@ -286,7 +303,7 @@ def run_digests(seed: int = 1) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Hex-digest the 39 pinned model-equivalence configs."
+        description="Hex-digest the 41 pinned model-equivalence configs."
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", help="write the digests JSON here")

@@ -4,7 +4,7 @@ A ``sys.settrace`` tracer records every Python function entered while
 three sets run in this one process:
 
 * ``pytest benchmarks`` — the golden benches and the harness tests;
-* ``benchmarks/digest_configs.py`` — the 39 pinned digest configs;
+* ``benchmarks/digest_configs.py`` — the 41 pinned digest configs;
 * each of ``examples/*.py``.
 
 It then lists, module by module, every function of ``src/repro`` that
