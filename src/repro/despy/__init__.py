@@ -22,11 +22,7 @@ simulated queueing systems against closed-form M/M/1 and M/M/c results
 (`validation`, exercised in the test suite).
 """
 
-from repro.despy.arrivals import (
-    fixed_interarrivals,
-    mmpp_interarrivals,
-    poisson_interarrivals,
-)
+from repro.despy.arrivals import mmpp_interarrivals, poisson_interarrivals
 from repro.despy.engine import Simulation
 from repro.despy.errors import (
     DespyError,
@@ -89,7 +85,6 @@ __all__ = [
     "Resource",
     "Gate",
     "RandomStream",
-    "fixed_interarrivals",
     "poisson_interarrivals",
     "mmpp_interarrivals",
     "ConfidenceInterval",

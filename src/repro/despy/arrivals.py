@@ -8,7 +8,6 @@ many transactions are still in flight.  This module provides the point
 processes as plain interarrival-time generators over a
 :class:`~repro.despy.randomstream.RandomStream`:
 
-* :func:`fixed_interarrivals` — a deterministic (D/·) source;
 * :func:`poisson_interarrivals` — the M/·/· source: exponential gaps at
   a constant rate;
 * :func:`mmpp_interarrivals` — a Markov-modulated Poisson process that
@@ -43,15 +42,6 @@ from repro.despy.timebase import ms_to_ticks
 
 #: Milliseconds per second — rates are quoted per second.
 _MS_PER_SECOND = 1000.0
-
-
-def fixed_interarrivals(interval_ms: float) -> Iterator[int]:
-    """Deterministic source: one arrival every ``interval_ms``."""
-    if interval_ms <= 0:
-        raise ValueError(f"interval_ms must be > 0, got {interval_ms}")
-    interval = ms_to_ticks(interval_ms)
-    while True:
-        yield interval
 
 
 #: Gaps pre-drawn per refill by :func:`poisson_interarrivals`.

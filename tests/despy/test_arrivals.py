@@ -4,27 +4,13 @@ import itertools
 
 import pytest
 
-from repro.despy.arrivals import (
-    fixed_interarrivals,
-    mmpp_interarrivals,
-    poisson_interarrivals,
-)
+from repro.despy.arrivals import mmpp_interarrivals, poisson_interarrivals
 from repro.despy.randomstream import RandomStream
-from repro.despy.timebase import MS_PER_TICK, ms_to_ticks
+from repro.despy.timebase import MS_PER_TICK
 
 
 def take(iterator, n):
     return list(itertools.islice(iterator, n))
-
-
-class TestFixed:
-    def test_constant_gaps(self):
-        tick = ms_to_ticks(25.0)
-        assert take(fixed_interarrivals(25.0), 4) == [tick] * 4
-
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError, match="interval_ms"):
-            next(fixed_interarrivals(0.0))
 
 
 class TestPoisson:
