@@ -29,6 +29,16 @@ page service) for the Transaction Manager to ``yield from``; it goes on
 once that step has run.  A timed command therefore never crosses the
 walk's frame, and an access that owes no time costs no generator.
 
+The single-server walks (:meth:`Architecture._server_steps` and the
+page server's free network) resolve a *read* of a resident server page
+without calling the memory model: one test on its ``resident`` table,
+one call of its ``touch`` hook and one more hit in a local tally (the
+memory-model contract of :mod:`repro.core.buffering`).  Writes and
+misses go through ``memory.access``.  The tally is added to
+``memory.hits`` (on the free network also to the round-trip counters)
+before each yield and at the walk's end, so every counter is exact
+whenever another process can run.
+
 Every strategy serves a buffer miss on one path, ``_miss_io``, which
 the base class binds once:
 :meth:`~repro.core.io_subsystem.IOSubsystem.serve_miss` (dirty
@@ -42,10 +52,8 @@ Requests and responses likewise cross the client network only through
 :meth:`~repro.core.network.Network.transfer_nowait`.  On a free network
 (NETTHRU = +inf) a transfer only counts and returns ``None``, so each
 client/server class runs one walk on both networks; on a throttled one
-the server is reached only after the request has crossed.  The page
-server's free-network hits, the model's inner loop, book their round
-trips in bulk, before each yield and at the walk's end: only phase
-snapshots read the network counters.
+the server is reached only after the request has crossed, so a
+throttled page server reads its buffer through ``access`` alone.
 """
 
 from __future__ import annotations
@@ -92,10 +100,13 @@ class Architecture(ABC):
         self.network = network
         self.prefetcher = prefetcher
         self._prefetched_unused: set[int] = set()
+        #: Whether PREFETCH is set: only then do the walks look for a
+        #: hit on a prefetched page.
+        self._prefetching = not isinstance(prefetcher, NoPrefetch)
         #: What the walks yield for one demand miss: the I/O Subsystem's
         #: service alone, or followed by prefetching.  The cluster
         #: classes have no server ``io``: their nodes serve the misses.
-        if not isinstance(prefetcher, NoPrefetch):
+        if self._prefetching:
             self._miss_io = self._miss_then_prefetch
         elif io is not None:
             self._miss_io = io.serve_miss
@@ -159,25 +170,42 @@ class Architecture(ABC):
 
     def _server_steps(self, accesses):
         """The server-page walk: each object's pages through the memory
-        model, yielding each miss's ``_miss_io``.
+        model, yielding each miss's ``_miss_io``; a read of a
+        ``resident`` page is resolved in place (see the module
+        docstring).
 
         Centralized and DB-server runs walk their traces with it; the
         object server runs it for each object's server part.
         """
         object_manager = self.object_manager
-        memory_access = self.memory.access
+        memory = self.memory
+        memory_access = memory.access
+        resident = memory.resident
+        touch = memory.touch
         miss_io = self._miss_io
+        prefetching = self._prefetching
         prefetched = self._prefetched_unused
         page_ranges = object_manager.page_ranges
+        hits = 0  # read hits not yet added to memory.hits
         for oid, write in accesses:
             for page in page_ranges[oid]:
-                outcome = memory_access(page, write)
-                if not outcome.hit:
-                    yield miss_io(outcome)
-                    page_ranges = object_manager.page_ranges
-                elif page in prefetched:
+                if not write and page in resident:
+                    touch(page)
+                    hits += 1
+                else:
+                    outcome = memory_access(page, write)
+                    if not outcome.hit:
+                        if hits:
+                            memory.hits += hits
+                            hits = 0
+                        yield miss_io(outcome)
+                        page_ranges = object_manager.page_ranges
+                        continue
+                if prefetching and page in prefetched:
                     prefetched.discard(page)
                     self.prefetch_hits += 1
+        if hits:
+            memory.hits += hits
 
     def notify_reorganized(self) -> None:
         """Clustering moved objects: client/prefetch state is stale."""
@@ -240,32 +268,35 @@ class PageServer(Architecture):
         network = self.network
         transfer = network.transfer_nowait
         free = network.infinite
-        memory_access = self.memory.access
+        memory = self.memory
+        memory_access = memory.access
+        resident = memory.resident
+        touch = memory.touch
         miss_io = self._miss_io
+        prefetching = self._prefetching
         prefetched = self._prefetched_unused
         message_bytes = self.config.message_bytes
         pgsize = self.config.pgsize
+        round_trip_bytes = message_bytes + pgsize
         page_ranges = object_manager.page_ranges
-        trips = 0  # free-network round trips not yet booked
+        hits = 0  # free-network read hits not yet booked
         for oid, write in accesses:
             for page in page_ranges[oid]:
                 if client_cache is not None and client_cache.access(page, False).hit:
                     continue
                 if free:
                     # Table 4's NETTHRU = +inf: the request arrives at
-                    # once.  This is the model's inner loop, so a
-                    # server-buffer hit only counts its round trip.
-                    outcome = memory_access(page, write)
-                    if outcome.hit:
-                        trips += 1
-                        if page in prefetched:
+                    # once.  This is the model's inner loop, so a read of
+                    # a resident page is resolved here and only tallied,
+                    # as a buffer hit and a round trip.
+                    if not write and page in resident:
+                        touch(page)
+                        hits += 1
+                        if prefetching and page in prefetched:
                             prefetched.discard(page)
                             self.prefetch_hits += 1
                         continue
-                    if trips:
-                        network.messages += 2 * trips
-                        network.bytes_sent += trips * (message_bytes + pgsize)
-                        trips = 0
+                    outcome = memory_access(page, write)
                 request = transfer(message_bytes)
                 if request is not None:
                     # A throttled request crosses before the server
@@ -273,17 +304,23 @@ class PageServer(Architecture):
                     yield request
                     outcome = memory_access(page, write)
                 if not outcome.hit:
+                    if hits:
+                        memory.hits += hits
+                        network.messages += 2 * hits
+                        network.bytes_sent += hits * round_trip_bytes
+                        hits = 0
                     yield miss_io(outcome)
-                elif page in prefetched:
+                elif prefetching and page in prefetched:
                     prefetched.discard(page)
                     self.prefetch_hits += 1
                 response = transfer(pgsize)
                 if response is not None:
                     yield response
                 page_ranges = object_manager.page_ranges
-        if trips:
-            network.messages += 2 * trips
-            network.bytes_sent += trips * (message_bytes + pgsize)
+        if hits:
+            memory.hits += hits
+            network.messages += 2 * hits
+            network.bytes_sent += hits * round_trip_bytes
 
 
 class ObjectServer(Architecture):

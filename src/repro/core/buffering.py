@@ -15,6 +15,24 @@ needed) and reports what disk work the caller owes — the page read plus
 a possible dirty-victim write.  Claiming the frame before the simulated
 I/O completes keeps two concurrent transactions from double-loading the
 same page, which is the role page latches play in a real server.
+
+Both memory models (this buffer and the Texas virtual-memory model,
+:mod:`repro.core.virtual_memory`) publish the two names the
+single-server walks (:mod:`repro.core.architectures`) use to resolve a
+*read* of a resident page without calling ``access``:
+
+* ``resident`` — the table whose keys are exactly the pages an access
+  would hit (here the frame table, page → dirty flag).  It is mutated in
+  place and never rebound, so a walk may bind it once;
+* ``touch`` — the replacement policy's hit hook, bound once, which
+  ``access`` itself calls on every hit.
+
+``access(page, False)`` on a resident page adds one to ``hits``, calls
+``touch(page)`` and returns the shared hit outcome — nothing else — so a
+walk that does the first two itself, adding its tally of such reads to
+``hits`` before it yields and at its end, leaves every policy, dirty
+flag and counter as ``access`` would.  Writes and misses still go
+through ``access``.
 """
 
 from __future__ import annotations
@@ -69,10 +87,10 @@ class BufferManager:
         "config",
         "capacity",
         "policy",
-        "_on_hit",
+        "touch",
         "_on_admit",
         "_choose_victim",
-        "_frames",
+        "resident",
         "hits",
         "misses",
         "dirty_writebacks",
@@ -92,11 +110,13 @@ class BufferManager:
         self.policy = policy or make_replacement_policy(config.pgrep, rng)
         # The policy never changes after construction; its three hot
         # hooks are bound once so each access skips two attribute hops.
-        self._on_hit = self.policy.on_hit
+        #: the policy's hit hook (the memory-model contract above)
+        self.touch = self.policy.on_hit
         self._on_admit = self.policy.on_admit
         self._choose_victim = self.policy.choose_victim
-        #: frame table: page -> dirty flag
-        self._frames: Dict[int, bool] = {}
+        #: frame table: page -> dirty flag; its keys are the pages an
+        #: access would hit (mutated in place, never rebound)
+        self.resident: Dict[int, bool] = {}
         # Counters
         self.hits = 0
         self.misses = 0
@@ -107,12 +127,12 @@ class BufferManager:
     # ------------------------------------------------------------------
     def access(self, page: int, write: bool = False) -> AccessOutcome:
         """Reference one page; reserve its frame immediately on a miss."""
-        frames = self._frames
+        frames = self.resident
         if page in frames:
             self.hits += 1
             if write:
                 frames[page] = True
-            self._on_hit(page)
+            self.touch(page)
             return _HIT
         self.misses += 1
         writebacks = self._make_room(1)
@@ -126,10 +146,10 @@ class BufferManager:
         Returns the outcome (read + possible writebacks), or None if the
         page is already resident.
         """
-        if page in self._frames:
+        if page in self.resident:
             return None
         writebacks = self._make_room(1)
-        self._frames[page] = False
+        self.resident[page] = False
         # The bound hot hook, exactly as access() uses: a caller that
         # swaps _on_admit (instrumentation, a policy wrapper) must see
         # the prefetch path too, not only demand admissions.
@@ -137,7 +157,7 @@ class BufferManager:
         return AccessOutcome(hit=False, read_page=page, writeback_pages=writebacks)
 
     def _make_room(self, needed: int) -> Sequence[int]:
-        frames = self._frames
+        frames = self.resident
         if len(frames) + needed <= self.capacity:
             return _NO_WRITEBACKS
         writebacks: Optional[List[int]] = None
@@ -155,31 +175,31 @@ class BufferManager:
     # Maintenance
     # ------------------------------------------------------------------
     def contains(self, page: int) -> bool:
-        return page in self._frames
+        return page in self.resident
 
     def is_dirty(self, page: int) -> bool:
-        return self._frames.get(page, False)
+        return self.resident.get(page, False)
 
     def invalidate(self, page: int) -> bool:
         """Drop a page without write-back (clustering moved its objects)."""
-        if page in self._frames:
-            del self._frames[page]
+        if page in self.resident:
+            del self.resident[page]
             self.policy.forget(page)
             return True
         return False
 
     def invalidate_all(self) -> int:
         """Empty the buffer (post-reorganization), returning frames dropped."""
-        count = len(self._frames)
-        for page in list(self._frames):
+        count = len(self.resident)
+        for page in list(self.resident):
             self.invalidate(page)
         return count
 
     def flush(self) -> List[int]:
         """Clean every dirty frame, returning the pages to write."""
-        dirty = [page for page, d in self._frames.items() if d]
+        dirty = [page for page, d in self.resident.items() if d]
         for page in dirty:
-            self._frames[page] = False
+            self.resident[page] = False
         return dirty
 
     # ------------------------------------------------------------------
@@ -187,7 +207,7 @@ class BufferManager:
     # ------------------------------------------------------------------
     @property
     def resident_pages(self) -> int:
-        return len(self._frames)
+        return len(self.resident)
 
     @property
     def hit_rate(self) -> float:

@@ -31,20 +31,25 @@ When memory exceeds the database-plus-reservations footprint none of
 this fires and the model behaves like a plain buffer — which is why
 Texas is *faster* than O2 at equal memory in Figures 9/10 but collapses
 harder in Figure 11.
+
+The two frame states are two tables, both sets mutated in place and
+never rebound: ``resident`` (loaded pages) and ``reserved`` (frames a
+swizzle claimed).  Together they fill at most ``capacity`` frames, and
+the replacement policy tracks both alike.  ``resident`` and ``touch``
+(the policy's hit hook) are the memory-model contract of
+:mod:`repro.core.buffering`: a reserved frame is no hit, so a walk that
+resolves reads of ``resident`` pages in place sees exactly the pages
+``access`` would count as hits.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 from repro.despy.randomstream import RandomStream
 from repro.core.buffering import AccessOutcome
 from repro.core.parameters import VOODBConfig
 from repro.core.replacement import make_replacement_policy
-
-#: Frame states.
-_RESIDENT = 0
-_RESERVED = 1
 
 #: Shared "no pages swapped" result — returned whenever an operation
 #: freed or reserved nothing, which under ample memory is every
@@ -96,11 +101,12 @@ class VirtualMemoryManager:
         "config",
         "capacity",
         "policy",
-        "_on_hit",
+        "touch",
         "_on_admit",
         "_choose_victim",
         "_pages_referenced_by_page",
-        "_frames",
+        "resident",
+        "reserved",
         "_swapped_resident",
         "_swapped_reserved",
         "hits",
@@ -123,12 +129,15 @@ class VirtualMemoryManager:
             raise ValueError(f"memory capacity must be >= 1, got {self.capacity}")
         self.policy = make_replacement_policy(config.pgrep, rng)
         # Bound once, like BufferManager: the hooks run per page fault.
-        self._on_hit = self.policy.on_hit
+        #: the policy's hit hook (the memory-model contract)
+        self.touch = self.policy.on_hit
         self._on_admit = self.policy.on_admit
         self._choose_victim = self.policy.choose_victim
         self._pages_referenced_by_page = pages_referenced_by_page
-        #: in-memory frames: page -> _RESIDENT | _RESERVED
-        self._frames: Dict[int, int] = {}
+        #: frames holding loaded, swizzled data: the pages an access hits
+        self.resident: set[int] = set()
+        #: frames a swizzle reserved that hold no data yet
+        self.reserved: set[int] = set()
         #: evicted resident pages whose data image lives in swap
         self._swapped_resident: set[int] = set()
         #: evicted reserved pages (swapped out before ever holding data)
@@ -144,18 +153,18 @@ class VirtualMemoryManager:
     # Core protocol (same shape as BufferManager.access)
     # ------------------------------------------------------------------
     def access(self, page: int, write: bool = False) -> VMAccessOutcome:
-        frames = self._frames
-        state = frames.get(page)
-        if state == _RESIDENT:
+        resident = self.resident
+        if page in resident:
             self.hits += 1
-            self._on_hit(page)
+            self.touch(page)
             return _VM_HIT
         self.misses += 1
-        if state == _RESERVED:
+        if page in self.reserved:
             # Reserved by a swizzle: the frame exists, the data does not.
             # Loading the data swizzles *this* page's pointers in turn.
-            frames[page] = _RESIDENT
-            self._on_hit(page)
+            self.reserved.remove(page)
+            resident.add(page)
+            self.touch(page)
             swap_outs = self._swizzle(page)
             return VMAccessOutcome(
                 hit=False, read_page=page, swap_out_pages=swap_outs
@@ -165,7 +174,7 @@ class VirtualMemoryManager:
             self._swapped_resident.discard(page)
             self.swap_ins += 1
             swap_outs = self._make_room()
-            frames[page] = _RESIDENT
+            resident.add(page)
             self._on_admit(page)
             return VMAccessOutcome(
                 hit=False, swap_read=True, swap_out_pages=swap_outs
@@ -176,7 +185,7 @@ class VirtualMemoryManager:
             self._swapped_reserved.discard(page)
             self.swap_ins += 1
             swap_outs = self._make_room()
-            frames[page] = _RESIDENT
+            resident.add(page)
             self._on_admit(page)
             swizzled = self._swizzle(page)
             if swizzled:
@@ -190,7 +199,7 @@ class VirtualMemoryManager:
         # First touch ever: claim a frame, read from the database, and
         # swizzle the fresh page's pointers (the §4.3.2 cascade).
         swap_outs = self._make_room()
-        frames[page] = _RESIDENT
+        resident.add(page)
         self._on_admit(page)
         swizzled = self._swizzle(page)
         if swizzled:
@@ -204,10 +213,12 @@ class VirtualMemoryManager:
         page its objects reference.  Returns pages swapped out to make
         room (the caller owes one swap write each)."""
         swap_outs: List[int] | None = None
-        frames = self._frames
+        resident = self.resident
+        reserved = self.reserved
         for target in self._pages_referenced_by_page(page):
             if (
-                target in frames
+                target in resident
+                or target in reserved
                 or target in self._swapped_resident
                 or target in self._swapped_reserved
             ):
@@ -225,7 +236,7 @@ class VirtualMemoryManager:
                     swap_outs = room
                 else:
                     swap_outs.extend(room)
-            frames[target] = _RESERVED
+            reserved.add(target)
             self._on_admit(target)
             self.reservations += 1
         return swap_outs if swap_outs is not None else _NO_SWAPS
@@ -238,21 +249,24 @@ class VirtualMemoryManager:
         the ``protect`` page (the frame being swizzled must stay
         resident).
         """
-        frames = self._frames
-        if len(frames) < self.capacity:
+        resident = self.resident
+        reserved = self.reserved
+        capacity = self.capacity
+        if len(resident) + len(reserved) < capacity:
             return _NO_SWAPS
         swap_outs: List[int] = []
         choose_victim = self._choose_victim
-        while len(frames) >= self.capacity:
+        while len(resident) + len(reserved) >= capacity:
             victim = choose_victim()
             if victim == protect:
                 # Give the frame back (at MRU position) and report no room.
                 self.policy.on_admit(victim)
                 return None
-            state = frames.pop(victim)
-            if state == _RESIDENT:
+            if victim in resident:
+                resident.remove(victim)
                 self._swapped_resident.add(victim)
             else:
+                reserved.remove(victim)
                 self._swapped_reserved.add(victim)
             swap_outs.append(victim)
             self.swap_outs += 1
@@ -262,22 +276,34 @@ class VirtualMemoryManager:
     # BufferManager-compatible surface
     # ------------------------------------------------------------------
     def contains(self, page: int) -> bool:
-        return self._frames.get(page) == _RESIDENT
+        return page in self.resident
 
     def invalidate(self, page: int) -> bool:
-        present = page in self._frames
+        present = page in self.resident or page in self.reserved
         if present:
-            del self._frames[page]
+            self.resident.discard(page)
+            self.reserved.discard(page)
             self.policy.forget(page)
         self._swapped_resident.discard(page)
         self._swapped_reserved.discard(page)
         return present
 
     def invalidate_all(self) -> int:
-        count = len(self._frames)
-        for page in list(self._frames):
-            del self._frames[page]
-            self.policy.forget(page)
+        """Forget every frame and swap image, returning frames dropped.
+
+        The policy forgets the resident frames, then the reserved ones.
+        Any order leaves every policy empty (RANDOM's swap-removes,
+        LFU's buckets and the CLOCK hands included), so the order of
+        the two tables affects nothing after this call.
+        """
+        forget = self.policy.forget
+        count = len(self.resident) + len(self.reserved)
+        for page in self.resident:
+            forget(page)
+        for page in self.reserved:
+            forget(page)
+        self.resident.clear()
+        self.reserved.clear()
         self._swapped_resident.clear()
         self._swapped_reserved.clear()
         return count
@@ -288,11 +314,11 @@ class VirtualMemoryManager:
 
     @property
     def resident_pages(self) -> int:
-        return sum(1 for s in self._frames.values() if s == _RESIDENT)
+        return len(self.resident)
 
     @property
     def reserved_pages(self) -> int:
-        return sum(1 for s in self._frames.values() if s == _RESERVED)
+        return len(self.reserved)
 
     @property
     def hit_rate(self) -> float:
@@ -301,7 +327,8 @@ class VirtualMemoryManager:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<VirtualMemoryManager {len(self._frames)}/{self.capacity} "
+            f"<VirtualMemoryManager "
+            f"{self.resident_pages + self.reserved_pages}/{self.capacity} "
             f"resident={self.resident_pages} reserved={self.reserved_pages} "
             f"swapped={len(self._swapped_resident) + len(self._swapped_reserved)}>"
         )

@@ -1,8 +1,11 @@
 """Unit tests for the system-class strategies (§3.3 genericity)."""
 
+import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import DSTCParameters
 from repro.clustering.placement import relocation_placement
@@ -19,7 +22,9 @@ from repro.core import (
 from repro.core.architectures import ClusterObjectServer, ClusterPageServer
 from repro.core.buffering import BufferManager
 from repro.core.network import Network
-from repro.despy import Hold
+from repro.core.replacement import EmptyPolicyError
+from repro.core.virtual_memory import VirtualMemoryManager
+from repro.despy import Hold, RandomStream
 from repro.ocb import OCBConfig
 from repro.ocb.transactions import Transaction
 
@@ -31,7 +36,7 @@ MULTI_PAGE_OCB = OCBConfig(nc=5, no=200, hotn=50, basesize=3000, maxsizemult=3)
 def build_model(sysclass, **overrides) -> VOODBSimulation:
     config = VOODBConfig(
         sysclass=sysclass,
-        buffsize=64,
+        buffsize=overrides.pop("buffsize", 64),
         netthru=overrides.pop("netthru", 10.0),
         ocb=overrides.pop("ocb", SMALL_OCB),
         **overrides,
@@ -288,6 +293,164 @@ class TestInPlaceWalk:
         assert model.network.messages == messages + 2 * round_trips
 
 
+#: The single-server walks, each on a free network.
+SERVER_WALKS = [
+    SystemClass.CENTRALIZED,
+    SystemClass.DB_SERVER,
+    SystemClass.OBJECT_SERVER,
+    SystemClass.PAGE_SERVER,
+]
+SERVER_WALK_IDS = ["centralized", "db", "object", "page"]
+
+#: Memory models for the read-hit property: the buffer under two
+#: policies, and the Texas virtual-memory model.
+MEMORY_MODELS = {
+    "buffer-lru": {"pgrep": "LRU"},
+    "buffer-lfu": {"pgrep": "LFU"},
+    "vm": {"memory_model": "virtual_memory"},
+}
+
+
+def _reference_closure(object_manager, root, size):
+    """``size`` oids reached from ``root`` through the pages their pages
+    reference, so a trace over them reads frames a swizzle reserved."""
+    pool, queue = [], [root]
+    while len(pool) < size:
+        oid = queue.pop(0)
+        if oid in pool:
+            continue
+        pool.append(oid)
+        for page in object_manager.pages_of(oid):
+            for target in object_manager.pages_referenced_by_page(page):
+                queue.extend(object_manager.objects_on(target))
+    return pool
+
+
+def _memory_state(memory):
+    """What an access can change: the counters, the frame tables, and
+    the replacement policy's victims, drained in order."""
+    names = (
+        "hits",
+        "misses",
+        "dirty_writebacks",
+        "swap_ins",
+        "swap_outs",
+        "reservations",
+        "resident",
+        "reserved",
+        "_swapped_resident",
+        "_swapped_reserved",
+    )
+    state = {
+        name: copy.copy(getattr(memory, name))
+        for name in names
+        if hasattr(memory, name)
+    }
+    victims = state["victims"] = []
+    while True:
+        try:
+            victims.append(memory.policy.choose_victim())
+        except EmptyPolicyError:
+            return state
+
+
+class TestReadHitsInPlace:
+    """The single-server walks resolve a read of a ``resident`` page in
+    place, with the memory's ``touch`` and a tally of hits, and book the
+    tally before every step they yield."""
+
+    @pytest.mark.parametrize("memory", sorted(MEMORY_MODELS))
+    @pytest.mark.parametrize("sysclass", SERVER_WALKS, ids=SERVER_WALK_IDS)
+    @given(
+        capacity=st.integers(min_value=3, max_value=12),
+        trace=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=11), st.booleans()),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_walk_leaves_the_memory_as_access_does(
+        self, sysclass, memory, capacity, trace
+    ):
+        """A one-user walk of a random read/write trace leaves hits,
+        misses, dirty flags, the frame tables and the next victims as a
+        twin model fed ``access(page, write)`` page by page does."""
+        model = build_model(
+            sysclass,
+            netthru=math.inf,
+            buffsize=capacity,
+            ocb=MULTI_PAGE_OCB,
+            **MEMORY_MODELS[memory],
+        )
+        om = model.object_manager
+        pool = _reference_closure(om, 3, 12)
+        trace = [(pool[index], write) for index, write in trace]
+        if memory == "vm":
+            twin = VirtualMemoryManager(
+                model.config,
+                RandomStream(1, "twin"),
+                pages_referenced_by_page=om.pages_referenced_by_page,
+            )
+        else:
+            twin = BufferManager(model.config, RandomStream(1, "twin"))
+        assert type(model.memory) is type(twin)
+
+        walk(model.architecture, trace)
+        for oid, write in trace:
+            for page in om.page_ranges[oid]:
+                twin.access(page, write)
+        assert _memory_state(model.memory) == _memory_state(twin)
+
+    @pytest.mark.parametrize("sysclass", SERVER_WALKS, ids=SERVER_WALK_IDS)
+    def test_counters_are_booked_before_each_miss_step(self, sysclass):
+        """At each miss step a walk yields, ``memory.hits`` already counts
+        every read hit before it; on the free page server, so does
+        ``network.messages`` with every round trip and the miss's own
+        request."""
+        model = build_model(sysclass, netthru=math.inf, ocb=MULTI_PAGE_OCB)
+        arch, memory, network = model.architecture, model.memory, model.network
+        ranges = model.object_manager.page_ranges
+        warm = [(3, False), (4, False)]
+        walk(arch, warm)
+        resident = {page for oid, __ in warm for page in ranges[oid]}
+        cold = []  # two objects whose pages no other object shares
+        taken = set(resident)
+        for oid in range(5, len(ranges)):
+            if len(cold) < 2 and taken.isdisjoint(ranges[oid]):
+                cold.append((oid, False))
+                taken.update(ranges[oid])
+        trace = warm + cold[:1] + warm + cold[1:] + warm
+
+        # (hits, messages since the walk began) at each miss step.
+        expected = []
+        hits = memory.hits
+        pages = [page for oid, __ in trace for page in ranges[oid]]
+        for position, page in enumerate(pages):
+            if page in resident:
+                hits += 1
+            else:
+                expected.append((hits, 2 * position + 1))
+                resident.add(page)
+        assert len(expected) >= 2
+
+        booked = []
+        start = network.messages
+
+        def work():
+            for step in arch.access_steps(trace):
+                booked.append((memory.hits, network.messages - start))
+                yield from step
+
+        model.sim.process(work())
+        model.sim.run()
+        assert memory.hits == hits
+        if sysclass is not SystemClass.PAGE_SERVER:
+            booked = [entry[0] for entry in booked]
+            expected = [entry[0] for entry in expected]
+        assert booked == expected
+
+
 class TestStatisticsHook:
     def test_hook_runs_after_each_access_has_crossed(self, monkeypatch):
         """On a throttled page server, each object's statistics hook runs
@@ -353,16 +516,24 @@ class TestPageRangeTable:
 
     @staticmethod
     def _server_reads(monkeypatch, model, oid):
-        """The pages the server buffer reads for one access of ``oid``."""
+        """The pages the server buffer reads for one read of ``oid``:
+        a miss through ``access``, a resident page through the ``touch``
+        the walk calls in place."""
         pages = []
-        access = BufferManager.access
+        memory = model.memory
+        access, touch = BufferManager.access, memory.touch
 
         def recording_access(buffer, page, write=False):
-            if buffer is model.memory:
+            if buffer is memory:
                 pages.append(page)
             return access(buffer, page, write)
 
+        def recording_touch(page):
+            pages.append(page)
+            touch(page)
+
         monkeypatch.setattr(BufferManager, "access", recording_access)
+        monkeypatch.setattr(memory, "touch", recording_touch)
         walk(model.architecture, [(oid, False)])
         return pages
 
